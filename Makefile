@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test cover race vet bench bench-full bench-compare bench-gate bench-baseline profile fuzz serve-smoke shard-smoke clean
+.PHONY: all build test cover race vet bench bench-full bench-compare bench-gate bench-baseline perfbench-test profile fuzz serve-smoke shard-smoke clean
 
 all: build test vet
 
@@ -17,13 +17,21 @@ test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCrossProcessSingleflight|TestCacheDiskSpill|TestCorruptSpillQuarantined|TestDiskEviction|TestSegmented|TestCrashDuringPublishRecovery|TestLease|TestPartialEviction'
 	$(GO) test -race ./internal/server
-	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestExtStoreSets'
+	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestExtStoreSets|Memo|PointKey|TestCancelledSweepStoresOnlyCompletedPoints|TestRunExhibitShardDuplicateIndices'
 	$(GO) test -race ./internal/core -run 'TestRunGangDivergentMatchesSequential|TestDisambMatchesBruteForceReferenceRandom'
 	$(GO) test -race ./internal/storeset
 	$(GO) test -race ./internal/smt -run 'TestSchedBracketingRandom|TestRoundRobinK1BitIdentity'
 	$(GO) test -race ./internal/mem ./internal/prefetch ./internal/annotate \
 		-run 'MatchesMapReference|ZeroAllocSteadyState|AnnotateIntoMatchesNext'
+	$(MAKE) perfbench-test
 	$(MAKE) bench-gate
+
+# perfbench-test runs the repo benchmark's own package test. perfbench is
+# a separate Go module, so the root `go test ./...` skips it; its test
+# checks that every workload runs clean, that fleet bytes equal solo,
+# and that digests and counts repeat from run to run.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 bench-gate:
 	$(GO) run ./cmd/bench -scale quick -skip-sweep -skip-capture -skip-gang -skip-storesets -skip-smtsched \

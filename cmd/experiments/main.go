@@ -103,6 +103,9 @@ func main() {
 	setup.Measure = *measure
 	setup.Parallelism = *par
 	setup.GangSize = *gang
+	// Exhibits share sweep points (figure5 is figure4's sweep); one memo
+	// per invocation runs each point once.
+	setup.Memo = experiments.NewPointMemo()
 	if *cacheDir != "" {
 		setup.Cache.SetDir(*cacheDir)
 		if *cacheBytes > 0 {

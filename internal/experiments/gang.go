@@ -38,17 +38,19 @@ type GangStats struct {
 	ScalarInsts atomic.Uint64
 }
 
-// runBatchLocal executes every point on this replica, in point order.
-// It is the gang-dispatch engine behind RunMLPsimBatch (see shard.go
-// for the sharded and shard-executor wrappers).
-func (s Setup) runBatchLocal(points []MLPPoint) []core.Result {
-	results := make([]core.Result, len(points))
-	plan := s.gangPlan(points)
+// runLocal executes points[i] for every i in todo on this replica,
+// writing results[i] and memoizing each point as it completes — a
+// cancelled sweep's undispatched points are never stored. It is the
+// gang-dispatch engine behind RunMLPsimBatch (see shard.go for the
+// memo check and the sharded and shard-executor wrappers).
+func (s Setup) runLocal(points []MLPPoint, todo []int, results []core.Result) {
+	plan := s.gangPlan(points, todo)
 	s.forEach(len(plan), func(gi int) {
 		idxs := plan[gi]
 		if len(idxs) == 1 {
 			p := points[idxs[0]]
-			results[idxs[0]] = s.RunMLPsim(p.Workload, p.Config, p.Annot)
+			results[idxs[0]] = s.runMLPsim(p.Workload, p.Config, p.Annot)
+			s.remember(p, results[idxs[0]])
 			if s.GangStats != nil {
 				s.GangStats.Solo.Add(1)
 			}
@@ -65,6 +67,7 @@ func (s Setup) runBatchLocal(points []MLPPoint) []core.Result {
 		for k, pi := range idxs {
 			results[pi] = rs[k]
 			s.noteDepStats(rs[k])
+			s.remember(points[pi], rs[k])
 		}
 		if s.GangStats != nil {
 			s.GangStats.Gangs.Add(1)
@@ -74,22 +77,21 @@ func (s Setup) runBatchLocal(points []MLPPoint) []core.Result {
 			s.GangStats.ScalarInsts.Add(gs.ScalarInsts)
 		}
 	})
-	return results
 }
 
-// gangPlan partitions point indices into dispatch groups. Points group
-// when they will see the same annotated stream: same workload and same
-// canonical annotation key (atrace.ConfigKey), under this Setup's warmup
-// and measure. Grouping does not require the cache — a gang over a
-// direct annotator still shares its single annotation pass — but
-// unkeyable configs (e.g. trained prefetcher instances) have private
-// stream state and always run solo. Groups are then chunked: a fixed
-// GangSize when set, otherwise just enough chunks to keep every worker
-// busy (on one worker, a whole group is one gang).
-func (s Setup) gangPlan(points []MLPPoint) [][]int {
+// gangPlan partitions the point indices todo into dispatch groups.
+// Points group when they will see the same annotated stream: same
+// workload and same canonical annotation key (atrace.ConfigKey), under
+// this Setup's warmup and measure. Grouping does not require the cache
+// — a gang over a direct annotator still shares its single annotation
+// pass — but unkeyable configs (e.g. trained prefetcher instances) have
+// private stream state and always run solo. Groups are then chunked: a
+// fixed GangSize when set, otherwise just enough chunks to keep every
+// worker busy (on one worker, a whole group is one gang).
+func (s Setup) gangPlan(points []MLPPoint, todo []int) [][]int {
 	var plan [][]int
 	if s.GangSize == 1 {
-		for i := range points {
+		for _, i := range todo {
 			plan = append(plan, []int{i})
 		}
 		return plan
@@ -100,7 +102,8 @@ func (s Setup) gangPlan(points []MLPPoint) [][]int {
 	}
 	var order []gkey
 	groups := make(map[gkey][]int)
-	for i, p := range points {
+	for _, i := range todo {
+		p := points[i]
 		akey, _, ok := atrace.ConfigKey(p.Annot)
 		if !ok {
 			plan = append(plan, []int{i})
@@ -129,6 +132,15 @@ func (s Setup) gangPlan(points []MLPPoint) [][]int {
 		}
 	}
 	return plan
+}
+
+// seq returns the indices 0..n-1.
+func seq(n int) []int {
+	idxs := make([]int, n)
+	for i := range idxs {
+		idxs[i] = i
+	}
+	return idxs
 }
 
 // partitionSoAFirst stably reorders a stream-sharing group so points on

@@ -84,12 +84,12 @@ func TestGangPlanShapes(t *testing.T) {
 	}
 
 	s.GangSize = 1
-	if plan := s.gangPlan(mk(5)); len(plan) != 5 {
+	if plan := s.gangPlan(mk(5), seq(5)); len(plan) != 5 {
 		t.Errorf("GangSize=1 plan has %d groups, want 5 singletons", len(plan))
 	}
 
 	s.GangSize = 4
-	plan := s.gangPlan(mk(10))
+	plan := s.gangPlan(mk(10), seq(10))
 	if len(plan) != 3 || len(plan[0]) != 4 || len(plan[1]) != 4 || len(plan[2]) != 2 {
 		t.Errorf("GangSize=4 over 10 points: plan shape %v, want [4 4 2]", planShape(plan))
 	}
@@ -104,7 +104,7 @@ func TestGangPlanShapes(t *testing.T) {
 	for i := range pts {
 		pts[i].Annot.Value = vp
 	}
-	for i, g := range s.gangPlan(pts) {
+	for i, g := range s.gangPlan(pts, seq(len(pts))) {
 		if len(g) != 1 {
 			t.Errorf("unkeyable group %d has %d members, want solo dispatch", i, len(g))
 		}

@@ -71,6 +71,11 @@ type Setup struct {
 	// counters across ext-smtsched sweeps (the daemon exports them on
 	// /metrics).
 	SMTSched *SMTSchedStats
+	// Memo, when non-nil, answers sweep points that already ran — in an
+	// earlier exhibit or earlier in this one — without running them
+	// again (see PointMemo). Results are bit-identical either way; nil
+	// runs every point.
+	Memo *PointMemo
 	// shard, when non-nil, reroutes RunMLPsimBatch: coordinator mode
 	// (set via ShardedBy) splits each batch across peer replicas;
 	// executor mode (set by RunExhibitShard) runs only a requested
@@ -233,8 +238,15 @@ func (s Setup) PrefetchStats(w workload.Config, acfg annotate.Config) (ipf, dpf 
 	return ipf, dpf
 }
 
-// RunMLPsim generates, annotates and runs one MLPsim configuration.
+// RunMLPsim generates, annotates and runs one MLPsim configuration,
+// or answers it from s.Memo.
 func (s Setup) RunMLPsim(w workload.Config, cfg core.Config, acfg annotate.Config) core.Result {
+	k, ok := s.mlpKey(MLPPoint{Workload: w, Config: cfg, Annot: acfg})
+	return memoized(s, k, ok, func() core.Result { return s.runMLPsim(w, cfg, acfg) })
+}
+
+// runMLPsim runs one MLPsim configuration on the engine.
+func (s Setup) runMLPsim(w workload.Config, cfg core.Config, acfg annotate.Config) core.Result {
 	cfg.MaxInstructions = s.Measure
 	res := core.NewEngine(s.annotatedSource(w, acfg), cfg).Run()
 	s.noteDepStats(res)
@@ -242,10 +254,13 @@ func (s Setup) RunMLPsim(w workload.Config, cfg core.Config, acfg annotate.Confi
 }
 
 // RunCycleSim generates, annotates and runs one cycle-simulator
-// configuration.
+// configuration, or answers it from s.Memo.
 func (s Setup) RunCycleSim(w workload.Config, cfg cyclesim.Config, acfg annotate.Config) cyclesim.Result {
 	cfg.MaxInstructions = s.Measure
-	return cyclesim.New(s.annotatedSource(w, acfg), cfg).Run()
+	k, ok := s.memoKey("cyclesim", w, acfg, cfg)
+	return memoized(s, k, ok, func() cyclesim.Result {
+		return cyclesim.New(s.annotatedSource(w, acfg), cfg).Run()
+	})
 }
 
 // parallelism resolves the worker count.

@@ -82,38 +82,54 @@ func (s Setup) ShardedBy(r ShardRouter) Setup {
 }
 
 // RunMLPsimBatch runs every point and returns results in point order,
-// bit-identical to calling RunMLPsim per point. Points that share an
-// annotated stream are grouped and dispatched as gangs; Parallelism
-// bounds concurrent gangs, not points. Under ShardedBy, remotely-owned
-// points are fetched from peers instead of run (bit-identical either
-// way); under RunExhibitShard only the requested shard executes.
+// bit-identical to calling RunMLPsim per point. Points s.Memo already
+// holds are answered first, before any planning, routing or capture;
+// the rest that share an annotated stream are grouped and dispatched as
+// gangs, with Parallelism bounding concurrent gangs, not points. Under
+// ShardedBy, remotely-owned points are fetched from peers instead of
+// run (bit-identical either way); under RunExhibitShard only the
+// requested shard executes.
 func (s Setup) RunMLPsimBatch(points []MLPPoint) []core.Result {
-	if sh := s.shard; sh != nil {
-		batch := sh.batch
+	results := make([]core.Result, len(points))
+	sh := s.shard
+	batch := 0
+	if sh != nil {
+		batch = sh.batch
 		sh.batch++
-		if sh.cap != nil {
-			return s.shardCaptureBatch(sh.cap, batch, points)
-		}
-		return s.runBatchSharded(sh.router, batch, points)
 	}
-	return s.runBatchLocal(points)
+	switch {
+	case sh != nil && sh.cap != nil && batch >= sh.cap.want:
+		s.shardCaptureBatch(sh.cap, batch, points, results)
+	case sh != nil && sh.router != nil:
+		s.runBatchSharded(sh.router, batch, points, s.recall(points, seq(len(points)), results), results)
+	default:
+		// Solo, or an executor replaying a batch before the wanted one
+		// in full (later points may depend on it).
+		s.runLocal(points, s.recall(points, seq(len(points)), results), results)
+	}
+	return results
 }
 
 // runBatchSharded splits a batch by ownership: the local shard (plus
 // anything the router declines) runs through the normal gang path while
-// remote shards are fetched concurrently. Points carrying an OnEpoch
-// callback never offload — funcs do not travel, and the caller's
-// collector must observe the epochs.
-func (s Setup) runBatchSharded(r ShardRouter, batch int, points []MLPPoint) []core.Result {
-	results := make([]core.Result, len(points))
-	local := make([]int, 0, len(points))
+// remote shards are fetched concurrently. Ownership is consulted for
+// the whole batch, so placement and the batch length the router
+// records do not depend on what the memo answered; only the points in
+// miss are run or fetched. Points carrying an OnEpoch callback never
+// offload — funcs do not travel, and the caller's collector must
+// observe the epochs.
+func (s Setup) runBatchSharded(r ShardRouter, batch int, points []MLPPoint, miss []int, results []core.Result) {
+	ownerOf := make([]string, len(points))
+	for i, p := range points {
+		if p.Config.OnEpoch == nil {
+			ownerOf[i] = r.Owner(batch, i)
+		}
+	}
+	local := make([]int, 0, len(miss))
 	remote := make(map[string][]int)
 	var owners []string
-	for i, p := range points {
-		owner := ""
-		if p.Config.OnEpoch == nil {
-			owner = r.Owner(batch, i)
-		}
+	for _, i := range miss {
+		owner := ownerOf[i]
 		if owner == "" {
 			local = append(local, i)
 			continue
@@ -122,20 +138,6 @@ func (s Setup) runBatchSharded(r ShardRouter, batch int, points []MLPPoint) []co
 			owners = append(owners, owner)
 		}
 		remote[owner] = append(remote[owner], i)
-	}
-
-	runLocal := func(idxs []int) {
-		if len(idxs) == 0 {
-			return
-		}
-		sub := make([]MLPPoint, len(idxs))
-		for k, i := range idxs {
-			sub[k] = points[i]
-		}
-		rs := s.runBatchLocal(sub)
-		for k, i := range idxs {
-			results[i] = rs[k]
-		}
 	}
 
 	// Fetch remote shards while the local shard computes. A peer that
@@ -155,46 +157,38 @@ func (s Setup) runBatchSharded(r ShardRouter, batch int, points []MLPPoint) []co
 			for k, i := range idxs {
 				results[i] = rs[k]
 				s.noteDepStats(rs[k])
+				s.remember(points[i], rs[k])
 			}
 		}(oi, owner, remote[owner])
 	}
-	runLocal(local)
+	s.runLocal(points, local, results)
 	wg.Wait()
 	for _, idxs := range fallback {
-		runLocal(idxs)
+		s.runLocal(points, idxs, results)
 	}
-	return results
 }
 
-// shardCaptureBatch is the executor side: batches before the wanted one
-// run in full (later points may depend on them), the wanted batch runs
-// only its requested indices and then aborts the exhibit.
-func (s Setup) shardCaptureBatch(c *shardCapture, batch int, points []MLPPoint) []core.Result {
-	if batch < c.want {
-		return s.runBatchLocal(points)
-	}
+// shardCaptureBatch is the executor side of the wanted batch: it runs
+// only the requested indices the memo cannot answer, then aborts the
+// exhibit.
+func (s Setup) shardCaptureBatch(c *shardCapture, batch int, points []MLPPoint, results []core.Result) {
 	if batch > c.want {
 		// Unreachable in practice — capturing the wanted batch aborts —
 		// but stay total: later batches yield zero results.
-		return make([]core.Result, len(points))
+		return
 	}
 	c.batchLen = len(points)
 	c.captured = true
+	seen := make([]bool, len(points))
 	idxs := make([]int, 0, len(c.indices))
 	for _, i := range c.indices {
-		if i >= 0 && i < len(points) {
+		if i >= 0 && i < len(points) && !seen[i] {
+			seen[i] = true
 			idxs = append(idxs, i)
 		}
 	}
-	sub := make([]MLPPoint, len(idxs))
-	for k, i := range idxs {
-		sub[k] = points[i]
-	}
-	rs := s.runBatchLocal(sub)
-	c.results = make([]core.Result, len(points))
-	for k, i := range idxs {
-		c.results[i] = rs[k]
-	}
+	s.runLocal(points, s.recall(points, idxs, results), results)
+	c.results = results
 	panic(shardAbort{})
 }
 

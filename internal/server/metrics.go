@@ -84,7 +84,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE mlpsim_runs_inflight gauge")
 	fmt.Fprintf(w, "mlpsim_runs_inflight %d\n", m.inflight.Load())
 
-	fmt.Fprintln(w, "# HELP mlpsim_gang Gang-dispatch occupancy (configs per gang = configs_total / runs_total).")
+	fmt.Fprintln(w, "# HELP mlpsim_gang Gang-dispatch occupancy (configs per gang = configs_total / runs_total); engine work only, not point-memo hits.")
 	fmt.Fprintln(w, "# TYPE mlpsim_gang_runs_total counter")
 	fmt.Fprintf(w, "mlpsim_gang_runs_total %d\n", s.gang.Gangs.Load())
 	fmt.Fprintf(w, "mlpsim_gang_configs_total %d\n", s.gang.Configs.Load())
@@ -94,7 +94,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "mlpsim_gang_soa_insts_total %d\n", s.gang.SoAInsts.Load())
 	fmt.Fprintf(w, "mlpsim_gang_scalar_fallback_insts_total %d\n", s.gang.ScalarInsts.Load())
 
-	fmt.Fprintln(w, "# HELP mlpsim_dep Memory-dependence speculation events across all engine runs (non-oracle disambiguation modes).")
+	fmt.Fprintln(w, "# HELP mlpsim_dep Memory-dependence speculation events across all engine runs (non-oracle disambiguation modes); engine work only, not point-memo hits.")
 	fmt.Fprintln(w, "# TYPE mlpsim_dep_mispredicts_total counter")
 	fmt.Fprintf(w, "mlpsim_dep_mispredicts_total %d\n", s.dep.Mispredicts.Load())
 	fmt.Fprintf(w, "mlpsim_dep_serializes_total %d\n", s.dep.Serializes.Load())
@@ -127,6 +127,15 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "mlpsim_result_cache_misses_total %d\n", misses)
 	fmt.Fprintf(w, "mlpsim_result_cache_abandoned_total %d\n", abandoned)
 	fmt.Fprintf(w, "mlpsim_result_cache_entries %d\n", entries)
+
+	ms := s.memo.Stats()
+	fmt.Fprintln(w, "# HELP mlpsim_point_memo Sweep points answered from the point memo instead of run (see experiments.PointMemo).")
+	fmt.Fprintln(w, "# TYPE mlpsim_point_memo_hits_total counter")
+	fmt.Fprintf(w, "mlpsim_point_memo_hits_total %d\n", ms.Hits)
+	fmt.Fprintf(w, "mlpsim_point_memo_misses_total %d\n", ms.Misses)
+	fmt.Fprintf(w, "mlpsim_point_memo_evictions_total %d\n", ms.Evictions)
+	fmt.Fprintln(w, "# TYPE mlpsim_point_memo_entries gauge")
+	fmt.Fprintf(w, "mlpsim_point_memo_entries %d\n", ms.Entries)
 
 	if c := s.opts.Setup.Cache; c != nil {
 		st := c.Stats()

@@ -80,6 +80,7 @@ type Server struct {
 	gang     *experiments.GangStats
 	dep      *experiments.DepStats
 	smtSched *experiments.SMTSchedStats
+	memo     *experiments.PointMemo
 	mux      *http.ServeMux
 	draining atomic.Bool
 
@@ -132,6 +133,12 @@ func New(opts Options) *Server {
 	} else {
 		s.smtSched = s.opts.Setup.SMTSched
 	}
+	// One point memo per daemon: every exhibit request and peer shard
+	// answers the points any earlier one ran without running them again.
+	if s.opts.Setup.Memo == nil {
+		s.opts.Setup.Memo = experiments.NewPointMemo()
+	}
+	s.memo = s.opts.Setup.Memo
 	// Peer fleet: a ring forms when this replica has an identity and at
 	// least one other replica to talk to; otherwise the daemon runs
 	// solo. The ring hashes the configured id set — a PeerID absent from
