@@ -15,7 +15,7 @@ build:
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCrossProcessSingleflight|TestCacheDiskSpill|TestCorruptSpillQuarantined|TestDiskEviction|TestSegmented|TestCrashDuringPublishRecovery|TestLease|TestPartialEviction'
+	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCacheBuildPanic|TestCrossProcessSingleflight|TestCacheDiskSpill|TestBuildLeavesNoLockOrLease|TestMonolithicSpillQuarantined|TestCorruptSpillQuarantined|TestDiskEviction|TestSegmented|TestCrashDuringPublishRecovery|TestLease|TestPartialEviction'
 	$(GO) test -race ./internal/server
 	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestExtStoreSets|Memo|PointKey|TestCancelledSweepStoresOnlyCompletedPoints|TestRunExhibitShardDuplicateIndices'
 	$(GO) test -race ./internal/core -run 'TestRunGangDivergentMatchesSequential|TestDisambMatchesBruteForceReferenceRandom'
@@ -49,7 +49,7 @@ cover:
 	sh scripts/cover.sh
 
 # Concurrency-sensitive packages: the annotated-trace cache (singleflight,
-# mmap, flock-coordinated disk spill) and the experiment worker pool that
+# mmap, lease-coordinated disk spill) and the experiment worker pool that
 # hammers it.
 race:
 	$(GO) test -race ./internal/experiments ./internal/atrace
@@ -58,7 +58,7 @@ vet:
 	$(GO) vet ./...
 
 # Performance report: micro-benchmarks (engine, gang dispatch at
-# K=1/4/16/32/64, the SMT policy scheduler), the monolithic-vs-segmented
+# K=1/4/16/32/64, the SMT policy scheduler), the one-segment vs K-segment
 # capture comparison, the sequential-vs-gang Figure 4 sweep, the
 # ext-storesets disambiguation and ext-smtsched policy sweeps, the
 # uncached / in-heap-cached / memory-mapped Figure 4+5+6 sweeps, plus
@@ -93,7 +93,8 @@ profile:
 	rm -f mlpsim.test atrace.test
 
 fuzz:
-	$(GO) test ./internal/trace -fuzz FuzzRoundTripV2 -fuzztime 30s
+	$(GO) test ./internal/trace -fuzz '^FuzzRoundTrip$$' -fuzztime 30s
+	$(GO) test ./internal/trace -fuzz '^FuzzDecoder$$' -fuzztime 30s
 	$(GO) test ./internal/atrace -fuzz FuzzOpenSegmentManifest -fuzztime 30s
 	$(GO) test ./internal/storeset -fuzz FuzzStoreSetUpdate -fuzztime 30s
 

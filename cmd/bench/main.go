@@ -1,7 +1,7 @@
 // Command bench tracks the simulator's performance trajectory: it runs
-// the annotator/replay/engine/gang micro-benchmarks, a
-// monolithic-vs-segmented capture comparison (the pipelined parallel
-// writer behind MLPCOLS2), the Figure 4+5+6 sweep three ways — uncached,
+// the annotator/replay/engine/gang micro-benchmarks, a one-segment vs
+// K-segment capture comparison (the pipelined parallel spill writer),
+// the Figure 4+5+6 sweep three ways — uncached,
 // with the in-heap annotated-trace cache, and replaying memory-mapped
 // spills from a warm on-disk cache — a sequential-vs-gang-dispatch
 // comparison of the Figure 4 sweep, the ext-storesets memory
@@ -127,8 +127,9 @@ type smtSchedResult struct {
 	Bracketed  bool    `json:"bracketed"`
 }
 
-// captureResult records the monolithic-vs-segmented capture comparison.
-// The speedup scales with cores (each worker runs an independent
+// captureResult records the one-segment vs K-segment capture comparison
+// (the monolithic_* names, kept so older reports still compare, mean
+// the one-segment capture on one worker). The speedup scales with cores (each worker runs an independent
 // generation->annotation->encoding pipeline); NumCPU records the machine
 // context so a 1.0x speedup on a 1-CPU box is interpretable. The
 // time-to-first-replay win is real on any core count: replay can consume
@@ -141,9 +142,9 @@ type captureResult struct {
 	Workers           int     `json:"workers"`
 	NumCPU            int     `json:"num_cpu"`
 	MonolithicSeconds float64 `json:"monolithic_seconds"`
-	// Per-instruction cost of the monolithic pass (annotation + columnar
-	// encoding + spill write) and its heap allocation rate — the capture
-	// fast path's headline numbers. Steady state is zero allocations; the
+	// Per-instruction cost of one bare capture pass (annotation +
+	// columnar encoding) and its heap allocation rate — the capture fast
+	// path's headline numbers. Steady state is zero allocations; the
 	// reported rate amortizes construction over the whole window.
 	MonolithicNsPerInst     float64 `json:"monolithic_ns_per_inst"`
 	MonolithicAllocsPerInst float64 `json:"monolithic_allocs_per_inst"`
@@ -368,10 +369,12 @@ func gangConfigs(k int) []core.Config {
 	return cfgs
 }
 
-// runCaptureBench times the same annotated-trace build done two ways:
-// one monolithic Capture+WriteColumnarFile pass, and the segmented
-// pipelined writer (CaptureSegmentedToFile, workers = GOMAXPROCS). It
-// also verifies the two spills replay bit-identically.
+// runCaptureBench times the same annotated-trace build done two ways
+// through the pipelined spill writer (CaptureSegmentedToFile): one
+// segment on one worker, and segInsts-instruction segments on
+// GOMAXPROCS workers. It verifies the two spills replay bit-identically,
+// and brackets one bare Capture pass for the per-instruction rate and
+// allocation count.
 func runCaptureBench(s experiments.Setup, segInsts int64) *captureResult {
 	w := s.Workloads[0]
 	dir, err := os.MkdirTemp("", "mlpsim-bench-capture-")
@@ -380,51 +383,50 @@ func runCaptureBench(s experiments.Setup, segInsts int64) *captureResult {
 		return nil
 	}
 	defer os.RemoveAll(dir)
-	newAnn := func() *annotate.Annotator {
-		return annotate.New(workload.MustNew(w), annotate.Config{})
+	spec := atrace.BuildSpec{
+		NewAnnotator: func() *annotate.Annotator {
+			return annotate.New(workload.MustNew(w), annotate.Config{})
+		},
+		Warmup:  s.Warmup,
+		Measure: s.Measure,
 	}
 
-	// The monolithic wall time covers warmup + capture + spill write, like
-	// the segmented pipeline it is compared against. The per-instruction
-	// rate and allocation count bracket just the fused capture pass.
-	mono := filepath.Join(dir, "mono.acol")
-	start := time.Now()
-	a := newAnn()
+	a := spec.NewAnnotator()
 	a.Warm(s.Warmup)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	capStart := time.Now()
-	st := atrace.Capture(a, s.Measure)
+	atrace.Capture(a, s.Measure)
 	capDur := time.Since(capStart)
 	runtime.ReadMemStats(&m1)
-	if err := atrace.WriteColumnarFile(mono, st); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: capture comparison skipped: %v\n", err)
-		return nil
-	}
-	monoDur := time.Since(start)
 
-	spec := atrace.SegSpec{
-		NewAnnotator: newAnn,
-		Warmup:       s.Warmup,
-		Measure:      s.Measure,
-		SegmentInsts: segInsts,
+	// capture writes one spill, timing its first segment and the whole.
+	capture := func(path string, spec atrace.BuildSpec) (p *atrace.PendingCapture, first, total time.Duration, err error) {
+		start := time.Now()
+		p = atrace.CaptureSegmentedToFile(path, spec)
+		if _, err = p.Segment(0); err != nil {
+			return
+		}
+		first = time.Since(start)
+		if _, err = p.Wait(); err == nil {
+			err = p.PublishErr()
+		}
+		return p, first, time.Since(start), err
 	}
-	seg := filepath.Join(dir, "seg.acol")
-	start = time.Now()
-	p := atrace.CaptureSegmentedToFile(seg, spec)
-	if _, err := p.Segment(0); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: capture comparison skipped: %v\n", err)
-		return nil
-	}
-	firstDur := time.Since(start)
-	if _, err := p.Wait(); err == nil {
-		err = p.PublishErr()
-	}
+	one := filepath.Join(dir, "one.acol")
+	spec.Workers = 1
+	_, _, oneDur, err := capture(one, spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bench: capture comparison skipped: %v\n", err)
 		return nil
 	}
-	segDur := time.Since(start)
+	seg := filepath.Join(dir, "seg.acol")
+	spec.SegmentInsts, spec.Workers = segInsts, 0
+	p, firstDur, segDur, err := capture(seg, spec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bench: capture comparison skipped: %v\n", err)
+		return nil
+	}
 
 	c := &captureResult{
 		Workload:                w.Name,
@@ -432,16 +434,16 @@ func runCaptureBench(s experiments.Setup, segInsts int64) *captureResult {
 		Segments:                p.Segments(),
 		Workers:                 runtime.GOMAXPROCS(0),
 		NumCPU:                  runtime.NumCPU(),
-		MonolithicSeconds:       monoDur.Seconds(),
+		MonolithicSeconds:       oneDur.Seconds(),
 		MonolithicNsPerInst:     float64(capDur.Nanoseconds()) / float64(s.Measure),
 		MonolithicAllocsPerInst: float64(m1.Mallocs-m0.Mallocs) / float64(s.Measure),
 		SegmentedSeconds:        segDur.Seconds(),
-		Speedup:                 monoDur.Seconds() / segDur.Seconds(),
+		Speedup:                 oneDur.Seconds() / segDur.Seconds(),
 		FirstSegmentSeconds:     firstDur.Seconds(),
-		TimeToFirstReplayWin:    monoDur.Seconds() / firstDur.Seconds(),
-		Identical:               sameSpills(mono, seg),
+		TimeToFirstReplayWin:    oneDur.Seconds() / firstDur.Seconds(),
+		Identical:               sameSpills(one, seg),
 	}
-	fmt.Fprintf(os.Stderr, "bench: capture: monolithic %.1fs (%.1f ns/inst, %.4f allocs/inst), segmented %.1fs (%d segments, %d workers on %d CPUs, %.2fx), first segment replayable after %.1fs (%.1fx win), identical: %v\n",
+	fmt.Fprintf(os.Stderr, "bench: capture: one segment %.1fs (%.1f ns/inst, %.4f allocs/inst), segmented %.1fs (%d segments, %d workers on %d CPUs, %.2fx), first segment replayable after %.1fs (%.1fx win), identical: %v\n",
 		c.MonolithicSeconds, c.MonolithicNsPerInst, c.MonolithicAllocsPerInst,
 		c.SegmentedSeconds, c.Segments, c.Workers, c.NumCPU,
 		c.Speedup, c.FirstSegmentSeconds, c.TimeToFirstReplayWin, c.Identical)
@@ -964,7 +966,7 @@ func printComparison(path string, old, cur report) {
 	}
 	if old.Capture != nil && cur.Capture != nil {
 		o, c := old.Capture, cur.Capture
-		fmt.Printf("  capture (mono)   %8.1f -> %8.1f s\n", o.MonolithicSeconds, c.MonolithicSeconds)
+		fmt.Printf("  capture (1 seg)  %8.1f -> %8.1f s\n", o.MonolithicSeconds, c.MonolithicSeconds)
 		if c.MonolithicNsPerInst > 0 {
 			if o.MonolithicNsPerInst > 0 {
 				fmt.Printf("  capture ns/inst  %8.1f -> %8.1f  (%+.1f%%), %.4f allocs/inst\n",
@@ -1047,7 +1049,7 @@ func main() {
 	out := flag.String("out", "BENCH_10.json", "output JSON path")
 	seed := flag.Int64("seed", 1, "workload seed")
 	skipSweep := flag.Bool("skip-sweep", false, "skip the cached-vs-uncached sweep comparison")
-	skipCapture := flag.Bool("skip-capture", false, "skip the monolithic-vs-segmented capture comparison")
+	skipCapture := flag.Bool("skip-capture", false, "skip the one-segment vs K-segment capture comparison")
 	skipGang := flag.Bool("skip-gang", false, "skip the sequential-vs-gang dispatch comparison")
 	skipStoreSets := flag.Bool("skip-storesets", false, "skip the ext-storesets disambiguation sweep")
 	skipSMTSched := flag.Bool("skip-smtsched", false, "skip the ext-smtsched scheduled-SMT policy sweep")
@@ -1084,7 +1086,7 @@ func main() {
 	}
 
 	if !*skipCapture {
-		fmt.Fprintln(os.Stderr, "bench: comparing monolithic vs segmented capture...")
+		fmt.Fprintln(os.Stderr, "bench: comparing one-segment vs K-segment capture...")
 		rep.Capture = runCaptureBench(s, s.Measure/8)
 	}
 

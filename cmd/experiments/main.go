@@ -43,10 +43,10 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "with -serve: how long SIGTERM waits for in-flight requests")
 		peerID       = flag.String("peer-id", "", "this replica's stable identity: hash-ring membership with -peers, build-lease ownership with -trace-cache-dir")
 		peersFlag    = flag.String("peers", "", "comma-separated fleet list id=url,... naming every replica (this one included); requires -serve and -peer-id")
-		leaseTTL     = flag.Duration("lease-ttl", atrace.DefaultLeaseTTL, "cross-host build lease time-to-live for a shared -trace-cache-dir (active with -peer-id; a dead owner's lease is reclaimable after this long)")
+		leaseTTL     = flag.Duration("lease-ttl", atrace.DefaultLeaseTTL, "time-to-live of the per-trace build leases in -trace-cache-dir: a builder that dies holding one blocks that trace for at most this long")
 		cacheDir     = flag.String("trace-cache-dir", "", "spill annotated-trace cache entries to this directory (shared across invocations and processes)")
 		cacheBytes   = flag.Int64("trace-cache-bytes", 0, "byte cap for -trace-cache-dir; least-recently-used spills are evicted (0 = default cap)")
-		segInsts     = flag.Int64("trace-segment-insts", 0, "capture annotated traces as N-instruction segments built by parallel pipelines (0 = monolithic)")
+		segInsts     = flag.Int64("trace-segment-insts", 0, "capture annotated traces as N-instruction segments built by parallel pipelines (0 = one segment)")
 		segWorkers   = flag.Int("trace-capture-workers", 0, "parallel capture workers with -trace-segment-insts (0 = GOMAXPROCS)")
 		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -111,14 +111,13 @@ func main() {
 		if *cacheBytes > 0 {
 			setup.Cache.SetDiskCapBytes(*cacheBytes)
 		}
-		if *peerID != "" {
-			// A replica with an identity coordinates spill builds via
-			// expiring lease files instead of flocks, so replicas on
-			// different hosts sharing the directory over a network
-			// filesystem still build each trace once — and a SIGKILL'd
-			// builder's claim expires instead of wedging the key.
-			setup.Cache.SetLease(*peerID, *leaseTTL)
-		}
+		// Builders of one trace coordinate through expiring lease files,
+		// so processes on one host or on several sharing the directory
+		// over a network filesystem build each trace once, and a
+		// SIGKILL'd builder's claim expires instead of wedging the key.
+		// A replica's -peer-id names its leases; without one the cache
+		// derives a unique owner.
+		setup.Cache.SetLease(*peerID, *leaseTTL)
 	}
 	if *segInsts > 0 {
 		setup.Cache.SetSegments(*segInsts, *segWorkers)
@@ -176,7 +175,7 @@ func validateFlags(gang int, segInsts int64, segWorkers int, cacheBytes int64) e
 		return fmt.Errorf("-gang %d: must be >= 0 (0 = auto, 1 = off, N = cap)", gang)
 	}
 	if segInsts < 0 {
-		return fmt.Errorf("-trace-segment-insts %d: must be >= 0 (0 = monolithic capture)", segInsts)
+		return fmt.Errorf("-trace-segment-insts %d: must be >= 0 (0 = one segment)", segInsts)
 	}
 	if segWorkers < 0 {
 		return fmt.Errorf("-trace-capture-workers %d: must be >= 0 (0 = GOMAXPROCS)", segWorkers)

@@ -7,16 +7,14 @@
 //	mlpsim -workload database -window 64 -issue C
 //	mlpsim -workload jbb -window 64 -rob 256 -issue D
 //	mlpsim -workload database -issue D -runahead
-//	mlpsim -trace db.trc -issue E -window 2048
-//	mlpsim -trace db.atrc -issue D -runahead   # pre-annotated (v2) trace
-//	mlpsim -trace db.acol -issue D -runahead   # columnar trace, memory-mapped
-//	                                           # (monolithic MLPCOLS1 or a segmented
-//	                                           #  MLPCOLS2 manifest + .segNNNN files)
+//	mlpsim -trace db.trc -issue E -window 2048   # raw trace (tracegen)
+//	mlpsim -trace db.acol -issue D -runahead     # annotated trace (tracegen -annotate),
+//	                                             # memory-mapped
 //	mlpsim -workload web -inorder use
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,10 +33,10 @@ import (
 func main() {
 	var (
 		workloadName = flag.String("workload", "database", "workload: database, jbb, web, chase, stream, serialized, ibound, strided, storeheavy")
-		traceFile    = flag.String("trace", "", "binary trace file (overrides -workload)")
+		traceFile    = flag.String("trace", "", "raw or annotated trace file from tracegen (overrides -workload)")
 		seed         = flag.Int64("seed", 1, "workload generation seed")
 		warmup       = flag.Int64("warmup", 2_000_000, "warm-up instructions")
-		measure      = flag.Int64("measure", 8_000_000, "measured instructions (0 = rest of trace)")
+		measure      = flag.Int64("measure", 8_000_000, "measured instructions (0 = rest of the -trace file)")
 		window       = flag.Int("window", 64, "issue window entries")
 		rob          = flag.Int("rob", 0, "reorder buffer entries (0 = same as window)")
 		fetchBuf     = flag.Int("fetchbuf", 32, "fetch buffer entries")
@@ -59,42 +57,30 @@ func main() {
 		timeline     = flag.Bool("timeline", false, "print a Figure-1-style epoch timeline (first 32 epochs)")
 	)
 	flag.Parse()
+	if err := validateFlags(*traceFile, *warmup, *measure); err != nil {
+		fmt.Fprintln(os.Stderr, "mlpsim:", err)
+		os.Exit(2)
+	}
 
-	// A pre-annotated trace replays directly: annotation and warm-up
+	// An annotated trace replays directly: annotation and warm-up
 	// already happened at tracegen time, so the annotation flags (-l2,
 	// -iprefetch, -dprefetch, -vp as a predictor) have no effect and the
 	// engine starts at the trace's first instruction. Engine-level flags
-	// (-window, -issue, -runahead, -perf-* ...) apply as usual. Columnar
-	// (.acol-format) traces are memory-mapped rather than decoded, so the
-	// columns stay in the OS page cache instead of the Go heap.
-	var engineSrc core.AnnotatedSource
-	var pre atrace.Trace
-	if *traceFile != "" {
-		var err error
-		switch {
-		case atrace.IsSegmentedFile(*traceFile):
-			pre, err = atrace.OpenSegmentedFile(*traceFile)
-		case atrace.IsColumnarFile(*traceFile):
-			pre, err = atrace.OpenColumnarFile(*traceFile)
-		case isAnnotatedTrace(*traceFile):
-			pre, err = atrace.ReadFile(*traceFile)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlpsim:", err)
-			os.Exit(1)
-		}
+	// (-window, -issue, -runahead, -perf-* ...) apply as usual. Its column
+	// files are memory-mapped rather than decoded, so they stay in the OS
+	// page cache instead of the Go heap.
+	src, pre, err := openSource(*traceFile, *workloadName, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mlpsim:", err)
+		os.Exit(1)
 	}
+	var engineSrc core.AnnotatedSource
 	if pre != nil {
 		if *ipf > 0 || *dpf > 0 || *vp {
 			fmt.Fprintln(os.Stderr, "mlpsim: note: -iprefetch/-dprefetch/-vp annotation is baked in at tracegen time; flags ignored for annotated traces")
 		}
 		engineSrc = pre.Source()
 	} else {
-		src, err := openSource(*traceFile, *workloadName, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mlpsim:", err)
-			os.Exit(1)
-		}
 		acfg := annotate.Config{Hierarchy: mem.DefaultHierarchy().WithL2Size(*l2)}
 		if *ipf > 0 {
 			acfg.IPrefetch = prefetch.NewSequential(*ipf, mem.IFetch)
@@ -196,35 +182,45 @@ func main() {
 	}
 }
 
-// isAnnotatedTrace reports whether path holds a version-2 (pre-annotated)
-// trace. Unreadable files return false and fail later with a real error.
-func isAnnotatedTrace(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
+// validateFlags rejects negative windows, and a run that would never
+// end: a generated workload is unbounded, so it needs a positive
+// -measure (0 means "rest of the trace" only for a -trace file).
+func validateFlags(traceFile string, warmup, measure int64) error {
+	switch {
+	case warmup < 0:
+		return fmt.Errorf("-warmup %d: must be >= 0", warmup)
+	case measure < 0:
+		return fmt.Errorf("-measure %d: must be >= 0 (0 = rest of the -trace file)", measure)
+	case measure == 0 && traceFile == "":
+		return errors.New("-measure 0 needs -trace: a generated workload never ends")
 	}
-	defer f.Close()
-	dec, err := trace.NewDecoder(bufio.NewReader(f))
-	if err != nil {
-		return false
-	}
-	return dec.Version() >= 2
+	return nil
 }
 
-// openSource returns the instruction source: a decoded trace file or a
-// preset workload generator.
-func openSource(traceFile, name string, seed int64) (trace.Source, error) {
-	if traceFile != "" {
-		f, err := os.Open(traceFile)
+// openSource returns the instruction source: an annotated trace (pre),
+// or raw instructions (src) decoded from a raw trace file or generated
+// from a preset workload.
+func openSource(traceFile, name string, seed int64) (src trace.Source, pre *atrace.SegStream, err error) {
+	if traceFile == "" {
+		cfg, err := workload.ByName(name, seed)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		// The file stays open for the process lifetime.
-		return trace.NewReaderSource(f)
+		return workload.MustNew(cfg), nil, nil
 	}
-	cfg, err := workload.ByName(name, seed)
+	f, err := os.Open(traceFile)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return workload.MustNew(cfg), nil
+	// A raw trace stays open for the process lifetime.
+	src, rawErr := trace.NewReaderSource(f)
+	if rawErr == nil {
+		return src, nil, nil
+	}
+	f.Close()
+	pre, err = atrace.OpenSpill(traceFile)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s is neither a raw trace (%v) nor an annotated one (%v)", traceFile, rawErr, err)
+	}
+	return nil, pre, nil
 }

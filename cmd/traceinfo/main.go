@@ -1,7 +1,9 @@
-// Command traceinfo characterizes a trace (stored file or generated
-// workload): instruction-class mix, miss profile, branch behaviour,
-// value-predictability and inter-miss clustering — the §2.3/Table 1
-// characterization for arbitrary inputs.
+// Command traceinfo characterizes a trace (a raw trace file from
+// tracegen, or a generated workload): instruction-class mix, miss
+// profile, branch behaviour, value-predictability and inter-miss
+// clustering — the §2.3/Table 1 characterization for arbitrary inputs.
+// It annotates the raw instructions itself, so annotated traces (which
+// carry no cache hierarchy to report) are not accepted.
 //
 // Examples:
 //
@@ -26,12 +28,20 @@ import (
 func main() {
 	var (
 		workloadName = flag.String("workload", "database", "workload preset (see cmd/mlpsim)")
-		traceFile    = flag.String("trace", "", "binary trace file (overrides -workload)")
+		traceFile    = flag.String("trace", "", "raw trace file from tracegen (overrides -workload)")
 		seed         = flag.Int64("seed", 1, "workload generation seed")
 		warmup       = flag.Int64("warmup", 1_000_000, "warm-up instructions")
 		n            = flag.Int64("n", 4_000_000, "instructions to characterize")
 	)
 	flag.Parse()
+	if *warmup < 0 {
+		fmt.Fprintf(os.Stderr, "traceinfo: -warmup %d: must be >= 0\n", *warmup)
+		os.Exit(2)
+	}
+	if *n <= 0 {
+		fmt.Fprintf(os.Stderr, "traceinfo: -n %d: must be > 0\n", *n)
+		os.Exit(2)
+	}
 
 	src, err := openSource(*traceFile, *workloadName, *seed)
 	if err != nil {
@@ -68,7 +78,13 @@ func main() {
 	for c := range classes {
 		order = append(order, c)
 	}
-	sort.Slice(order, func(i, j int) bool { return classes[order[i]] > classes[order[j]] })
+	// Ties break by class so the listing is deterministic.
+	sort.Slice(order, func(i, j int) bool {
+		if ci, cj := classes[order[i]], classes[order[j]]; ci != cj {
+			return ci > cj
+		}
+		return order[i] < order[j]
+	})
 	for _, c := range order {
 		fmt.Printf("  %-9s %7.3f%%  (%d)\n", c, 100*float64(classes[c])/float64(total), classes[c])
 	}

@@ -1,7 +1,9 @@
 package atrace
 
 import (
-	"bytes"
+	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -128,19 +130,16 @@ func TestReplaysAreIndependent(t *testing.T) {
 	}
 }
 
-// TestStreamRoundTrip: WriteStream/ReadStream preserve every column and
-// the stored statistics.
+// TestStreamRoundTrip: a stream written in the columnar format and read
+// back (through the heap fallback) holds every column and the stored
+// statistics exactly, not just an equal replay.
 func TestStreamRoundTrip(t *testing.T) {
 	w := workload.Presets(11)[2]
 	s := captureStream(t, w, annotate.Config{})
-	var buf bytes.Buffer
-	if err := WriteStream(&buf, s); err != nil {
-		t.Fatalf("WriteStream: %v", err)
-	}
-	got, err := ReadStream(&buf)
-	if err != nil {
-		t.Fatalf("ReadStream: %v", err)
-	}
+	path := filepath.Join(t.TempDir(), "s"+spillExt)
+	writeColumnarFile(t, path, s)
+	got := openColumnarHeap(t, path)
+	got.mapped = nil
 	if !reflect.DeepEqual(s, got) {
 		t.Errorf("round-tripped stream differs")
 		if got.n != s.n || got.firstIndex != s.firstIndex || got.lineShift != s.lineShift {
@@ -153,9 +152,12 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope.atrace")); err == nil {
-		t.Fatal("expected error for missing file")
+// TestOpenSpillMissing: a missing spill is an ordinary error, not
+// corruption, so the disk cache builds instead of quarantining.
+func TestOpenSpillMissing(t *testing.T) {
+	_, err := OpenSpill(filepath.Join(t.TempDir(), "nope"+spillExt))
+	if err == nil || errors.Is(err, ErrCorruptSpill) {
+		t.Fatalf("OpenSpill of a missing file: err %v, want a plain not-exist error", err)
 	}
 }
 
@@ -220,15 +222,30 @@ func TestConfigKey(t *testing.T) {
 	}
 }
 
-// TestCacheSingleflight: concurrent Gets for one key run one build.
+// testSpec is the BuildSpec of the standard test window over w under
+// the default annotation configuration.
+func testSpec(w workload.Config) BuildSpec {
+	return BuildSpec{
+		NewAnnotator: func() *annotate.Annotator {
+			return annotate.New(workload.MustNew(w), annotate.Config{})
+		},
+		Warmup:  testWarmup,
+		Measure: testMeasure,
+	}
+}
+
+// TestCacheSingleflight: concurrent GetTrace calls for one key run one
+// build.
 func TestCacheSingleflight(t *testing.T) {
 	w := workload.Presets(2)[0]
 	c := NewCache()
 	var builds atomic.Int64
 	key := Key{Workload: w, Annot: "test", Warmup: testWarmup, Measure: testMeasure}
-	build := func() *Stream {
+	spec := testSpec(w)
+	newAnn := spec.NewAnnotator
+	spec.NewAnnotator = func() *annotate.Annotator {
 		builds.Add(1)
-		return captureStream(t, w, annotate.Config{})
+		return newAnn()
 	}
 	const goroutines = 8
 	streams := make([]Trace, goroutines)
@@ -237,7 +254,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			streams[i] = c.Get(key, build)
+			streams[i] = c.GetTrace(key, spec)
 		}(i)
 	}
 	wg.Wait()
@@ -259,18 +276,25 @@ func TestCacheSingleflight(t *testing.T) {
 // the key is retryable afterwards.
 func TestCacheBuildPanic(t *testing.T) {
 	c := NewCache()
-	key := Key{Annot: "panic"}
+	w := workload.Presets(2)[1]
+	key := Key{Workload: w, Annot: "panic", Warmup: testWarmup, Measure: testMeasure}
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic to propagate")
 			}
 		}()
-		c.Get(key, func() *Stream { panic("boom") })
+		c.GetTrace(key, BuildSpec{
+			NewAnnotator: func() *annotate.Annotator { panic("boom") },
+			Warmup:       testWarmup,
+			Measure:      testMeasure,
+		})
 	}()
-	s := c.Get(key, func() *Stream { return &Stream{} })
-	if s == nil {
-		t.Fatal("retry after panic returned nil")
+	if tr := c.GetTrace(key, testSpec(w)); tr == nil || tr.Len() != testMeasure {
+		t.Fatalf("retry after panic returned %v", tr)
+	}
+	if st := c.Stats(); st.Builds != 1 || st.Streams != 1 {
+		t.Errorf("stats %+v, want the retry as the only build", st)
 	}
 }
 
@@ -279,26 +303,29 @@ func TestCacheBuildPanic(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	c := NewCache()
 	w := workload.Presets(4)[0]
-	mk := func(i int) (Key, *Stream) {
+	mk := func(i int) (Key, BuildSpec) {
 		cfg := w
 		cfg.Seed = int64(i + 100)
-		a := annotate.New(workload.MustNew(cfg), annotate.Config{})
-		a.Warm(1000)
-		return Key{Workload: cfg, Annot: "e"}, Capture(a, 5000)
+		return Key{Workload: cfg, Annot: "e", Warmup: 1000, Measure: 5000}, BuildSpec{
+			NewAnnotator: func() *annotate.Annotator {
+				return annotate.New(workload.MustNew(cfg), annotate.Config{})
+			},
+			Warmup:  1000,
+			Measure: 5000,
+		}
 	}
-	k0, s0 := mk(0)
-	c.Get(k0, func() *Stream { return s0 })
-	c.SetCapBytes(s0.MemBytes() + s0.MemBytes()/2) // room for ~1.5 streams
-	k1, s1 := mk(1)
-	c.Get(k1, func() *Stream { return s1 })
+	k0, spec0 := mk(0)
+	t0 := c.GetTrace(k0, spec0)
+	c.SetCapBytes(t0.MemBytes() + t0.MemBytes()/2) // room for ~1.5 streams
+	k1, spec1 := mk(1)
+	c.GetTrace(k1, spec1)
 	st := c.Stats()
 	if st.Streams != 1 {
 		t.Errorf("after eviction %d streams cached, want 1", st.Streams)
 	}
 	// k1 must have survived (most recent).
-	var rebuilt bool
-	c.Get(k1, func() *Stream { rebuilt = true; return s1 })
-	if rebuilt {
+	c.GetTrace(k1, spec1)
+	if after := c.Stats(); after.Builds != st.Builds {
 		t.Error("most-recently-used stream was evicted")
 	}
 }
@@ -312,19 +339,68 @@ func TestCacheDiskSpill(t *testing.T) {
 
 	c1 := NewCache()
 	c1.SetDir(dir)
-	s1 := c1.Get(key, func() *Stream { return captureStream(t, w, annotate.Config{}) })
+	s1 := c1.GetTrace(key, testSpec(w))
 
 	c2 := NewCache()
 	c2.SetDir(dir)
-	var rebuilt bool
-	s2 := c2.Get(key, func() *Stream { rebuilt = true; return nil })
-	if rebuilt {
-		t.Fatal("second cache re-annotated despite disk spill")
+	s2 := c2.GetTrace(key, testSpec(w))
+	if st := c2.Stats(); st.DiskHits != 1 || st.Builds != 0 {
+		t.Fatalf("second cache stats %+v, want 1 disk hit and no re-annotation", st)
 	}
-	if st := c2.Stats(); st.DiskHits != 1 {
-		t.Errorf("disk hits %d, want 1", st.DiskHits)
+	assertSameReplay(t, s1, s2)
+}
+
+// TestBuildLeavesNoLockOrLease: a build coordinates through its lease
+// alone, so once it returns the directory holds no per-key lock file
+// (index.lock is the only lock) and no lease.
+func TestBuildLeavesNoLockOrLease(t *testing.T) {
+	dir := t.TempDir()
+	w := workload.Presets(6)[1]
+	c := NewCache()
+	c.SetDir(dir)
+	c.SetSegments(testMeasure/3, 2)
+	for i := 0; i < 2; i++ {
+		key := Key{Workload: w, Annot: fmt.Sprintf("litter%d", i), Warmup: testWarmup, Measure: testMeasure}
+		c.GetTrace(key, testSpec(w))
 	}
-	if !reflect.DeepEqual(s1, s2) {
-		t.Error("disk-loaded stream differs from built stream")
+	if st := c.Stats(); st.Builds != 2 || st.LeasesTaken != 2 {
+		t.Fatalf("stats %+v, want 2 builds under 2 leases", st)
+	}
+	locks, _ := filepath.Glob(filepath.Join(dir, "*.lock"))
+	if len(locks) != 1 || filepath.Base(locks[0]) != indexLockName {
+		t.Errorf("lock files %v, want only %s", locks, indexLockName)
+	}
+	if leases, _ := filepath.Glob(filepath.Join(dir, "*"+leaseExt)); len(leases) != 0 {
+		t.Errorf("leases left after release: %v", leases)
+	}
+}
+
+// TestMonolithicSpillQuarantined: a spill in the retired single-file
+// layout (a bare MLPCOLS1 file at the key's path) is not a manifest, so
+// the first reader quarantines it and rebuilds exactly once; later
+// caches hit the republished spill.
+func TestMonolithicSpillQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	w := workload.Presets(6)[2]
+	key := Key{Workload: w, Annot: "monolithic", Warmup: testWarmup, Measure: testMeasure}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeColumnarFile(t, filepath.Join(dir, keyHash(key)+spillExt), captureStream(t, w, annotate.Config{}))
+
+	c1 := NewCache()
+	c1.SetDir(dir)
+	c1.GetTrace(key, testSpec(w))
+	if st := c1.Stats(); st.Quarantined != 1 || st.Builds != 1 || st.DiskHits != 0 {
+		t.Fatalf("first cache stats %+v, want 1 quarantine and 1 build", st)
+	}
+	if moved, _ := filepath.Glob(filepath.Join(dir, "*"+corruptMark+"*")); len(moved) != 1 {
+		t.Errorf("quarantined files %v, want the one monolithic spill", moved)
+	}
+	c2 := NewCache()
+	c2.SetDir(dir)
+	assertSameReplay(t, captureStream(t, w, annotate.Config{}), c2.GetTrace(key, testSpec(w)))
+	if st := c2.Stats(); st.Quarantined != 0 || st.Builds != 0 || st.DiskHits != 1 {
+		t.Errorf("second cache stats %+v, want a plain disk hit", st)
 	}
 }

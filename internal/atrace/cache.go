@@ -2,12 +2,8 @@ package atrace
 
 import (
 	"container/list"
-	"errors"
-	"os"
 	"sync"
 	"time"
-
-	"mlpsim/internal/annotate"
 )
 
 // DefaultCapBytes is the default in-memory cache capacity. A Default-scale
@@ -18,23 +14,23 @@ import (
 const DefaultCapBytes = 8 << 30
 
 // Cache is a keyed store of annotated traces with single-flight build
-// deduplication: concurrent Get calls for the same key block on one build
-// instead of annotating in parallel. Eviction is LRU by approximate byte
-// footprint; evicted traces stay valid for replays already in flight
-// (they are immutable), the cache merely drops its reference.
+// deduplication: concurrent GetTrace calls for the same key block on one
+// build instead of annotating in parallel. Eviction is LRU by approximate
+// byte footprint; evicted traces stay valid for replays already in
+// flight (they are immutable), the cache merely drops its reference.
 //
-// With Dir set, the directory becomes a cache shared across processes:
-// misses memory-map a columnar spill file when one exists (replay then
-// reads pages from the OS page cache rather than resident heap), and
-// builders coordinate through per-key file locks so N concurrent
+// Every build is a segmented capture (see BuildSpec): one segment unless
+// SetSegments asks for more, whose workers capture the measured window
+// in parallel. With Dir set, the directory becomes a cache shared across
+// processes and hosts: misses memory-map the spilled trace (an MLPCOLS2
+// manifest plus one MLPCOLS1 file per segment) when one exists, so
+// replay reads pages from the OS page cache rather than resident heap,
+// and builders coordinate through per-key lease files so N concurrent
 // processes perform exactly one annotation pass per key. Publication is
-// atomic (temp file + rename), corrupt or truncated spills are
-// quarantined and rebuilt, and an on-disk index drives byte-cap LRU
-// eviction of the directory. See diskCache for the layout and protocol.
-//
-// With SetSegments configured, GetTrace builds split the measured window
-// into fixed-size segments captured by parallel workers (see SegSpec)
-// and spill as an MLPCOLS2 manifest plus per-segment files.
+// atomic (temp file + rename, manifest last), corrupt or truncated
+// spills are quarantined and rebuilt, and an on-disk index drives
+// byte-cap LRU eviction of the directory. See diskCache for the layout
+// and protocol.
 type Cache struct {
 	mu         sync.Mutex
 	capBytes   int64
@@ -81,7 +77,8 @@ func (c *Cache) SetCapBytes(n int64) {
 }
 
 // SetDir enables the shared on-disk cache rooted at dir (created on
-// first write). An empty dir disables it.
+// first write). An empty dir disables it. Unless SetLease names one, the
+// cache derives a lease owner unique to this process and cache.
 func (c *Cache) SetDir(dir string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -90,29 +87,33 @@ func (c *Cache) SetDir(dir string) {
 		return
 	}
 	c.disk = newDiskCache(dir)
-	c.disk.leaseOwner = c.leaseOwner
-	c.disk.leaseTTL = c.leaseTTL
+	c.applyLeaseLocked()
 }
 
-// SetLease switches cross-process build coordination from flock to
-// cross-host lease files: owner identifies this process in lease
-// records (must be unique across all processes sharing the directory —
-// e.g. the daemon's peer id), ttl is the lease expiry renewed by live
-// builders. An empty owner restores flock coordination. Order with
+// SetLease configures the per-key build leases of the spill directory:
+// owner identifies this process in lease records (it must be unique
+// across all processes sharing the directory — e.g. the daemon's peer
+// id; empty keeps the owner SetDir derives), and ttl is the lease
+// expiry renewed by live builders (<= 0 = DefaultLeaseTTL). A builder
+// that dies holding a lease blocks its key for at most ttl. Order with
 // SetDir does not matter.
 func (c *Cache) SetLease(owner string, ttl time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if owner != "" && ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
 	c.leaseOwner = owner
 	c.leaseTTL = ttl
-	if c.disk != nil {
-		c.disk.leaseOwner = owner
-		if ttl > 0 {
-			c.disk.leaseTTL = ttl
-		}
+	c.applyLeaseLocked()
+}
+
+func (c *Cache) applyLeaseLocked() {
+	if c.disk == nil {
+		return
+	}
+	if c.leaseOwner != "" {
+		c.disk.leaseOwner = c.leaseOwner
+	}
+	if c.leaseTTL > 0 {
+		c.disk.leaseTTL = c.leaseTTL
 	}
 }
 
@@ -127,10 +128,9 @@ func (c *Cache) SetDiskCapBytes(n int64) {
 	}
 }
 
-// SetSegments configures segmented capture for GetTrace builds: the
-// measured window splits into segments of insts instructions captured by
-// up to workers parallel workers (0 = GOMAXPROCS). insts <= 0 restores
-// the monolithic single-pass capture.
+// SetSegments configures how GetTrace builds split the measured window:
+// segments of insts instructions captured by up to workers parallel
+// workers (0 = GOMAXPROCS). insts <= 0 captures a single segment.
 func (c *Cache) SetSegments(insts int64, workers int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -140,8 +140,8 @@ func (c *Cache) SetSegments(insts int64, workers int) {
 
 // Stats reports cache effectiveness counters.
 type CacheStats struct {
-	Hits          uint64 // Get calls served from memory (or by joining a build)
-	Misses        uint64 // Get calls that had to build or load
+	Hits          uint64 // GetTrace calls served from memory (or by joining a build)
+	Misses        uint64 // GetTrace calls that had to build or load
 	Builds        uint64 // annotation passes actually executed
 	DiskHits      uint64 // misses served from the on-disk spill
 	Quarantined   uint64 // corrupt spill files moved aside
@@ -149,7 +149,7 @@ type CacheStats struct {
 	Swept         uint64 // litter files reclaimed by the directory sweep
 	SegEvictions  uint64 // individual segments evicted under the byte cap
 	SegRebuilds   uint64 // evicted segments rebuilt on demand
-	LeasesTaken   uint64 // cross-host build leases acquired
+	LeasesTaken   uint64 // build leases acquired
 	LeasesStolen  uint64 // expired leases reclaimed from dead owners
 	Bytes         int64  // current in-memory footprint
 	Streams       int    // traces currently held
@@ -175,60 +175,13 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// BuildSpec tells the cache how to reconstruct the annotation pass for a
-// key, so segmented builds can run independent workers (each worker gets
-// its own fresh annotator and re-warms the prefix before its segments).
-type BuildSpec struct {
-	// NewAnnotator returns a fresh, unwarmed annotator at instruction 0;
-	// it must be safe to call concurrently.
-	NewAnnotator func() *annotate.Annotator
-	// Warmup and Measure fix the captured window, matching the key.
-	Warmup, Measure int64
-}
-
-// capture is the monolithic build: warm once, drain the window.
-func (spec BuildSpec) capture() *Stream {
-	a := spec.NewAnnotator()
-	a.Warm(spec.Warmup)
-	return Capture(a, spec.Measure)
-}
-
-// Get returns the trace for key, building it with build() exactly once
-// per key no matter how many goroutines ask concurrently — and, with a
-// cache directory set, exactly once across processes too. A panic in
-// build is propagated to every waiter and the entry is removed so a later
-// Get can retry.
-func (c *Cache) Get(key Key, build func() *Stream) Trace {
-	return c.get(key, func(disk *diskCache) (Trace, bool) {
-		return c.obtain(disk, key, func() Trace { return build() })
-	})
-}
-
 // GetTrace returns the trace for key, building it from spec on a miss
-// with the same single-flight guarantees as Get. When segmented capture
-// is configured (SetSegments), the build shards the window across
-// parallel workers and spills a segmented MLPCOLS2 trace.
+// exactly once per key no matter how many goroutines ask concurrently —
+// and, with a cache directory set, exactly once across processes too.
+// The cache's SetSegments configuration replaces spec.SegmentInsts and
+// spec.Workers. A panic in the build is propagated to every waiter and
+// the entry is removed so a later call can retry.
 func (c *Cache) GetTrace(key Key, spec BuildSpec) Trace {
-	c.mu.Lock()
-	segInsts, segWorkers := c.segInsts, c.segWorkers
-	c.mu.Unlock()
-	segmented := segInsts > 0 && segInsts < spec.Measure
-	return c.get(key, func(disk *diskCache) (Trace, bool) {
-		if !segmented {
-			return c.obtain(disk, key, func() Trace { return spec.capture() })
-		}
-		return c.obtainSegmented(disk, key, SegSpec{
-			NewAnnotator: spec.NewAnnotator,
-			Warmup:       spec.Warmup,
-			Measure:      spec.Measure,
-			SegmentInsts: segInsts,
-			Workers:      segWorkers,
-		})
-	})
-}
-
-// get is the single-flight core shared by Get and GetTrace.
-func (c *Cache) get(key Key, obtain func(disk *diskCache) (Trace, bool)) Trace {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
@@ -246,6 +199,7 @@ func (c *Cache) get(key Key, obtain func(disk *diskCache) (Trace, bool)) Trace {
 	c.entries[key] = e
 	c.misses++
 	disk := c.disk
+	spec.SegmentInsts, spec.Workers = c.segInsts, c.segWorkers
 	c.mu.Unlock()
 
 	var t Trace
@@ -261,7 +215,11 @@ func (c *Cache) get(key Key, obtain func(disk *diskCache) (Trace, bool)) Trace {
 				panic(pv)
 			}
 		}()
-		t, fromDisk = obtain(disk)
+		if disk == nil {
+			t = mustCapture(spec)
+		} else {
+			t, fromDisk = disk.loadOrBuild(key, spec)
+		}
 	}()
 
 	e.trace = t
@@ -278,105 +236,6 @@ func (c *Cache) get(key Key, obtain func(disk *diskCache) (Trace, bool)) Trace {
 	c.mu.Unlock()
 	close(e.ready)
 	return t
-}
-
-// obtain resolves one cache miss with a monolithic build: disk load when
-// possible, otherwise a build coordinated through the per-key
-// cross-process lock.
-func (c *Cache) obtain(disk *diskCache, key Key, build func() Trace) (t Trace, fromDisk bool) {
-	if disk == nil {
-		return build(), false
-	}
-	hash := keyHash(key)
-	if loaded, err := disk.load(hash); err == nil {
-		return loaded, true
-	}
-	unlock, err := disk.lockKey(hash)
-	if err != nil {
-		// Lock machinery unavailable (read-only dir, ...): degrade to an
-		// uncoordinated local build.
-		return build(), false
-	}
-	defer unlock()
-	// Another process may have published while we waited for the lock.
-	loaded, lerr := disk.load(hash)
-	if lerr == nil {
-		return loaded, true
-	}
-	var see *SegmentsEvictedError
-	if errors.As(lerr, &see) {
-		// A partially-evicted segmented spill, but this caller builds
-		// monolithically (no SegSpec to rebuild holes from). Clear the
-		// segmented remains so the monolithic publish below does not
-		// leave orphan segment files shadowed by a same-named manifest.
-		disk.quarantine(hash)
-	}
-	t = build()
-	if s, ok := t.(*Stream); ok {
-		if path, err := disk.publish(hash, key, s); err == nil {
-			// Re-open the published spill memory-mapped so even the building
-			// process replays from the page cache and the heap copy can be
-			// collected. A failed re-open just keeps the heap stream.
-			if ms, merr := OpenColumnarFile(path); merr == nil {
-				t = ms
-			}
-		}
-	}
-	return t, false
-}
-
-// obtainSegmented resolves one cache miss with a pipelined segmented
-// build: segments are captured by parallel workers and published to the
-// spill directory as they complete, the manifest landing last.
-func (c *Cache) obtainSegmented(disk *diskCache, key Key, spec SegSpec) (Trace, bool) {
-	buildInMemory := func() Trace {
-		ss, err := CaptureSegmented(spec).Wait()
-		if err != nil {
-			panic(err)
-		}
-		return ss
-	}
-	if disk == nil {
-		return buildInMemory(), false
-	}
-	hash := keyHash(key)
-	if loaded, err := disk.load(hash); err == nil {
-		return loaded, true
-	}
-	unlock, err := disk.lockKey(hash)
-	if err != nil {
-		return buildInMemory(), false
-	}
-	defer unlock()
-	loaded, lerr := disk.load(hash)
-	if lerr == nil {
-		return loaded, true
-	}
-	var see *SegmentsEvictedError
-	if errors.As(lerr, &see) {
-		// Rebuild only the evicted segments in place; counted as a build
-		// (annotation work ran), with SegRebuilds recording how little.
-		if t, rerr := disk.rebuildSegments(hash, key, spec, see.Missing); rerr == nil {
-			return t, false
-		}
-		// The holes cannot be filled (spec drifted from the manifest,
-		// disk trouble): fall back to a clean full rebuild.
-		disk.quarantine(hash)
-	}
-	if err := os.MkdirAll(disk.dir, 0o755); err != nil {
-		return buildInMemory(), false
-	}
-	p := CaptureSegmentedToFile(disk.spillPath(hash), spec)
-	ss, err := p.Wait()
-	if err != nil {
-		panic(err)
-	}
-	// A publish failure (disk full, ...) leaves no manifest behind; the
-	// heap-backed trace is still good, it just is not shared on disk.
-	if p.PublishErr() == nil {
-		disk.recordPublished(hash, key, disk.spillBytes(hash))
-	}
-	return ss, false
 }
 
 // evictLocked drops least-recently-used completed entries until the cache

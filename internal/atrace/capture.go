@@ -10,34 +10,31 @@ import (
 	"mlpsim/internal/annotate"
 )
 
-// SegSpec describes a segmented capture: how to build the annotation
-// pass and how to split the measured window into segments.
+// BuildSpec describes one annotation pass and how to capture it.
 //
-// Because workload generation is deterministic per seed, each worker can
-// reconstruct the exact annotator state at any segment boundary by
-// re-running generation+annotation from instruction 0 (a fresh annotator
-// warmed over the full prefix). That keeps every segment bit-identical
-// to the corresponding window of a monolithic pass without sharing any
-// mutable state between workers.
-type SegSpec struct {
+// Because workload generation is deterministic per seed, each capture
+// worker can reconstruct the exact annotator state at any segment
+// boundary by re-running generation+annotation from instruction 0 (a
+// fresh annotator warmed over the full prefix). That keeps every segment
+// bit-identical to the corresponding window of a single pass without
+// sharing any mutable state between workers.
+type BuildSpec struct {
 	// NewAnnotator returns a fresh, unwarmed annotator positioned at
 	// dynamic instruction 0. It must be safe to call from multiple
 	// goroutines and every annotator it returns must be deterministic and
 	// independent (fresh generator, fresh predictors).
 	NewAnnotator func() *annotate.Annotator
-	// Warmup instructions are consumed (training caches and predictors)
-	// before the first captured instruction.
-	Warmup int64
-	// Measure instructions are captured.
-	Measure int64
+	// Warmup instructions train the annotator before the first captured
+	// one; Measure instructions are captured. Together they fix the
+	// window, which must match the cache key.
+	Warmup, Measure int64
 	// SegmentInsts is the nominal per-segment instruction count; <= 0 or
-	// >= Measure captures a single segment.
+	// >= Measure captures a single segment. Workers bounds the parallel
+	// capture goroutines (<= 0 = GOMAXPROCS); each warms once, then
+	// captures a contiguous run of segments. Cache.GetTrace sets both
+	// from Cache.SetSegments.
 	SegmentInsts int64
-	// Workers bounds the parallel capture goroutines (<= 0 = GOMAXPROCS).
-	// Each worker warms once and then captures a contiguous run of
-	// segments, so worker w's extra warm-up cost is the prefix before its
-	// first segment.
-	Workers int
+	Workers      int
 
 	// publish, when set, is called once per completed segment (from the
 	// worker that built it, in completion order across workers). It may
@@ -52,19 +49,12 @@ type SegSpec struct {
 	finish func(ss *SegStream) error
 }
 
-func (spec SegSpec) segmentCount() (segInsts int64, k int) {
+func (spec BuildSpec) segmentCount() (segInsts int64, k int) {
 	segInsts = spec.SegmentInsts
 	if segInsts <= 0 || segInsts >= spec.Measure {
 		return spec.Measure, 1
 	}
 	return segInsts, int((spec.Measure + segInsts - 1) / segInsts)
-}
-
-// capture runs the monolithic path: one fresh annotator, warmed, drained.
-func (spec SegSpec) capture() *Stream {
-	a := spec.NewAnnotator()
-	a.Warm(spec.Warmup)
-	return Capture(a, spec.Measure)
 }
 
 // PendingCapture is a segmented capture in flight. Consumers may stream
@@ -90,7 +80,7 @@ type PendingCapture struct {
 // CaptureSegmented starts a parallel segmented capture of spec's window
 // and returns immediately; segments become available as workers finish
 // them.
-func CaptureSegmented(spec SegSpec) *PendingCapture {
+func CaptureSegmented(spec BuildSpec) *PendingCapture {
 	segInsts, count := spec.segmentCount()
 	p := &PendingCapture{
 		segInsts: segInsts,
@@ -140,7 +130,7 @@ func CaptureSegmented(spec SegSpec) *PendingCapture {
 	return p
 }
 
-func (p *PendingCapture) runWorker(spec SegSpec, lo, hi int) {
+func (p *PendingCapture) runWorker(spec BuildSpec, lo, hi int) {
 	next := lo
 	defer func() {
 		pv := recover()
@@ -207,7 +197,7 @@ func (p *PendingCapture) deliver(next *int, k int, s *Stream, err error) {
 	*next = k + 1
 }
 
-func (p *PendingCapture) finalize(spec SegSpec) {
+func (p *PendingCapture) finalize(spec BuildSpec) {
 	if p.pval != nil {
 		p.finalErr = fmt.Errorf("atrace: capture panicked: %v", p.pval)
 		return
@@ -309,16 +299,16 @@ func (r *pendingReplay) NextInto(dst *annotate.Inst) bool {
 // concurrent process sees either no trace or a complete one, while
 // in-process consumers can stream segments as they land. Published
 // segments are re-opened memory-mapped, keeping the builder's heap flat.
-func CaptureSegmentedToFile(base string, spec SegSpec) *PendingCapture {
+func CaptureSegmentedToFile(base string, spec BuildSpec) *PendingCapture {
 	spec.publish = func(k int, s *Stream) (*Stream, error) {
 		dst := segmentPath(base, k)
 		_, err := writeAtomic(filepath.Dir(base), ".acol-tmp-*", dst, func(f *os.File) error {
-			return WriteColumnar(f, s)
+			return writeColumnar(f, s)
 		})
 		if err != nil {
 			return nil, err
 		}
-		ms, err := OpenColumnarFile(dst)
+		ms, err := openColumnar(dst)
 		if err != nil {
 			// The published bytes are unreadable; treat as a publish
 			// failure but keep the heap copy for the caller.
@@ -341,4 +331,14 @@ func CaptureSegmentedToFile(base string, spec SegSpec) *PendingCapture {
 		return err
 	}
 	return CaptureSegmented(spec)
+}
+
+// mustCapture runs spec's capture in the heap, re-raising any failure as
+// a panic (a worker's own panic propagates as itself).
+func mustCapture(spec BuildSpec) *SegStream {
+	ss, err := CaptureSegmented(spec).Wait()
+	if err != nil {
+		panic(err)
+	}
+	return ss
 }

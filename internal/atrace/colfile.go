@@ -28,7 +28,7 @@ import (
 //	32  8  int64  total file size (truncation check)
 //	40  4  uint32 CRC-32C (Castagnoli) of file[H:] (corruption check)
 //	44  4  uint32 meta blob length M
-//	48  M  meta blob (same uvarint encoding as the v2 trace header)
+//	48  M  meta blob (see meta.go)
 //	48+M   16 x (uint64 offset, uint64 length) section table
 //	H  ...  sections, each 8-byte aligned, zero padded between
 //
@@ -95,10 +95,10 @@ func colSections(s *Stream) [colSectionCnt][]byte {
 	}
 }
 
-// WriteColumnar writes the stream to w in the columnar spill format.
+// writeColumnar writes the stream to w in the columnar spill format.
 // On big-endian hosts the bitset words are byte-swapped to the on-disk
 // little-endian order.
-func WriteColumnar(w io.Writer, s *Stream) error {
+func writeColumnar(w io.Writer, s *Stream) error {
 	meta := encodeMeta(s)
 	secs := colSections(s)
 	if !hostLittleEndian {
@@ -176,26 +176,12 @@ func swapWords(b []byte) []byte {
 	return out
 }
 
-// WriteColumnarFile writes the stream to path in the columnar format.
-func WriteColumnarFile(path string, s *Stream) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteColumnar(f, s); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	return f.Close()
-}
-
-// OpenColumnarFile opens a columnar spill, validating its size, structure
+// openColumnar opens a columnar segment file, validating its size, structure
 // and checksum. On unix the column sections are views over a read-only
 // memory mapping (released by a finalizer when the stream becomes
 // unreachable); elsewhere the file is read into the heap. Corruption or
 // truncation returns an error wrapping ErrCorruptSpill.
-func OpenColumnarFile(path string) (*Stream, error) {
+func openColumnar(path string) (*Stream, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -326,19 +312,4 @@ func bitsetSection(b []byte) []uint64 {
 		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return out
-}
-
-// IsColumnarFile reports whether path starts with the columnar magic.
-// Unreadable files return false and fail later with a real error.
-func IsColumnarFile(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return false
-	}
-	return string(hdr[:]) == colMagic
 }

@@ -40,6 +40,21 @@ func openColumnarHeap(t *testing.T, path string) *Stream {
 	return s
 }
 
+// writeColumnarFile writes s to path as one columnar segment file.
+func writeColumnarFile(t *testing.T, path string, s *Stream) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeColumnar(f, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // assertSameReplay drains both streams and fails on the first difference.
 func assertSameReplay(t *testing.T, want, got Trace) {
 	t.Helper()
@@ -77,16 +92,11 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 	s := captureStream(t, w, acfg)
 	path := filepath.Join(t.TempDir(), "s"+spillExt)
-	if err := WriteColumnarFile(path, s); err != nil {
-		t.Fatalf("WriteColumnarFile: %v", err)
-	}
-	if !IsColumnarFile(path) {
-		t.Error("IsColumnarFile is false for a fresh spill")
-	}
+	writeColumnarFile(t, path, s)
 
-	mapped, err := OpenColumnarFile(path)
+	mapped, err := openColumnar(path)
 	if err != nil {
-		t.Fatalf("OpenColumnarFile: %v", err)
+		t.Fatalf("openColumnar: %v", err)
 	}
 	assertSameReplay(t, s, mapped)
 	heap := openColumnarHeap(t, path)
@@ -132,10 +142,8 @@ func TestColumnarEngineGolden(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			s := captureStream(t, w, annotate.Config{})
 			path := filepath.Join(t.TempDir(), "s"+spillExt)
-			if err := WriteColumnarFile(path, s); err != nil {
-				t.Fatal(err)
-			}
-			mapped, err := OpenColumnarFile(path)
+			writeColumnarFile(t, path, s)
+			mapped, err := openColumnar(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,23 +165,31 @@ func TestColumnarEngineGolden(t *testing.T) {
 	}
 }
 
-// corruptOneSpill flips a byte in the directory's single spill file and
-// returns its path.
-func corruptOneSpill(t *testing.T, dir string) string {
+// onlySpill returns the manifest path of the directory's single spill.
+func onlySpill(t *testing.T, dir string) string {
 	t.Helper()
 	spills, err := filepath.Glob(filepath.Join(dir, "*"+spillExt))
 	if err != nil || len(spills) != 1 {
 		t.Fatalf("want exactly one spill, got %v (err %v)", spills, err)
 	}
-	b, err := os.ReadFile(spills[0])
+	return spills[0]
+}
+
+// corruptOneSpill flips a byte in the column data (segment 0) of the
+// directory's single spill and returns the manifest path.
+func corruptOneSpill(t *testing.T, dir string) string {
+	t.Helper()
+	manifest := onlySpill(t, dir)
+	seg := segmentPath(manifest, 0)
+	b, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b[len(b)/2] ^= 0xFF
-	if err := os.WriteFile(spills[0], b, 0o644); err != nil {
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return spills[0]
+	return manifest
 }
 
 // TestCorruptSpillQuarantined: a spill with a flipped byte fails its
@@ -189,39 +205,35 @@ func TestCorruptSpillQuarantined(t *testing.T) {
 
 	c1 := NewCache()
 	c1.SetDir(dir)
-	c1.Get(key, func() *Stream { return captureStream(t, w, annotate.Config{}) })
+	c1.GetTrace(key, testSpec(w))
 	path := corruptOneSpill(t, dir)
 
-	if _, err := OpenColumnarFile(path); !errors.Is(err, ErrCorruptSpill) {
+	if _, err := OpenSpill(path); !errors.Is(err, ErrCorruptSpill) {
 		t.Fatalf("open of corrupted spill: err %v, want ErrCorruptSpill", err)
 	}
 
 	c2 := NewCache()
 	c2.SetDir(dir)
-	var rebuilt bool
-	s2 := c2.Get(key, func() *Stream { rebuilt = true; return captureStream(t, w, annotate.Config{}) })
-	if !rebuilt {
-		t.Fatal("corrupted spill was served instead of rebuilt")
-	}
+	s2 := c2.GetTrace(key, testSpec(w))
 	assertSameReplay(t, ref, s2)
-	if st := c2.Stats(); st.Quarantined != 1 {
-		t.Errorf("quarantined %d, want 1 (stats %+v)", st.Quarantined, st)
+	if st := c2.Stats(); st.Quarantined != 1 || st.Builds != 1 {
+		t.Errorf("stats %+v, want 1 quarantine and 1 rebuild", st)
 	}
 	moved, _ := filepath.Glob(filepath.Join(dir, "*.corrupt.*"))
-	if len(moved) != 1 {
-		t.Errorf("quarantine files %v, want exactly one", moved)
+	if len(moved) != 2 {
+		t.Errorf("quarantine files %v, want the manifest and its one segment", moved)
 	}
 	// The rebuild must have republished a valid spill.
 	c3 := NewCache()
 	c3.SetDir(dir)
-	c3.Get(key, func() *Stream { t.Error("republished spill missing; rebuilt again"); return ref })
-	if st := c3.Stats(); st.DiskHits != 1 {
-		t.Errorf("post-quarantine disk hits %d, want 1", st.DiskHits)
+	c3.GetTrace(key, testSpec(w))
+	if st := c3.Stats(); st.DiskHits != 1 || st.Builds != 0 {
+		t.Errorf("post-quarantine stats %+v, want 1 disk hit and no rebuild", st)
 	}
 }
 
-// TestTruncatedSpillQuarantined: a spill cut short (e.g. by a full disk or
-// a killed writer that bypassed the atomic rename) is detected by the
+// TestTruncatedSpillQuarantined: a segment cut short (e.g. by a full disk
+// or a killed writer that bypassed the atomic rename) is detected by the
 // recorded file size and quarantined.
 func TestTruncatedSpillQuarantined(t *testing.T) {
 	dir := t.TempDir()
@@ -230,31 +242,25 @@ func TestTruncatedSpillQuarantined(t *testing.T) {
 
 	c1 := NewCache()
 	c1.SetDir(dir)
-	c1.Get(key, func() *Stream { return captureStream(t, w, annotate.Config{}) })
-	spills, _ := filepath.Glob(filepath.Join(dir, "*"+spillExt))
-	if len(spills) != 1 {
-		t.Fatalf("want one spill, got %v", spills)
-	}
-	fi, err := os.Stat(spills[0])
+	c1.GetTrace(key, testSpec(w))
+	manifest := onlySpill(t, dir)
+	seg := segmentPath(manifest, 0)
+	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(spills[0], fi.Size()/2); err != nil {
+	if err := os.Truncate(seg, fi.Size()/2); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := OpenColumnarFile(spills[0]); !errors.Is(err, ErrCorruptSpill) {
+	if _, err := OpenSpill(manifest); !errors.Is(err, ErrCorruptSpill) {
 		t.Fatalf("open of truncated spill: err %v, want ErrCorruptSpill", err)
 	}
 	c2 := NewCache()
 	c2.SetDir(dir)
-	var rebuilt bool
-	c2.Get(key, func() *Stream { rebuilt = true; return captureStream(t, w, annotate.Config{}) })
-	if !rebuilt {
-		t.Fatal("truncated spill was served instead of rebuilt")
-	}
-	if st := c2.Stats(); st.Quarantined != 1 {
-		t.Errorf("quarantined %d, want 1", st.Quarantined)
+	c2.GetTrace(key, testSpec(w))
+	if st := c2.Stats(); st.Quarantined != 1 || st.Builds != 1 {
+		t.Errorf("stats %+v, want 1 quarantine and 1 rebuild", st)
 	}
 }
 
@@ -263,35 +269,36 @@ func TestTruncatedSpillQuarantined(t *testing.T) {
 func TestDiskEviction(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(4)[0]
-	mkKey := func(i int) (Key, workload.Config) {
+	mk := func(i int) (Key, BuildSpec) {
 		cfg := w
 		cfg.Seed = int64(i + 200)
-		return Key{Workload: cfg, Annot: "evict", Warmup: 1000, Measure: 20_000}, cfg
-	}
-	build := func(cfg workload.Config) *Stream {
-		a := annotate.New(workload.MustNew(cfg), annotate.Config{})
-		a.Warm(1000)
-		return Capture(a, 20_000)
+		return Key{Workload: cfg, Annot: "evict", Warmup: 1000, Measure: 20_000}, BuildSpec{
+			NewAnnotator: func() *annotate.Annotator {
+				return annotate.New(workload.MustNew(cfg), annotate.Config{})
+			},
+			Warmup:  1000,
+			Measure: 20_000,
+		}
 	}
 
 	c := NewCache()
 	c.SetDir(dir)
-	k0, w0 := mkKey(0)
-	c.Get(k0, func() *Stream { return build(w0) })
-	fi, err := os.Stat(filepath.Join(dir, keyHash(k0)+spillExt))
-	if err != nil {
-		t.Fatalf("first spill not published: %v", err)
+	k0, spec0 := mk(0)
+	c.GetTrace(k0, spec0)
+	size := newDiskCache(dir).spillBytes(keyHash(k0))
+	if size <= 0 {
+		t.Fatal("first spill not published")
 	}
 	// Cap fits ~1.5 spills: publishing the second must evict the first.
-	c.SetDiskCapBytes(fi.Size() + fi.Size()/2)
-	k1, w1 := mkKey(1)
-	c.Get(k1, func() *Stream { return build(w1) })
+	c.SetDiskCapBytes(size + size/2)
+	k1, spec1 := mk(1)
+	c.GetTrace(k1, spec1)
 
 	if _, err := os.Stat(filepath.Join(dir, keyHash(k1)+spillExt)); err != nil {
 		t.Errorf("just-published spill evicted: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, keyHash(k0)+spillExt)); !os.IsNotExist(err) {
-		t.Errorf("LRU spill still present (err %v), want evicted", err)
+	if left, _ := filepath.Glob(filepath.Join(dir, keyHash(k0)+"*")); len(left) != 0 {
+		t.Errorf("LRU spill still present (%v), want evicted", left)
 	}
 	if st := c.Stats(); st.DiskEvictions != 1 {
 		t.Errorf("disk evictions %d, want 1", st.DiskEvictions)
@@ -312,13 +319,8 @@ func TestOpenColumnarRejectsGarbage(t *testing.T) {
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenColumnarFile(path); !errors.Is(err, ErrCorruptSpill) {
+		if _, err := openColumnar(path); !errors.Is(err, ErrCorruptSpill) {
 			t.Errorf("%s: err %v, want ErrCorruptSpill", name, err)
-		}
-		// IsColumnarFile only sniffs the magic, so "short" legitimately
-		// passes the sniff; everything else must fail it.
-		if name != "short" && IsColumnarFile(path) {
-			t.Errorf("%s: IsColumnarFile true, want false", name)
 		}
 	}
 }

@@ -74,34 +74,36 @@ func writeAtomic(dir, tmpPattern, dst string, write func(*os.File) error) (int64
 	return fi.Size(), nil
 }
 
-// diskCache is the shared on-disk half of Cache: a directory of columnar
-// spill files coordinated across processes.
+// diskCache is the shared on-disk half of Cache: a directory of spilled
+// traces coordinated across processes and hosts.
 //
 // Layout of the directory:
 //
-//	<hash>.acol          spill (hash = sha256 of the canonical key): a
-//	                     monolithic MLPCOLS1 stream or an MLPCOLS2 manifest
-//	<hash>.acol.segNNNN  segment files of a segmented spill
-//	<hash>.lock          per-key build lock (flock); cross-process singleflight
+//	<hash>.acol          MLPCOLS2 manifest (hash = sha256 of the canonical
+//	                     key), written last: its presence publishes the key
+//	<hash>.acol.segNNNN  one MLPCOLS1 file per segment
+//	<hash>.acol.evict    names segments evicted under the byte cap (segevict.go)
+//	<hash>.lease         per-key build lease (lease.go); cross-process singleflight
 //	index.json           hash -> {key, bytes, last_used}; LRU eviction state
-//	index.lock           guards every index.json read-modify-write
+//	index.lock           flock guarding every index.json read-modify-write
 //	*.corrupt.*          quarantined spills that failed validation
 //
-// Protocol: readers open the spill directly (no lock) and touch the index
-// on success. A miss takes <hash>.lock, re-checks the spill (another
-// process may have published while we waited), builds if still absent,
-// publishes via temp-file + rename (atomic on POSIX), then updates the
-// index and evicts over-capacity entries — all before releasing the key
-// lock. Segmented builds publish each segment file as it completes and
-// the manifest last, so cross-process visibility is still all-or-nothing.
-// Corrupt or truncated spills are renamed aside, never trusted.
+// Protocol: readers open the manifest directly (no lease) and touch the
+// index on success. A miss takes <hash>.lease, re-checks the spill
+// (another process may have published while we waited), builds if still
+// absent, publishes each segment file as it completes (temp file +
+// rename, atomic on POSIX) and the manifest last, then updates the index
+// and evicts over-capacity entries — all before releasing the lease. So
+// cross-process visibility is all-or-nothing. Corrupt or truncated
+// spills, and files in any other format at a key's path, are renamed
+// aside, never trusted.
 //
 // Lifecycle of litter: every publish also sweeps the directory (under the
-// index lock) — abandoned temp files and manifest-less segment files
-// older than tmpMaxAge are removed, quarantined *.corrupt.* files are
-// kept for corruptMaxAge (their bytes counting against capBytes) and then
-// removed, and lock files whose spill is gone are unlinked when provably
-// unheld (see sweepLockFile).
+// index lock). Abandoned temp files and manifest-less segment files older
+// than tmpMaxAge are removed; quarantined *.corrupt.* files are kept for
+// corruptMaxAge (their bytes counting against capBytes) and then removed;
+// expired leases — left by a builder that died holding one — are removed
+// on sight, since any claimer may steal them anyway.
 type diskCache struct {
 	dir      string
 	capBytes int64
@@ -114,9 +116,9 @@ type diskCache struct {
 	// too (see lease.go), so clock-skew scenarios are testable.
 	now func() time.Time
 
-	// leaseOwner, when non-empty, switches per-key build coordination
-	// from flock to cross-host lease files with leaseTTL expiry (see
-	// lease.go); leasePoll is a blocked claimer's re-probe interval.
+	// leaseOwner names this cache in the per-key build leases it takes,
+	// which expire leaseTTL after their last renewal (see lease.go);
+	// leasePoll is a blocked claimer's re-probe interval.
 	leaseOwner string
 	leaseTTL   time.Duration
 	leasePoll  time.Duration
@@ -137,6 +139,8 @@ func newDiskCache(dir string) *diskCache {
 		tmpMaxAge:     sweepTmpMaxAge,
 		corruptMaxAge: sweepCorruptMaxAge,
 		now:           time.Now,
+		leaseOwner:    uniqueLeaseOwner(),
+		leaseTTL:      DefaultLeaseTTL,
 		leasePoll:     leasePollDefault,
 	}
 }
@@ -150,8 +154,8 @@ func keyHash(key Key) string {
 
 func (d *diskCache) spillPath(hash string) string { return filepath.Join(d.dir, hash+spillExt) }
 
-// spillFiles lists the files making up one key's spill: the manifest (or
-// monolithic spill) plus any segment files.
+// spillFiles lists the files making up one key's spill: the manifest
+// plus any segment files.
 func (d *diskCache) spillFiles(hash string) []string {
 	base := d.spillPath(hash)
 	files := []string{base}
@@ -176,19 +180,6 @@ func (d *diskCache) spillBytes(hash string) int64 {
 	return total
 }
 
-// lockKey serializes builders of one key across processes: flock on a
-// single host, lease files (lease.go) when a lease owner is configured
-// and the directory may be shared between hosts.
-func (d *diskCache) lockKey(hash string) (unlock func(), err error) {
-	if err := os.MkdirAll(d.dir, 0o755); err != nil {
-		return nil, err
-	}
-	if d.leaseOwner != "" {
-		return d.acquireLease(hash)
-	}
-	return lockFile(filepath.Join(d.dir, hash+".lock"))
-}
-
 // load opens the spill for key if present and valid. Corrupt files are
 // quarantined so the caller rebuilds instead of crashing; the error then
 // wraps ErrCorruptSpill. One exception: a segmented spill whose only
@@ -209,6 +200,50 @@ func (d *diskCache) load(hash string) (Trace, error) {
 	}
 	d.touch(hash)
 	return t, nil
+}
+
+// loadOrBuild resolves one cache miss: a disk load when possible,
+// otherwise a build under the key's lease that publishes each segment as
+// it completes and the manifest last. fromDisk reports a load.
+func (d *diskCache) loadOrBuild(key Key, spec BuildSpec) (t Trace, fromDisk bool) {
+	hash := keyHash(key)
+	if loaded, err := d.load(hash); err == nil {
+		return loaded, true
+	}
+	unlock, err := d.acquireLease(hash)
+	if err != nil {
+		// Lease machinery unavailable (read-only dir, ...): degrade to an
+		// uncoordinated heap build.
+		return mustCapture(spec), false
+	}
+	defer unlock()
+	// Another process may have published while we waited for the lease.
+	loaded, lerr := d.load(hash)
+	if lerr == nil {
+		return loaded, true
+	}
+	var see *SegmentsEvictedError
+	if errors.As(lerr, &see) {
+		// Rebuild only the evicted segments in place; counted as a build
+		// (annotation work ran), with SegRebuilds recording how little.
+		if t, rerr := d.rebuildSegments(hash, key, spec, see.Missing); rerr == nil {
+			return t, false
+		}
+		// The holes cannot be filled (spec drifted from the manifest,
+		// disk trouble): fall back to a clean full rebuild.
+		d.quarantine(hash)
+	}
+	p := CaptureSegmentedToFile(d.spillPath(hash), spec)
+	ss, err := p.Wait()
+	if err != nil {
+		panic(err)
+	}
+	// A publish failure (disk full, ...) leaves no manifest behind; the
+	// heap-backed trace is still good, it just is not shared on disk.
+	if p.PublishErr() == nil {
+		d.recordPublished(hash, key, d.spillBytes(hash))
+	}
+	return ss, false
 }
 
 // quarantine moves a failed spill — manifest and any segment files —
@@ -234,24 +269,6 @@ func (d *diskCache) quarantine(hash string) {
 		d.quarantined.Add(1)
 	}
 	d.withIndex(func(idx *indexFile) { delete(idx.Entries, hash) })
-}
-
-// publish atomically installs a freshly built monolithic stream as the
-// spill for key and records it in the index, evicting over-capacity
-// entries.
-func (d *diskCache) publish(hash string, key Key, s *Stream) (string, error) {
-	if err := os.MkdirAll(d.dir, 0o755); err != nil {
-		return "", err
-	}
-	path := d.spillPath(hash)
-	size, err := writeAtomic(d.dir, tmpPrefix+"*", path, func(f *os.File) error {
-		return WriteColumnar(f, s)
-	})
-	if err != nil {
-		return "", err
-	}
-	d.recordPublished(hash, key, size)
-	return path, nil
 }
 
 // recordPublished indexes a just-published spill, sweeps directory
@@ -333,9 +350,9 @@ func (d *diskCache) evictIndexed(idx *indexFile, keep string, litterBytes int64)
 // sweepLocked reclaims directory litter; the caller holds the index
 // lock. Removed: temp files and orphaned segment files (no manifest)
 // older than tmpMaxAge, quarantined *.corrupt.* files older than
-// corruptMaxAge, and lock files whose spill is gone when provably
-// unheld. Returns the byte total of litter that was kept (young corrupt
-// and temp files), so eviction can charge it against the capacity.
+// corruptMaxAge, and expired leases. Returns the byte total of litter
+// that was kept (young corrupt and temp files, live leases), so eviction
+// can charge it against the capacity.
 func (d *diskCache) sweepLocked(idx *indexFile) (litterBytes int64) {
 	ents, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -393,16 +410,6 @@ func (d *diskCache) sweepLocked(idx *indexFile) (litterBytes int64) {
 				}
 			} else {
 				reap(de, d.tmpMaxAge)
-			}
-		case strings.HasSuffix(name, ".lock"):
-			// A lock file is litter only once its spill is gone (evicted or
-			// never built); live keys keep theirs for reuse. Unlinking is
-			// delegated to the platform shim, which only removes locks no
-			// process holds.
-			if !manifests[strings.TrimSuffix(name, ".lock")+spillExt] {
-				if sweepLockFile(filepath.Join(d.dir, name)) {
-					d.swept.Add(1)
-				}
 			}
 		case segSuffixRe.MatchString(name):
 			// Segment file whose manifest never landed (builder crashed

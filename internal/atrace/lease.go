@@ -2,18 +2,18 @@ package atrace
 
 import (
 	"encoding/json"
+	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"time"
 )
 
-// Cross-host build leases.
-//
-// The per-key flock (lock_unix.go) serializes builders on one host, but
-// flock does not travel: on a cache directory shared between hosts
-// (NFS, a mounted volume) two daemons would build the same key
-// concurrently and, worse, hold each other's locks invisibly. Lease
-// files make the claim protocol filesystem-portable:
+// Per-key build leases: the one protocol that serializes builders of a
+// key, whether they are goroutines of different caches, processes on one
+// host, or daemons on different hosts sharing the directory over a
+// network filesystem (where flock does not travel). One host is simply a
+// fleet of one. Lease files are filesystem-portable:
 //
 //	<hash>.lease   JSON {owner, expires_unix_nano}
 //
@@ -22,7 +22,9 @@ import (
 // already in place, so a reader never observes a half-written lease.
 // The holder renews by temp-file + rename (atomic replace) every TTL/3;
 // a lease whose expiry has passed is stale and any peer may steal it
-// (remove + re-link). Release removes the file iff it is still ours.
+// (remove + re-link). Release removes the file iff it is still ours. So a
+// builder killed while holding a lease blocks its key for at most the
+// TTL, after which the next claimer steals the lease and rebuilds.
 //
 // Leases are *work deduplication*, not a safety mechanism. Trace builds
 // are deterministic — two processes that both believe they hold the
@@ -34,9 +36,9 @@ import (
 // clock (diskCache.now) so boundary behavior is testable.
 const leaseExt = ".lease"
 
-// DefaultLeaseTTL is the lease expiry used when SetLease gets ttl <= 0:
-// long enough that renewal (every TTL/3) tolerates scheduling hiccups,
-// short enough that a crashed builder's key is reclaimed promptly.
+// DefaultLeaseTTL is the lease expiry unless SetLease sets one: long
+// enough that renewal (every TTL/3) tolerates scheduling hiccups, short
+// enough that a crashed builder's key is reclaimed promptly.
 const DefaultLeaseTTL = 30 * time.Second
 
 // leaseInfo is the on-disk lease record.
@@ -48,6 +50,15 @@ type leaseInfo struct {
 // leasePollDefault is how often a blocked claimer re-probes the lease;
 // a field on diskCache so tests can shrink it.
 const leasePollDefault = 25 * time.Millisecond
+
+// uniqueLeaseOwner names a cache that SetLease never named: hostname and
+// pid tell a post-mortem who held a lease, and the random suffix keeps
+// two caches in one process apart (and stays unique when the hostname
+// is unavailable and left empty).
+func uniqueLeaseOwner() string {
+	host, _ := os.Hostname()
+	return fmt.Sprintf("%s/%d/%016x", host, os.Getpid(), rand.Uint64())
+}
 
 func (d *diskCache) leasePath(hash string) string {
 	return filepath.Join(d.dir, hash+leaseExt)
@@ -107,6 +118,9 @@ func (d *diskCache) tryClaimLease(path string) (claimed bool, err error) {
 // hash, then starts a background renewer. The returned unlock stops the
 // renewer and releases the lease if it is still ours.
 func (d *diskCache) acquireLease(hash string) (unlock func(), err error) {
+	if err := os.MkdirAll(d.dir, 0o755); err != nil {
+		return nil, err
+	}
 	path := d.leasePath(hash)
 	for {
 		claimed, err := d.tryClaimLease(path)

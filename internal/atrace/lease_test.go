@@ -16,7 +16,8 @@ import (
 	"mlpsim/internal/workload"
 )
 
-// leaseTestCache builds a diskCache in lease mode with an injected clock.
+// leaseTestCache builds a diskCache with a named lease owner and an
+// injected clock.
 func leaseTestCache(t *testing.T, dir, owner string, ttl time.Duration, now func() time.Time) *diskCache {
 	t.Helper()
 	d := newDiskCache(dir)
@@ -89,7 +90,7 @@ func TestLeaseRenewalPreventsSteal(t *testing.T) {
 	dir := t.TempDir()
 	const ttl = 300 * time.Millisecond
 	dA := leaseTestCache(t, dir, "a", ttl, nil)
-	unlock, err := dA.lockKey("feedface")
+	unlock, err := dA.acquireLease("feedface")
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
 	}
@@ -97,7 +98,7 @@ func TestLeaseRenewalPreventsSteal(t *testing.T) {
 	dB := leaseTestCache(t, dir, "b", ttl, nil)
 	acquired := make(chan struct{})
 	go func() {
-		u, err := dB.lockKey("feedface")
+		u, err := dB.acquireLease("feedface")
 		if err == nil {
 			u()
 			close(acquired)
@@ -145,7 +146,7 @@ func TestLeaseSkewedClockPublishSafety(t *testing.T) {
 	cA.SetDir(dir)
 	cA.SetSegments(testMeasure/3, 1)
 	cA.SetLease("a", 100*time.Millisecond)
-	unlockA, err := cA.disk.lockKey(hash) // A claims and stalls mid-build
+	unlockA, err := cA.disk.acquireLease(hash) // A claims and stalls mid-build
 	if err != nil {
 		t.Fatalf("A acquire: %v", err)
 	}
@@ -164,7 +165,7 @@ func TestLeaseSkewedClockPublishSafety(t *testing.T) {
 	}
 
 	// A, still believing it holds the lease, finishes and publishes too.
-	p := CaptureSegmentedToFile(cA.disk.spillPath(hash), SegSpec{
+	p := CaptureSegmentedToFile(cA.disk.spillPath(hash), BuildSpec{
 		NewAnnotator: newAnn, Warmup: testWarmup, Measure: testMeasure,
 		SegmentInsts: testMeasure / 3, Workers: 1,
 	})
@@ -232,13 +233,7 @@ func TestLeaseBuildHelper(t *testing.T) {
 	c.SetSegments(testMeasure/3, 1)
 	c.SetLease(os.Getenv(leaseHelperEnvOwner), time.Second)
 	key, w := leaseHelperKey()
-	s := c.GetTrace(key, BuildSpec{
-		NewAnnotator: func() *annotate.Annotator {
-			return annotate.New(workload.MustNew(w), annotate.Config{})
-		},
-		Warmup:  testWarmup,
-		Measure: testMeasure,
-	})
+	s := c.GetTrace(key, testSpec(w))
 	if os.Getenv(leaseHelperEnvCrash) != "" {
 		t.Fatal("helper survived its crash point")
 	}

@@ -9,7 +9,7 @@ import (
 
 // staleLockAge bounds how long a fallback lock file is honoured: a
 // process that died while holding the lock would otherwise wedge every
-// later run. Annotation builds finish well inside this window.
+// later run. Index updates finish well inside this window.
 const staleLockAge = 10 * time.Minute
 
 // lockFile emulates an exclusive lock with O_CREATE|O_EXCL polling on
@@ -32,15 +32,4 @@ func lockFile(path string) (unlock func(), err error) {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-}
-
-// sweepLockFile removes a stale fallback lock file. Existence IS the
-// lock here, so only files past the stale age (which lockFile would
-// break anyway) are safe to unlink.
-func sweepLockFile(path string) bool {
-	fi, err := os.Stat(path)
-	if err != nil || time.Since(fi.ModTime()) <= staleLockAge {
-		return false
-	}
-	return os.Remove(path) == nil
 }

@@ -10,9 +10,9 @@ import (
 // lockFile takes an exclusive advisory flock on path (creating it if
 // needed), blocking until the lock is granted. The returned function
 // releases the lock. Locks are per-open-file, so N processes (or
-// goroutines holding separate descriptors) serialize on the same path —
-// the cross-process singleflight the disk cache builds on. Lock files are
-// left in place; holding none of their bytes, they cost one inode each.
+// goroutines holding separate descriptors) serialize on the same path.
+// The disk cache uses it only for index.lock, held for the few
+// milliseconds of an index read-modify-write; the file stays in place.
 func lockFile(path string) (unlock func(), err error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -26,21 +26,4 @@ func lockFile(path string) (unlock func(), err error) {
 		// Closing the descriptor releases the flock.
 		f.Close()
 	}, nil
-}
-
-// sweepLockFile removes a stale lock file, but only when no process
-// holds it: a non-blocking flock must be grantable first. Unlinking
-// while holding the lock means any process that raced us to open the
-// old inode will serialize against it and then rebuild harmlessly —
-// publication stays atomic either way.
-func sweepLockFile(path string) bool {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		return false // held by a live process
-	}
-	return os.Remove(path) == nil
 }

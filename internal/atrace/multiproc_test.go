@@ -10,8 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/workload"
 )
 
@@ -26,8 +26,9 @@ func helperKey() (Key, workload.Config) {
 }
 
 // TestDiskCacheHelper is the subprocess body: it opens the shared
-// directory, performs one Get, and reports how many annotation passes it
-// ran on stdout. It skips itself under normal `go test` invocations.
+// directory, performs one GetTrace, and reports how many annotation
+// passes it ran on stdout. It skips itself under normal `go test`
+// invocations.
 func TestDiskCacheHelper(t *testing.T) {
 	dir := os.Getenv(helperEnvDir)
 	if dir == "" {
@@ -36,7 +37,7 @@ func TestDiskCacheHelper(t *testing.T) {
 	c := NewCache()
 	c.SetDir(dir)
 	key, w := helperKey()
-	s := c.Get(key, func() *Stream { return captureStream(t, w, annotate.Config{}) })
+	s := c.GetTrace(key, testSpec(w))
 	if s.Len() != testMeasure {
 		t.Fatalf("stream length %d, want %d", s.Len(), testMeasure)
 	}
@@ -44,7 +45,7 @@ func TestDiskCacheHelper(t *testing.T) {
 }
 
 // TestCrossProcessSingleflight launches N copies of this test binary
-// against one cache directory and asserts the flock protocol let exactly
+// against one cache directory and asserts the lease protocol let exactly
 // one of them annotate; the rest must load the published spill.
 func TestCrossProcessSingleflight(t *testing.T) {
 	if testing.Short() {
@@ -87,18 +88,20 @@ func TestCrossProcessSingleflight(t *testing.T) {
 		t.Errorf("%d processes performed %d annotation passes in total, want exactly 1", procs, totalBuilds)
 	}
 
-	key, _ := helperKey()
+	key, w := helperKey()
 	if _, err := os.Stat(filepath.Join(dir, keyHash(key)+spillExt)); err != nil {
 		t.Errorf("shared spill missing after the race: %v", err)
 	}
-	// All lock files must be released (flock drops with the fd; the
-	// portable fallback unlinks), so a fresh process can still build.
+	// Every lease must be released, and the spill readable by a later
+	// process without a rebuild.
+	if leases, _ := filepath.Glob(filepath.Join(dir, "*"+leaseExt)); len(leases) != 0 {
+		t.Errorf("leases left after the race: %v", leases)
+	}
 	c := NewCache()
 	c.SetDir(dir)
-	var rebuilt bool
-	c.Get(key, func() *Stream { rebuilt = true; return nil })
-	if rebuilt {
-		t.Error("published spill not readable by a later process")
+	c.GetTrace(key, testSpec(w))
+	if st := c.Stats(); st.DiskHits != 1 || st.Builds != 0 {
+		t.Errorf("later process stats %+v, want a plain disk hit", st)
 	}
 }
 
@@ -131,13 +134,7 @@ func TestSegmentedBuildHelper(t *testing.T) {
 	c.SetDir(dir)
 	c.SetSegments(testMeasure/3, 1)
 	key, w := helperKey()
-	s := c.GetTrace(key, BuildSpec{
-		NewAnnotator: func() *annotate.Annotator {
-			return annotate.New(workload.MustNew(w), annotate.Config{})
-		},
-		Warmup:  testWarmup,
-		Measure: testMeasure,
-	})
+	s := c.GetTrace(key, testSpec(w))
 	if os.Getenv(segHelperEnvCrash) != "" {
 		t.Fatal("helper survived its crash point")
 	}
@@ -150,8 +147,9 @@ func TestSegmentedBuildHelper(t *testing.T) {
 // TestCrashDuringPublishRecovery kills a builder process between writing
 // a publish temp file and its rename, then asserts the protocol's crash
 // guarantees: no partial trace is ever visible, the litter (published
-// orphan segment + abandoned temp file) is reclaimed by the sweep, and
-// the next process simply rebuilds.
+// orphan segment, abandoned temp file, and the dead builder's lease once
+// it expires) is reclaimed by the sweep, and the next process simply
+// rebuilds.
 func TestCrashDuringPublishRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -187,16 +185,25 @@ func TestCrashDuringPublishRecovery(t *testing.T) {
 		t.Fatalf("expected 1 abandoned temp file, found %v", tmps)
 	}
 
-	// An aged sweep reclaims all three pieces of litter: the orphan
-	// segment, the abandoned temp file, and the dead builder's lock file
-	// (its manifest never landed, and no process holds the flock).
+	// The dead builder's lease is still in place; until it expires it is
+	// a live claim, not litter.
+	leasePath := filepath.Join(dir, keyHash(key)+leaseExt)
+	if _, err := os.Stat(leasePath); err != nil {
+		t.Fatalf("expected the crashed builder's lease: %v", err)
+	}
+
+	// An aged sweep past the lease's expiry reclaims all three pieces of
+	// litter: the orphan segment, the abandoned temp file, and the dead
+	// builder's expired lease.
 	d := newDiskCache(dir)
 	d.tmpMaxAge = -1
+	expired := time.Now().Add(DefaultLeaseTTL + time.Second)
+	d.now = func() time.Time { return expired }
 	d.withIndex(func(idx *indexFile) { d.sweepLocked(idx) })
 	if got := d.swept.Load(); got != 3 {
-		t.Errorf("sweep reclaimed %d files, want 3 (orphan segment + temp + stale lock)", got)
+		t.Errorf("sweep reclaimed %d files, want 3 (orphan segment + temp + expired lease)", got)
 	}
-	for _, p := range append([]string{segmentPath(manifest, 0)}, tmps...) {
+	for _, p := range append([]string{segmentPath(manifest, 0), leasePath}, tmps...) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("sweep left %s behind", p)
 		}

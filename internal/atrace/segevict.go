@@ -136,13 +136,10 @@ func (d *diskCache) evictedHole(path string) ([]int, bool) {
 // evictSegments removes tail segments of h's spill until want bytes are
 // freed, updating the sidecar before unlinking (see the invariant
 // above) and h's index entry after. Segment 0 always stays live so the
-// key keeps a replayable head, and monolithic spills free nothing.
+// key keeps a replayable head, so single-segment spills free nothing.
 // Returns the bytes actually freed.
 func (d *diskCache) evictSegments(idx *indexFile, h string, want int64) int64 {
 	base := d.spillPath(h)
-	if !IsSegmentedFile(base) {
-		return 0
-	}
 	data, err := os.ReadFile(base)
 	if err != nil {
 		return 0
@@ -201,7 +198,7 @@ func (d *diskCache) evictSegments(idx *indexFile, h string, want int64) int64 {
 // segment after segment with a stats reset at each boundary, exactly
 // like a capture worker — so rebuilt segments are bit-identical to the
 // originals.
-func (d *diskCache) rebuildSegments(hash string, key Key, spec SegSpec, missing []int) (Trace, error) {
+func (d *diskCache) rebuildSegments(hash string, key Key, spec BuildSpec, missing []int) (Trace, error) {
 	base := d.spillPath(hash)
 	data, err := os.ReadFile(base)
 	if err != nil {
@@ -235,7 +232,7 @@ func (d *diskCache) rebuildSegments(hash string, key Key, spec SegSpec, missing 
 				return nil, fmt.Errorf("atrace: rebuilt segment %d captured %d instructions, want %d", k, s.Len(), man.segN[k])
 			}
 			size, err := writeAtomic(d.dir, tmpPrefix+"*", segmentPath(base, k), func(f *os.File) error {
-				return WriteColumnar(f, s)
+				return writeColumnar(f, s)
 			})
 			if err != nil {
 				return nil, err

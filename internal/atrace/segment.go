@@ -14,9 +14,9 @@ import (
 	"mlpsim/internal/prefetch"
 )
 
-// Segmented spill format ("MLPCOLS2"): a manifest plus K per-segment
-// column files, sharding one annotated window into fixed-size segments.
-// Each segment is a complete, self-validating MLPCOLS1 file (CRC'd and
+// Spill format ("MLPCOLS2"): a manifest plus K >= 1 per-segment column
+// files, sharding one annotated window into fixed-size segments (a
+// window captured in one pass is one segment). Each segment is a complete, self-validating MLPCOLS1 file (CRC'd and
 // individually mmap-able), so segments can be published as capture
 // finishes them and replay can start streaming segment 0 while later
 // segments are still being built. The manifest is written last — its
@@ -43,7 +43,7 @@ import (
 // *delta* over its own window, and the prefetcher statistics cumulative
 // through its end — so the aggregate stats are the sum of segment deltas
 // and the last segment's prefetcher counters, bit-identical to one
-// monolithic pass.
+// single pass.
 const (
 	segMagic     = "MLPCOLS2"
 	segHeaderMin = 52
@@ -93,7 +93,7 @@ func addStats(a, b annotate.Stats) annotate.Stats {
 // SegStream is a Trace chaining contiguous segment Streams. It reports
 // aggregate statistics (sum of per-segment deltas; prefetcher counters
 // from the final segment) and replays the segments back to back,
-// bit-identical to the monolithic Stream over the same window.
+// bit-identical to a single-pass Stream over the same window.
 type SegStream struct {
 	segs       []*Stream
 	n          int64
@@ -188,8 +188,14 @@ func (ss *SegStream) Segment(k int) *Stream { return ss.segs[k] }
 // SegmentInsts returns the nominal per-segment instruction count.
 func (ss *SegStream) SegmentInsts() int64 { return ss.segInsts }
 
-// Source returns a fresh cursor chaining the segments in order.
-func (ss *SegStream) Source() Source { return &SegReplay{segs: ss.segs} }
+// Source returns a fresh cursor chaining the segments in order; a
+// single segment replays through its own cursor, skipping the chain.
+func (ss *SegStream) Source() Source {
+	if len(ss.segs) == 1 {
+		return ss.segs[0].Replay()
+	}
+	return &SegReplay{segs: ss.segs}
+}
 
 func (ss *SegStream) metaInfo() metaInfo {
 	return metaInfo{
@@ -199,7 +205,7 @@ func (ss *SegStream) metaInfo() metaInfo {
 }
 
 // SegReplay is a zero-allocation cursor chaining segment replays; it
-// yields exactly the instruction sequence a monolithic Replay would.
+// yields exactly the instruction sequence a single-pass Replay would.
 type SegReplay struct {
 	segs []*Stream
 	k    int
@@ -318,28 +324,15 @@ func parseManifest(data []byte) (*segManifest, error) {
 	return m, nil
 }
 
-// IsSegmentedFile reports whether path starts with the MLPCOLS2 magic.
-func IsSegmentedFile(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return false
-	}
-	return string(hdr[:]) == segMagic
-}
-
-// OpenSegmentedFile opens the manifest at path and every segment file
-// beside it, validating the manifest checksum, each segment's own CRC,
-// and cross-checking the per-segment geometry and the aggregate
-// statistics against the manifest. Segments are memory-mapped like any
-// MLPCOLS1 spill. Any structural failure — including a missing segment
-// file — returns an error wrapping ErrCorruptSpill so the disk cache
-// quarantines the whole key and rebuilds.
-func OpenSegmentedFile(path string) (*SegStream, error) {
+// OpenSpill opens a spilled trace: the MLPCOLS2 manifest at path and
+// every segment file beside it, validating the manifest checksum, each
+// segment's own CRC, and cross-checking the per-segment geometry and the
+// aggregate statistics against the manifest. Segments are memory-mapped
+// where the platform allows. Any structural failure — including a
+// missing segment file, or a file in another format at path — returns
+// an error wrapping ErrCorruptSpill so the disk cache quarantines the
+// whole key and rebuilds.
+func OpenSpill(path string) (*SegStream, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -351,7 +344,7 @@ func OpenSegmentedFile(path string) (*SegStream, error) {
 	segs := make([]*Stream, len(man.segN))
 	for k := range segs {
 		sp := segmentPath(path, k)
-		s, err := OpenColumnarFile(sp)
+		s, err := openColumnar(sp)
 		if err != nil {
 			if os.IsNotExist(err) {
 				return nil, fmt.Errorf("%s: %w", path, corruptf("segment %d missing (%s)", k, sp))
@@ -373,14 +366,4 @@ func OpenSegmentedFile(path string) (*SegStream, error) {
 		return nil, fmt.Errorf("%s: %w", path, corruptf("segment aggregate disagrees with manifest meta"))
 	}
 	return ss, nil
-}
-
-// OpenSpill opens an on-disk annotated trace of either columnar format:
-// a segmented MLPCOLS2 manifest (plus its segment files) or a monolithic
-// MLPCOLS1 spill.
-func OpenSpill(path string) (Trace, error) {
-	if IsSegmentedFile(path) {
-		return OpenSegmentedFile(path)
-	}
-	return OpenColumnarFile(path)
 }

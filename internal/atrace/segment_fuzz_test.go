@@ -17,7 +17,7 @@ import (
 func buildSegmentedSpill(tb testing.TB, path string) (manifest []byte, segs [][]byte) {
 	tb.Helper()
 	w := workload.Presets(17)[0]
-	p := CaptureSegmentedToFile(path, SegSpec{
+	p := CaptureSegmentedToFile(path, BuildSpec{
 		NewAnnotator: func() *annotate.Annotator {
 			return annotate.New(workload.MustNew(w), annotate.Config{})
 		},
@@ -118,7 +118,7 @@ func TestOpenSegmentManifestSeedCorpus(t *testing.T) {
 	base := filepath.Join(dir, "x"+spillExt)
 	valid, _ := buildSegmentedSpill(t, base)
 
-	if tr, err := OpenSegmentedFile(base); err != nil {
+	if tr, err := OpenSpill(base); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
 	} else if tr.Len() != 3_000 {
 		t.Fatalf("valid manifest opened with %d insts, want 3000", tr.Len())
@@ -129,7 +129,7 @@ func TestOpenSegmentManifestSeedCorpus(t *testing.T) {
 	if err := os.WriteFile(base, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenSegmentedFile(base)
+	_, err := OpenSpill(base)
 	if err == nil || !errors.Is(err, ErrCorruptSpill) {
 		t.Fatalf("CRC-broken manifest error = %v, want ErrCorruptSpill", err)
 	}

@@ -1,22 +1,24 @@
 package atrace
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+	"time"
 
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/mem"
 	"mlpsim/internal/prefetch"
+	"mlpsim/internal/storeset"
 	"mlpsim/internal/vpred"
 	"mlpsim/internal/workload"
 )
 
-// segSpecFor builds a SegSpec over the standard test window. acfg must be
-// reconstructible per call (workers each get a fresh annotator).
-func segSpecFor(w workload.Config, acfg func() annotate.Config, segInsts int64, workers int) SegSpec {
-	return SegSpec{
+// segSpecFor builds a BuildSpec over the standard test window. acfg must
+// be reconstructible per call (workers each get a fresh annotator).
+func segSpecFor(w workload.Config, acfg func() annotate.Config, segInsts int64, workers int) BuildSpec {
+	return BuildSpec{
 		NewAnnotator: func() *annotate.Annotator {
 			return annotate.New(workload.MustNew(w), acfg())
 		},
@@ -72,53 +74,77 @@ func TestSegmentedMatchesMonolithic(t *testing.T) {
 	assertSameReplay(t, mono, ss)
 }
 
-// TestSegmentedFileRoundTrip: the MLPCOLS2 spill written by the pipelined
-// writer reopens memory-mapped and bit-identical to the monolithic pass.
+// TestSegmentedFileRoundTrip: the spill written by the pipelined writer
+// reopens memory-mapped and replays every annotate.Inst field exactly as
+// the in-memory single pass captured it, for one segment and for K. The
+// StoreHeavy store-set cases pin the dependence outcome (Inst.Dep): it
+// must survive the spill.
 func TestSegmentedFileRoundTrip(t *testing.T) {
-	w := workload.Presets(22)[1]
-	acfg := func() annotate.Config { return annotate.Config{} }
-	mono := captureStream(t, w, acfg())
+	plain := func() annotate.Config { return annotate.Config{} }
+	storeSets := func() annotate.Config {
+		return annotate.Config{StoreSets: storeset.New(storeset.DefaultConfig())}
+	}
+	for _, tc := range []struct {
+		name     string
+		w        workload.Config
+		acfg     func() annotate.Config
+		segInsts int64
+		workers  int
+		wantDep  bool
+	}{
+		{"default", workload.Presets(22)[1], plain, 40_000, 2, false},
+		{"storesets-1seg", workload.StoreHeavy(1), storeSets, 0, 1, true},
+		{"storesets-Kseg", workload.StoreHeavy(1), storeSets, 40_000, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mono := captureStream(t, tc.w, tc.acfg())
+			base := filepath.Join(t.TempDir(), "trace"+spillExt)
+			p := CaptureSegmentedToFile(base, segSpecFor(tc.w, tc.acfg, tc.segInsts, tc.workers))
+			built, err := p.Wait()
+			if err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			if err := p.PublishErr(); err != nil {
+				t.Fatalf("PublishErr: %v", err)
+			}
+			if !built.Mapped() {
+				t.Error("builder's own segments not memory-mapped after publication")
+			}
+			for k := 0; k < built.Segments(); k++ {
+				if _, err := os.Stat(segmentPath(base, k)); err != nil {
+					t.Fatalf("segment %d missing: %v", k, err)
+				}
+			}
 
-	base := filepath.Join(t.TempDir(), "trace.acol")
-	p := CaptureSegmentedToFile(base, segSpecFor(w, acfg, 40_000, 2))
-	built, err := p.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if err := p.PublishErr(); err != nil {
-		t.Fatalf("PublishErr: %v", err)
-	}
-	if !built.Mapped() {
-		t.Error("builder's own segments not memory-mapped after publication")
-	}
-	if !IsSegmentedFile(base) {
-		t.Fatal("manifest not recognised as MLPCOLS2")
-	}
-	for k := 0; k < built.Segments(); k++ {
-		if _, err := os.Stat(segmentPath(base, k)); err != nil {
-			t.Fatalf("segment %d missing: %v", k, err)
-		}
-	}
+			ss, err := OpenSpill(base)
+			if err != nil {
+				t.Fatalf("OpenSpill: %v", err)
+			}
+			if !ss.Mapped() {
+				t.Error("reopened segments not memory-mapped")
+			}
+			if ss.Segments() != built.Segments() {
+				t.Errorf("reopened %d segments, built %d", ss.Segments(), built.Segments())
+			}
+			if got, want := ss.Stats(), mono.Stats(); got != want {
+				t.Errorf("reopened stats %+v, want %+v", got, want)
+			}
+			assertSameReplay(t, mono, ss)
 
-	ss, err := OpenSegmentedFile(base)
-	if err != nil {
-		t.Fatalf("OpenSegmentedFile: %v", err)
-	}
-	if !ss.Mapped() {
-		t.Error("reopened segments not memory-mapped")
-	}
-	if got, want := ss.Stats(), mono.Stats(); got != want {
-		t.Errorf("reopened stats %+v, want %+v", got, want)
-	}
-	assertSameReplay(t, mono, ss)
-
-	// OpenSpill dispatches on the magic.
-	via, err := OpenSpill(base)
-	if err != nil {
-		t.Fatalf("OpenSpill: %v", err)
-	}
-	if _, ok := via.(*SegStream); !ok {
-		t.Errorf("OpenSpill returned %T, want *SegStream", via)
+			if tc.wantDep {
+				var deps int
+				src := ss.Source()
+				var in annotate.Inst
+				for src.NextInto(&in) {
+					if in.Dep != storeset.DepNone {
+						deps++
+					}
+				}
+				if deps == 0 {
+					t.Error("no load replayed a dependence outcome; Dep coverage too weak")
+				}
+			}
+		})
 	}
 }
 
@@ -162,21 +188,10 @@ func TestSegmentStreaming(t *testing.T) {
 	}
 }
 
-// segCacheSpec is the BuildSpec used by the segmented disk-cache tests.
-func segCacheSpec(w workload.Config) BuildSpec {
-	return BuildSpec{
-		NewAnnotator: func() *annotate.Annotator {
-			return annotate.New(workload.MustNew(w), annotate.Config{})
-		},
-		Warmup:  testWarmup,
-		Measure: testMeasure,
-	}
-}
-
-// TestSegmentedDiskCache: a cache configured for segmented capture spills
-// an MLPCOLS2 trace; a second cache loads it from disk (no rebuild),
-// memory-mapped and bit-identical; a corrupted segment quarantines the
-// whole key and a third cache rebuilds cleanly.
+// TestSegmentedDiskCache: a cache configured for several segments spills
+// them under one manifest; a second cache loads it from disk (no
+// rebuild), memory-mapped and bit-identical; a corrupted segment
+// quarantines the whole key and a third cache rebuilds cleanly.
 func TestSegmentedDiskCache(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(24)[0]
@@ -186,20 +201,20 @@ func TestSegmentedDiskCache(t *testing.T) {
 	c1 := NewCache()
 	c1.SetDir(dir)
 	c1.SetSegments(50_000, 2)
-	t1 := c1.GetTrace(key, segCacheSpec(w))
+	t1 := c1.GetTrace(key, testSpec(w))
 	if st := c1.Stats(); st.Builds != 1 {
 		t.Fatalf("first cache: %d builds, want 1", st.Builds)
 	}
 	manifest := filepath.Join(dir, keyHash(key)+spillExt)
-	if !IsSegmentedFile(manifest) {
-		t.Fatal("spill is not a segmented manifest")
+	if ss, err := OpenSpill(manifest); err != nil || ss.Segments() != 3 {
+		t.Fatalf("spill did not reopen as 3 segments (err %v)", err)
 	}
 	assertSameReplay(t, mono, t1)
 
 	c2 := NewCache()
 	c2.SetDir(dir)
 	c2.SetSegments(50_000, 2)
-	t2 := c2.GetTrace(key, segCacheSpec(w))
+	t2 := c2.GetTrace(key, testSpec(w))
 	if st := c2.Stats(); st.DiskHits != 1 || st.Builds != 0 {
 		t.Fatalf("second cache stats %+v, want 1 disk hit and 0 builds", st)
 	}
@@ -222,7 +237,7 @@ func TestSegmentedDiskCache(t *testing.T) {
 	c3 := NewCache()
 	c3.SetDir(dir)
 	c3.SetSegments(50_000, 2)
-	t3 := c3.GetTrace(key, segCacheSpec(w))
+	t3 := c3.GetTrace(key, testSpec(w))
 	if st := c3.Stats(); st.Quarantined != 1 || st.Builds != 1 {
 		t.Fatalf("third cache stats %+v, want 1 quarantine and 1 rebuild", st)
 	}
@@ -231,8 +246,8 @@ func TestSegmentedDiskCache(t *testing.T) {
 	if len(quarantined) < 2 {
 		t.Errorf("quarantine moved %d files aside, want manifest plus segments (%v)", len(quarantined), quarantined)
 	}
-	if !IsSegmentedFile(manifest) {
-		t.Error("rebuild did not republish a segmented manifest")
+	if _, err := OpenSpill(manifest); err != nil {
+		t.Errorf("rebuild did not republish the spill: %v", err)
 	}
 }
 
@@ -251,7 +266,7 @@ func TestSegmentedDiskEviction(t *testing.T) {
 	c := NewCache()
 	c.SetDir(dir)
 	c.SetSegments(50_000, 2)
-	c.GetTrace(key1, segCacheSpec(w))
+	c.GetTrace(key1, testSpec(w))
 	size := newDiskCache(dir).spillBytes(keyHash(key1))
 	if size <= 0 {
 		t.Fatal("first spill reports no bytes")
@@ -259,14 +274,14 @@ func TestSegmentedDiskEviction(t *testing.T) {
 	// Room for ~1.5 spills: publishing key2 overshoots by ~half a spill,
 	// which partial eviction covers by trimming key1's tail.
 	c.SetDiskCapBytes(size + size/2)
-	c.GetTrace(key2, segCacheSpec(w))
+	c.GetTrace(key2, testSpec(w))
 	if st := c.Stats(); st.DiskEvictions != 0 || st.SegEvictions == 0 {
 		t.Fatalf("stats %+v, want 0 whole-key evictions and > 0 segment evictions", st)
 	}
 	h1 := keyHash(key1)
 	manifest1 := filepath.Join(dir, h1+spillExt)
-	if !IsSegmentedFile(manifest1) {
-		t.Error("trimmed spill lost its manifest")
+	if _, err := os.Stat(manifest1); err != nil {
+		t.Errorf("trimmed spill lost its manifest: %v", err)
 	}
 	if _, err := os.Stat(segmentPath(manifest1, 0)); err != nil {
 		t.Errorf("segment 0 must stay live after a partial trim: %v", err)
@@ -278,16 +293,13 @@ func TestSegmentedDiskEviction(t *testing.T) {
 	// Deep overage: a cap far below the victims' sizes removes whole
 	// keys — key1's remains (sidecar included) and then key2.
 	c.SetDiskCapBytes(size / 2)
-	c.GetTrace(key3, segCacheSpec(w))
+	c.GetTrace(key3, testSpec(w))
 	if st := c.Stats(); st.DiskEvictions != 2 {
 		t.Fatalf("stats %+v, want 2 whole-key evictions", st)
 	}
 	for _, h := range []string{h1, keyHash(key2)} {
-		left, _ := filepath.Glob(filepath.Join(dir, h+"*"))
-		for _, p := range left {
-			if !strings.HasSuffix(p, ".lock") {
-				t.Errorf("evicted spill left %s behind", p)
-			}
+		if left, _ := filepath.Glob(filepath.Join(dir, h+"*")); len(left) != 0 {
+			t.Errorf("evicted spill left %v behind", left)
 		}
 	}
 	if _, err := OpenSpill(filepath.Join(dir, keyHash(key3)+spillExt)); err != nil {
@@ -328,8 +340,9 @@ func TestTouchAdoptsUnindexedSpill(t *testing.T) {
 }
 
 // TestSweepReclaimsLitter: the publish-time sweep removes aged temp
-// files, orphaned segment files, quarantined spills, and stale lock
-// files — while keeping everything that belongs to a live spill.
+// files, orphaned segment files, quarantined spills, and expired leases
+// — while keeping everything that belongs to a live spill or a live
+// lease.
 func TestSweepReclaimsLitter(t *testing.T) {
 	d := newDiskCache(t.TempDir())
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
@@ -342,27 +355,39 @@ func TestSweepReclaimsLitter(t *testing.T) {
 		}
 		return p
 	}
+	lease := func(name string, expires time.Time) string {
+		p := filepath.Join(d.dir, name+leaseExt)
+		data, _ := json.Marshal(leaseInfo{Owner: "x", Expires: expires.UnixNano()})
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
 	tmp := mk(tmpPrefix + "abandoned")
 	orphan := mk("dead.acol.seg0000") // no dead.acol manifest
 	corrupt := mk("old.acol" + corruptMark + "1.2")
-	staleLock := mk("gone.lock") // no gone.acol manifest
+	expired := lease("gone", time.Now().Add(-time.Second))
 	live := mk("live.acol")
 	liveSeg := mk("live.acol.seg0000")
-	liveLock := mk("live.lock")
+	liveLease := lease("building", time.Now().Add(time.Hour))
 
 	d.tmpMaxAge = -1 // any age exceeds the bound
 	d.corruptMaxAge = -1
 	d.withIndex(func(idx *indexFile) {
-		if litter := d.sweepLocked(idx); litter != 0 {
-			t.Errorf("aged sweep kept %d litter bytes, want 0", litter)
+		fi, err := os.Stat(liveLease)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if litter := d.sweepLocked(idx); litter != fi.Size() {
+			t.Errorf("aged sweep kept %d litter bytes, want %d (the live lease)", litter, fi.Size())
 		}
 	})
-	for _, p := range []string{tmp, orphan, corrupt, staleLock} {
+	for _, p := range []string{tmp, orphan, corrupt, expired} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("sweep left litter %s behind", p)
 		}
 	}
-	for _, p := range []string{live, liveSeg, liveLock} {
+	for _, p := range []string{live, liveSeg, liveLease} {
 		if _, err := os.Stat(p); err != nil {
 			t.Errorf("sweep removed live file %s: %v", p, err)
 		}

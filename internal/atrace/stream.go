@@ -37,8 +37,9 @@ type Source interface {
 	NextInto(*annotate.Inst) bool
 }
 
-// Trace is a replayable annotated instruction window: either a single
-// monolithic Stream or a SegStream chaining fixed-size segments. Every
+// Trace is a replayable annotated instruction window: either one
+// captured Stream (as Capture returns) or a SegStream chaining fixed-size
+// segments (what the cache builds and spill files hold). Every
 // implementation is immutable and safe for concurrent use once built;
 // Source returns an independent cursor per call.
 type Trace interface {

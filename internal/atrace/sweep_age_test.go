@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/workload"
 )
 
@@ -80,39 +79,6 @@ func TestSweepAgeBoundaryExact(t *testing.T) {
 	}
 }
 
-// TestSweepSparesLockHeldByLiveProcess: a lock file whose spill is gone
-// is normally litter, but never while a live process holds the flock —
-// unlinking it would let two builders publish the same key through
-// different inodes. Only after release may the sweep reclaim it.
-func TestSweepSparesLockHeldByLiveProcess(t *testing.T) {
-	dir := t.TempDir()
-	d := newDiskCache(dir)
-	lockPath := filepath.Join(dir, "cafef00d.lock")
-
-	// Hold the lock the way a live builder does (no spill beside it, so
-	// the sweep sees a candidate). lockFile keeps its own descriptor, so
-	// this models any live PID, in-process or not.
-	unlock, err := lockFile(lockPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aged := time.Now().Add(365 * 24 * time.Hour) // far past every age bound
-	sweepAt(d, aged)
-	if _, err := os.Stat(lockPath); err != nil {
-		t.Fatalf("sweep reclaimed a lock held by a live process: %v", err)
-	}
-	if n := d.swept.Load(); n != 0 {
-		t.Errorf("swept counter %d while the lock was held, want 0", n)
-	}
-
-	// Released: now it is provably unheld and reclaimable.
-	unlock()
-	sweepAt(d, aged)
-	if _, err := os.Stat(lockPath); !os.IsNotExist(err) {
-		t.Errorf("released stale lock survived the sweep: %v", err)
-	}
-}
-
 // TestRepeatedQuarantineChargesBytesOnce: the same key going corrupt
 // twice (quarantine, rebuild, republish, corrupt again, quarantine)
 // must leave exactly one charge per corrupt byte on disk — each
@@ -124,19 +90,17 @@ func TestRepeatedQuarantineChargesBytesOnce(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(8)[2]
 	key := Key{Workload: w, Annot: "requarantine", Warmup: testWarmup, Measure: testMeasure}
-	build := func() *Stream { return captureStream(t, w, annotate.Config{}) }
 
 	for round := 0; round < 2; round++ {
 		c := NewCache()
 		c.SetDir(dir)
-		c.Get(key, build)
+		c.GetTrace(key, testSpec(w))
 		corruptOneSpill(t, dir)
 
 		c2 := NewCache()
 		c2.SetDir(dir)
-		rebuilt := false
-		c2.Get(key, func() *Stream { rebuilt = true; return build() })
-		if !rebuilt {
+		c2.GetTrace(key, testSpec(w))
+		if st := c2.Stats(); st.Builds != 1 {
 			t.Fatalf("round %d: corrupted spill served instead of rebuilt", round)
 		}
 		if st := c2.Stats(); st.Quarantined != 1 {
@@ -144,10 +108,11 @@ func TestRepeatedQuarantineChargesBytesOnce(t *testing.T) {
 		}
 	}
 
-	// Two generations of the same key moved aside, under distinct names.
+	// Two generations of the same key (manifest and segment each) moved
+	// aside, under distinct names.
 	moved, err := filepath.Glob(filepath.Join(dir, "*"+corruptMark+"*"))
-	if err != nil || len(moved) != 2 {
-		t.Fatalf("quarantine files %v (err %v), want exactly two", moved, err)
+	if err != nil || len(moved) != 4 {
+		t.Fatalf("quarantine files %v (err %v), want two manifests and two segments", moved, err)
 	}
 	var wantLitter int64
 	for _, p := range moved {
@@ -170,18 +135,15 @@ func TestRepeatedQuarantineChargesBytesOnce(t *testing.T) {
 	if len(spills) != 1 {
 		t.Fatalf("live spills %v, want exactly one", spills)
 	}
-	fi, err := os.Stat(spills[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	liveBytes := d.spillBytes(keyHash(key))
 	var indexed int64
 	d.withIndex(func(idx *indexFile) {
 		for _, e := range idx.Entries {
 			indexed += e.Bytes
 		}
 	})
-	if indexed != fi.Size() {
-		t.Errorf("index charges %d bytes, want %d (the live spill only)", indexed, fi.Size())
+	if indexed != liveBytes {
+		t.Errorf("index charges %d bytes, want %d (the live spill only)", indexed, liveBytes)
 	}
 
 	// A quarantine with nothing left to move (reader-race loser) is not
@@ -202,21 +164,5 @@ func TestRepeatedQuarantineChargesBytesOnce(t *testing.T) {
 	}
 	if _, err := os.Stat(spills[0]); err != nil {
 		t.Errorf("live spill reclaimed by the quarantine sweep: %v", err)
-	}
-}
-
-// TestSweepKeepsLockWithLiveSpill: a lock whose spill still exists is
-// not litter at all, held or not — live keys keep their locks for
-// reuse.
-func TestSweepKeepsLockWithLiveSpill(t *testing.T) {
-	dir := t.TempDir()
-	d := newDiskCache(dir)
-	old := time.Now().Add(-48 * time.Hour)
-	litterFile(t, dir, "0123abcd"+spillExt, 64, old)
-	lockPath := litterFile(t, dir, "0123abcd.lock", 0, old)
-
-	sweepAt(d, time.Now().Add(365*24*time.Hour))
-	if _, err := os.Stat(lockPath); err != nil {
-		t.Errorf("sweep reclaimed the lock of a live spill: %v", err)
 	}
 }

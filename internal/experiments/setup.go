@@ -171,8 +171,8 @@ func (s Setup) directAnnotator(w workload.Config, acfg annotate.Config) *annotat
 
 // cachedStream returns the shared annotated trace for (w, acfg) when the
 // configuration is cacheable, annotating at most once per key. The cache
-// decides the capture strategy (monolithic or segmented-parallel via
-// Cache.SetSegments); every strategy yields a bit-identical trace.
+// decides how many segments the capture splits into (Cache.SetSegments);
+// every split yields a bit-identical trace.
 func (s Setup) cachedStream(w workload.Config, acfg annotate.Config) (atrace.Trace, bool) {
 	if s.Cache == nil {
 		return nil, false

@@ -12,16 +12,15 @@ import (
 // Binary trace format.
 //
 // Header: 8-byte magic "MLPTRC\x00" + version byte, then a uvarint
-// instruction-count hint (0 when unknown / streaming). Version 2 headers
-// additionally carry a uvarint-length opaque metadata blob (producers
-// store annotation parameters there).
+// instruction-count hint (0 when unknown / streaming). Records carry no
+// annotation: the cache hierarchy and predictors are chosen at replay
+// time. Annotated traces live in internal/atrace's spill format.
 //
 // Each record is delta-encoded against the previous instruction to keep
 // traces compact:
 //
 //	flags   byte    bit0: EA present, bit1: Taken, bit2: Target present,
 //	                bit3: Value present, bit4: PC is prev+4 (no PC field)
-//	annot   byte    version 2 only: annotation events (see AnnotFlags)
 //	class   byte
 //	regs    2 bytes (src1, src2) + 1 byte dst
 //	pc      uvarint zig-zag delta from previous PC (if bit4 clear)
@@ -30,40 +29,15 @@ import (
 //	value   uvarint raw (if bit3 set)
 
 const (
-	magic        = "MLPTRC\x00"
-	formatVer    = 1
-	formatVerAnn = 2
-	flagEA       = 1 << 0
-	flagTaken    = 1 << 1
-	flagTarget   = 1 << 2
-	flagValue    = 1 << 3
-	flagSeqPC    = 1 << 4
-	instrBytes4  = 4 // fixed SPARC instruction size used for sequential PCs
+	magic       = "MLPTRC\x00"
+	formatVer   = 1
+	flagEA      = 1 << 0
+	flagTaken   = 1 << 1
+	flagTarget  = 1 << 2
+	flagValue   = 1 << 3
+	flagSeqPC   = 1 << 4
+	instrBytes4 = 4 // fixed SPARC instruction size used for sequential PCs
 )
-
-// AnnotFlags packs the per-instruction annotation events of a version-2
-// record into one byte: five event bits plus a 2-bit value-prediction
-// outcome.
-type AnnotFlags uint8
-
-const (
-	AnnotDMiss   AnnotFlags = 1 << 0
-	AnnotPMiss   AnnotFlags = 1 << 1
-	AnnotIMiss   AnnotFlags = 1 << 2
-	AnnotSMiss   AnnotFlags = 1 << 3
-	AnnotMispred AnnotFlags = 1 << 4
-
-	annotVPShift = 5
-	annotVPMask  = 3 << annotVPShift
-)
-
-// WithVPOutcome returns a copy with the 2-bit value-prediction outcome set.
-func (a AnnotFlags) WithVPOutcome(o uint8) AnnotFlags {
-	return (a &^ annotVPMask) | AnnotFlags(o&3)<<annotVPShift
-}
-
-// VPOutcome extracts the 2-bit value-prediction outcome.
-func (a AnnotFlags) VPOutcome() uint8 { return uint8(a) >> annotVPShift & 3 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
@@ -71,32 +45,20 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // Encoder writes instructions in the binary trace format.
 type Encoder struct {
 	w      *bufio.Writer
-	ver    byte
 	prevPC uint64
 	prevEA uint64
 	buf    []byte
 	n      int64
 }
 
-// NewEncoder writes a version-1 trace header and returns an Encoder.
-// countHint may be 0 when the final instruction count is unknown.
+// NewEncoder writes a trace header and returns an Encoder. countHint
+// may be 0 when the final instruction count is unknown.
 func NewEncoder(w io.Writer, countHint uint64) (*Encoder, error) {
-	return newEncoder(w, formatVer, countHint, nil)
-}
-
-// NewEncoderV2 writes a version-2 (annotated) trace header and returns an
-// Encoder. meta is an opaque producer-defined blob stored in the header
-// (may be nil).
-func NewEncoderV2(w io.Writer, countHint uint64, meta []byte) (*Encoder, error) {
-	return newEncoder(w, formatVerAnn, countHint, meta)
-}
-
-func newEncoder(w io.Writer, ver byte, countHint uint64, meta []byte) (*Encoder, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(magic); err != nil {
 		return nil, fmt.Errorf("trace: writing magic: %w", err)
 	}
-	if err := bw.WriteByte(ver); err != nil {
+	if err := bw.WriteByte(formatVer); err != nil {
 		return nil, fmt.Errorf("trace: writing version: %w", err)
 	}
 	var tmp [binary.MaxVarintLen64]byte
@@ -104,31 +66,11 @@ func newEncoder(w io.Writer, ver byte, countHint uint64, meta []byte) (*Encoder,
 	if _, err := bw.Write(tmp[:n]); err != nil {
 		return nil, fmt.Errorf("trace: writing count hint: %w", err)
 	}
-	if ver >= formatVerAnn {
-		n = binary.PutUvarint(tmp[:], uint64(len(meta)))
-		if _, err := bw.Write(tmp[:n]); err != nil {
-			return nil, fmt.Errorf("trace: writing meta length: %w", err)
-		}
-		if _, err := bw.Write(meta); err != nil {
-			return nil, fmt.Errorf("trace: writing meta: %w", err)
-		}
-	}
-	return &Encoder{w: bw, ver: ver, buf: make([]byte, 0, 64)}, nil
+	return &Encoder{w: bw, buf: make([]byte, 0, 64)}, nil
 }
 
-// Encode appends one instruction to the trace. On a version-2 encoder the
-// annotation byte is written as zero; use EncodeAnnotated to set it.
+// Encode appends one instruction to the trace.
 func (e *Encoder) Encode(in isa.Inst) error {
-	return e.EncodeAnnotated(in, 0)
-}
-
-// EncodeAnnotated appends one instruction together with its annotation
-// events. The annotation byte is only representable in version-2 traces;
-// on a version-1 encoder a non-zero annot is an error.
-func (e *Encoder) EncodeAnnotated(in isa.Inst, annot AnnotFlags) error {
-	if annot != 0 && e.ver < formatVerAnn {
-		return fmt.Errorf("trace: annotated records require a v2 encoder (NewEncoderV2)")
-	}
 	e.buf = e.buf[:0]
 	var flags byte
 	if in.Class.IsMem() {
@@ -146,11 +88,7 @@ func (e *Encoder) EncodeAnnotated(in isa.Inst, annot AnnotFlags) error {
 	if in.PC == e.prevPC+instrBytes4 {
 		flags |= flagSeqPC
 	}
-	e.buf = append(e.buf, flags)
-	if e.ver >= formatVerAnn {
-		e.buf = append(e.buf, byte(annot))
-	}
-	e.buf = append(e.buf, byte(in.Class), byte(in.Src1), byte(in.Src2), byte(in.Dst))
+	e.buf = append(e.buf, flags, byte(in.Class), byte(in.Src1), byte(in.Src2), byte(in.Dst))
 	if flags&flagSeqPC == 0 {
 		e.buf = binary.AppendUvarint(e.buf, zigzag(int64(in.PC)-int64(e.prevPC)))
 	}
@@ -183,15 +121,12 @@ func (e *Encoder) Flush() error {
 	return nil
 }
 
-// Decoder reads instructions from the binary trace format. It accepts
-// both version-1 and version-2 (annotated) traces.
+// Decoder reads instructions from the binary trace format.
 type Decoder struct {
 	r         *bufio.Reader
-	ver       byte
 	prevPC    uint64
 	prevEA    uint64
 	countHint uint64
-	meta      []byte
 }
 
 // NewDecoder validates the trace header and returns a Decoder.
@@ -204,77 +139,38 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if string(hdr[:len(magic)]) != magic {
 		return nil, fmt.Errorf("trace: bad magic %q", hdr[:len(magic)])
 	}
-	ver := hdr[len(magic)]
-	if ver != formatVer && ver != formatVerAnn {
-		return nil, fmt.Errorf("trace: unsupported version %d (want %d or %d)", ver, formatVer, formatVerAnn)
+	if ver := hdr[len(magic)]; ver != formatVer {
+		return nil, fmt.Errorf("trace: unsupported version %d (want %d)", ver, formatVer)
 	}
 	hint, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading count hint: %w", err)
 	}
-	d := &Decoder{r: br, ver: ver, countHint: hint}
-	if ver >= formatVerAnn {
-		mlen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading meta length: %w", err)
-		}
-		const maxMeta = 1 << 20
-		if mlen > maxMeta {
-			return nil, fmt.Errorf("trace: meta blob too large (%d bytes)", mlen)
-		}
-		d.meta = make([]byte, mlen)
-		if _, err := io.ReadFull(br, d.meta); err != nil {
-			return nil, fmt.Errorf("trace: reading meta: %w", noEOF(err))
-		}
-	}
-	return d, nil
+	return &Decoder{r: br, countHint: hint}, nil
 }
 
 // CountHint returns the instruction-count hint recorded in the header
 // (0 when the producer did not know the final count).
 func (d *Decoder) CountHint() uint64 { return d.countHint }
 
-// Version returns the format version of the trace being decoded.
-func (d *Decoder) Version() int { return int(d.ver) }
-
-// Meta returns the opaque header metadata blob of a version-2 trace
-// (nil for version 1).
-func (d *Decoder) Meta() []byte { return d.meta }
-
 // Decode returns the next instruction, or io.EOF at the clean end of the
-// trace. Any other error indicates corruption. On version-2 traces the
-// annotation byte is read and discarded; use DecodeAnnotated to keep it.
+// trace. Any other error indicates corruption.
 func (d *Decoder) Decode() (isa.Inst, error) {
-	in, _, err := d.DecodeAnnotated()
-	return in, err
-}
-
-// DecodeAnnotated returns the next instruction together with its
-// annotation events (always zero on version-1 traces).
-func (d *Decoder) DecodeAnnotated() (isa.Inst, AnnotFlags, error) {
 	var in isa.Inst
-	var annot AnnotFlags
 	flags, err := d.r.ReadByte()
 	if err != nil {
 		if err == io.EOF {
-			return in, 0, io.EOF
+			return in, io.EOF
 		}
-		return in, 0, fmt.Errorf("trace: reading flags: %w", err)
-	}
-	if d.ver >= formatVerAnn {
-		b, err := d.r.ReadByte()
-		if err != nil {
-			return in, 0, fmt.Errorf("trace: reading annotation byte: %w", noEOF(err))
-		}
-		annot = AnnotFlags(b)
+		return in, fmt.Errorf("trace: reading flags: %w", err)
 	}
 	var fixed [4]byte
 	if _, err := io.ReadFull(d.r, fixed[:]); err != nil {
-		return in, 0, fmt.Errorf("trace: truncated record: %w", noEOF(err))
+		return in, fmt.Errorf("trace: truncated record: %w", noEOF(err))
 	}
 	in.Class = isa.Class(fixed[0])
 	if !in.Class.Valid() {
-		return in, 0, fmt.Errorf("trace: invalid instruction class %d", fixed[0])
+		return in, fmt.Errorf("trace: invalid instruction class %d", fixed[0])
 	}
 	in.Src1, in.Src2, in.Dst = isa.Reg(fixed[1]), isa.Reg(fixed[2]), isa.Reg(fixed[3])
 	in.Taken = flags&flagTaken != 0
@@ -284,7 +180,7 @@ func (d *Decoder) DecodeAnnotated() (isa.Inst, AnnotFlags, error) {
 	} else {
 		delta, err := binary.ReadUvarint(d.r)
 		if err != nil {
-			return in, 0, fmt.Errorf("trace: reading pc delta: %w", noEOF(err))
+			return in, fmt.Errorf("trace: reading pc delta: %w", noEOF(err))
 		}
 		in.PC = uint64(int64(d.prevPC) + unzigzag(delta))
 	}
@@ -293,7 +189,7 @@ func (d *Decoder) DecodeAnnotated() (isa.Inst, AnnotFlags, error) {
 	if flags&flagEA != 0 {
 		delta, err := binary.ReadUvarint(d.r)
 		if err != nil {
-			return in, 0, fmt.Errorf("trace: reading ea delta: %w", noEOF(err))
+			return in, fmt.Errorf("trace: reading ea delta: %w", noEOF(err))
 		}
 		in.EA = uint64(int64(d.prevEA) + unzigzag(delta))
 		d.prevEA = in.EA
@@ -301,18 +197,18 @@ func (d *Decoder) DecodeAnnotated() (isa.Inst, AnnotFlags, error) {
 	if flags&flagTarget != 0 {
 		delta, err := binary.ReadUvarint(d.r)
 		if err != nil {
-			return in, 0, fmt.Errorf("trace: reading target delta: %w", noEOF(err))
+			return in, fmt.Errorf("trace: reading target delta: %w", noEOF(err))
 		}
 		in.Target = uint64(int64(in.PC) + unzigzag(delta))
 	}
 	if flags&flagValue != 0 {
 		v, err := binary.ReadUvarint(d.r)
 		if err != nil {
-			return in, 0, fmt.Errorf("trace: reading value: %w", noEOF(err))
+			return in, fmt.Errorf("trace: reading value: %w", noEOF(err))
 		}
 		in.Value = v
 	}
-	return in, annot, nil
+	return in, nil
 }
 
 // noEOF converts io.EOF into io.ErrUnexpectedEOF so that a record truncated

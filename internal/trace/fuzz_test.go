@@ -129,107 +129,3 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// FuzzRoundTripV2 is the version-2 analogue: annotated records (with
-// arbitrary annotation bytes and a header meta blob) must survive an
-// encode→decode→re-encode cycle byte-identically, and the decoded
-// annotation flags must match what was encoded.
-func FuzzRoundTripV2(f *testing.F) {
-	f.Add(int64(1), uint8(10), []byte("meta"))
-	f.Add(int64(42), uint8(100), []byte{})
-	f.Add(int64(7), uint8(33), []byte{0xff, 0x00, 0x7f})
-	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8, meta []byte) {
-		n := int(nRaw)%100 + 1
-		insts := sampleInsts(n, seed)
-		annots := make([]AnnotFlags, n)
-		rng := seed
-		for i := range annots {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			annots[i] = AnnotFlags(rng >> 33)
-		}
-
-		var buf bytes.Buffer
-		enc, err := NewEncoderV2(&buf, uint64(n), meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, in := range insts {
-			if err := enc.EncodeAnnotated(in, annots[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		enc.Flush()
-
-		dec, err := NewDecoder(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec.Version() != 2 {
-			t.Fatalf("version %d, want 2", dec.Version())
-		}
-		if !bytes.Equal(dec.Meta(), meta) {
-			t.Fatalf("meta %x, want %x", dec.Meta(), meta)
-		}
-		var buf2 bytes.Buffer
-		enc2, _ := NewEncoderV2(&buf2, uint64(n), meta)
-		i := 0
-		for {
-			in, af, err := dec.DecodeAnnotated()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i >= n {
-				t.Fatalf("decoded more than %d records", n)
-			}
-			if af != annots[i] {
-				t.Fatalf("record %d: annot %08b, want %08b", i, af, annots[i])
-			}
-			if err := enc2.EncodeAnnotated(in, af); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-		if i != n {
-			t.Fatalf("decoded %d records, want %d", i, n)
-		}
-		enc2.Flush()
-		// A decoder-normalized stream re-encodes byte-identically.
-		dec2, err := NewDecoder(bytes.NewReader(buf2.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf3 bytes.Buffer
-		enc3, _ := NewEncoderV2(&buf3, uint64(n), meta)
-		for {
-			in, af, err := dec2.DecodeAnnotated()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := enc3.EncodeAnnotated(in, af); err != nil {
-				t.Fatal(err)
-			}
-		}
-		enc3.Flush()
-		if !bytes.Equal(buf2.Bytes(), buf3.Bytes()) {
-			t.Fatal("v2 re-encoding is not stable")
-		}
-	})
-}
-
-// TestV1EncoderRejectsAnnotations pins the version gate.
-func TestV1EncoderRejectsAnnotations(t *testing.T) {
-	var buf bytes.Buffer
-	enc, err := NewEncoder(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.EncodeAnnotated(sampleInsts(1, 1)[0], AnnotDMiss); err == nil {
-		t.Fatal("v1 encoder accepted an annotated record")
-	}
-}

@@ -235,10 +235,13 @@ func TestDecoderRejectsCorruptHeader(t *testing.T) {
 	if _, err := NewDecoder(bytes.NewReader([]byte("NOTATRACE"))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	// Right magic, wrong version.
-	raw := append([]byte(magic), 99, 0)
-	if _, err := NewDecoder(bytes.NewReader(raw)); err == nil {
-		t.Fatal("bad version accepted")
+	// Right magic, wrong version: an unknown one, and 2 (the retired
+	// annotated row format, whose records would misparse as version 1).
+	for _, ver := range []byte{99, 2} {
+		raw := append([]byte(magic), ver, 0)
+		if _, err := NewDecoder(bytes.NewReader(raw)); err == nil {
+			t.Fatalf("version %d accepted", ver)
+		}
 	}
 	// Truncated header.
 	if _, err := NewDecoder(bytes.NewReader([]byte(magic[:3]))); err == nil {

@@ -2,9 +2,9 @@
 # shard-smoke.sh — end-to-end smoke test of peer mode.
 #
 # Builds the real cmd/experiments binary and boots a fleet of three
-# replicas (r0, r1, r2) that share ONE trace-cache directory — so the
-# cross-host lease files, not a per-process flock, coordinate their
-# spill builds — plus a coordinator-only observer whose id is on
+# replicas (r0, r1, r2) that share ONE trace-cache directory — so
+# their build leases, named by their peer ids, coordinate the spill
+# builds — plus a coordinator-only observer whose id is on
 # nobody's hash ring, so it owns zero sweep points and must assemble
 # its whole answer from peer shards. Then:
 #   1. fetches figure4 as CSV from a solo daemon (its own cache dir),
