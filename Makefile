@@ -17,7 +17,7 @@ test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCacheBuildPanic|TestCrossProcessSingleflight|TestCacheDiskSpill|TestBuildLeavesNoLockOrLease|TestMonolithicSpillQuarantined|TestCorruptSpillQuarantined|TestDiskEviction|TestSegmented|TestCrashDuringPublishRecovery|TestLease|TestPartialEviction'
 	$(GO) test -race ./internal/server
-	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestExtStoreSets|Memo|PointKey|TestCancelledSweepStoresOnlyCompletedPoints|TestRunExhibitShardDuplicateIndices'
+	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestExtStoreSets|Memo|PointKey|TestCancelledSweepStoresOnlyCompletedPoints|TestRunPoints|TestShard'
 	$(GO) test -race ./internal/core -run 'TestRunGangDivergentMatchesSequential|TestDisambMatchesBruteForceReferenceRandom'
 	$(GO) test -race ./internal/storeset
 	$(GO) test -race ./internal/smt -run 'TestSchedBracketingRandom|TestRoundRobinK1BitIdentity'
@@ -97,6 +97,7 @@ fuzz:
 	$(GO) test ./internal/trace -fuzz '^FuzzDecoder$$' -fuzztime 30s
 	$(GO) test ./internal/atrace -fuzz FuzzOpenSegmentManifest -fuzztime 30s
 	$(GO) test ./internal/storeset -fuzz FuzzStoreSetUpdate -fuzztime 30s
+	$(GO) test ./internal/server -fuzz FuzzParsePoints -fuzztime 30s
 
 # serve-smoke boots the real daemon binary on an ephemeral port, diffs
 # one exhibit's CSV against the plain CLI's output and asserts a clean

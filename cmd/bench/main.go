@@ -535,7 +535,7 @@ func runMappedSweep(s experiments.Setup, dir string, sw *sweepResult, f4u experi
 }
 
 // runGangSweep times the Figure 4 sweep point-at-a-time (GangSize 1,
-// the pre-gang dispatch path) and gang-dispatched (GangSize 0: every
+// one config per gang) and gang-dispatched (GangSize 0: every
 // config sharing a workload's annotated stream steps in lock-step over
 // one decode). A warm-up pass populates the in-heap trace cache first so
 // both timed runs replay identical streams and the delta is pure
@@ -547,7 +547,7 @@ func runGangSweep(s experiments.Setup) *gangSweepResult {
 
 	seq := s
 	seq.GangSize = 1
-	fmt.Fprintln(os.Stderr, "bench: running figure4 point-at-a-time (gang off, warm cache)...")
+	fmt.Fprintln(os.Stderr, "bench: running figure4 point-at-a-time (one config per gang, warm cache)...")
 	start := time.Now()
 	f4s := runSweepExhibit(seq)
 	ds := time.Since(start)

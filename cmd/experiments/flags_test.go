@@ -12,23 +12,28 @@ import (
 // guards.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name       string
-		gang       int
-		segInsts   int64
-		segWorkers int
-		cacheBytes int64
-		wantMsg    string // empty = accepted
+		name            string
+		warmup, measure int64
+		par, gang       int
+		segInsts        int64
+		segWorkers      int
+		cacheBytes      int64
+		wantMsg         string // empty = accepted
 	}{
-		{name: "all-zero"},
-		{name: "all-positive", gang: 4, segInsts: 100_000, segWorkers: 2, cacheBytes: 1 << 20},
-		{name: "negative-gang", gang: -3, wantMsg: "-gang -3"},
-		{name: "negative-seg-insts", segInsts: -1, wantMsg: "-trace-segment-insts -1"},
-		{name: "negative-workers", segWorkers: -2, wantMsg: "-trace-capture-workers -2"},
-		{name: "negative-cache-bytes", cacheBytes: -5, wantMsg: "-trace-cache-bytes -5"},
+		{name: "all-zero", measure: 1},
+		{name: "all-positive", warmup: 1000, measure: 5000, par: 2, gang: 4, segInsts: 100_000, segWorkers: 2, cacheBytes: 1 << 20},
+		{name: "negative-gang", measure: 1, gang: -3, wantMsg: "-gang -3"},
+		{name: "negative-seg-insts", measure: 1, segInsts: -1, wantMsg: "-trace-segment-insts -1"},
+		{name: "negative-workers", measure: 1, segWorkers: -2, wantMsg: "-trace-capture-workers -2"},
+		{name: "negative-cache-bytes", measure: 1, cacheBytes: -5, wantMsg: "-trace-cache-bytes -5"},
+		{name: "zero-measure", warmup: 1000, wantMsg: "-measure 0"},
+		{name: "negative-measure", measure: -5, wantMsg: "-measure -5"},
+		{name: "negative-warmup", warmup: -50, measure: 1, wantMsg: "-warmup -50"},
+		{name: "negative-parallel", measure: 1, par: -3, wantMsg: "-parallel -3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.gang, c.segInsts, c.segWorkers, c.cacheBytes)
+			err := validateFlags(c.warmup, c.measure, c.par, c.gang, c.segInsts, c.segWorkers, c.cacheBytes)
 			if c.wantMsg == "" {
 				if err != nil {
 					t.Fatalf("rejected valid flags: %v", err)
@@ -96,7 +101,7 @@ func TestValidatePeerFlags(t *testing.T) {
 }
 
 // TestCLIRejectsNegativeFlags runs the real CLI (via the helper
-// subprocess) with each invalid flag and asserts a non-zero exit plus a
+// subprocess) with each invalid flag and asserts exit status 2 plus a
 // message naming the flag. -list keeps a wrongly-accepted invocation
 // cheap: before the guards existed, "-gang -3 -list" printed the exhibit
 // list and exited 0.
@@ -110,6 +115,7 @@ func TestCLIRejectsNegativeFlags(t *testing.T) {
 	}
 	cases := []struct{ args, wantMsg string }{
 		{"-gang -3 -list", "-gang -3"},
+		{"-measure 0 -list", "-measure 0"},
 		{"-trace-segment-insts -1 -list", "-trace-segment-insts -1"},
 		{"-trace-capture-workers -2 -list", "-trace-capture-workers -2"},
 		{"-trace-cache-bytes -5 -list", "-trace-cache-bytes -5"},
@@ -123,8 +129,8 @@ func TestCLIRejectsNegativeFlags(t *testing.T) {
 			cmd := exec.Command(exe, "-test.run", "^TestCLIHelper$", "-test.v")
 			cmd.Env = append(os.Environ(), cliHelperEnv+"=1", "MLPSIM_CLI_ARGS="+c.args)
 			out, err := cmd.CombinedOutput()
-			if err == nil {
-				t.Fatalf("CLI %q exited zero, want rejection:\n%s", c.args, out)
+			if code := cmd.ProcessState.ExitCode(); err == nil || code != 2 {
+				t.Fatalf("CLI %q exited %d, want 2:\n%s", c.args, code, out)
 			}
 			if !strings.Contains(string(out), c.wantMsg) {
 				t.Fatalf("CLI %q output does not name the offending flag %q:\n%s", c.args, c.wantMsg, out)

@@ -36,7 +36,7 @@ func main() {
 		warmup       = flag.Int64("warmup", 2_000_000, "warm-up instructions per run")
 		measure      = flag.Int64("measure", 8_000_000, "measured instructions per run")
 		par          = flag.Int("parallel", 0, "concurrent simulator runs (0 = GOMAXPROCS)")
-		gang         = flag.Int("gang", 0, "gang size: engines stepped together over one annotated stream (0 = auto, 1 = off, N = cap)")
+		gang         = flag.Int("gang", 0, "gang size: engines stepped together over one annotated stream (0 = auto, 1 = one config per gang, N = cap)")
 		csvDir       = flag.String("csv", "", "also write each exhibit's rows as CSV into this directory")
 		jsonDir      = flag.String("json", "", "also write each exhibit's rows as JSON into this directory")
 		serveAddr    = flag.String("serve", "", "serve exhibits over HTTP on this address instead of running once (e.g. 127.0.0.1:8080)")
@@ -53,7 +53,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*gang, *segInsts, *segWorkers, *cacheBytes); err != nil {
+	if err := validateFlags(*warmup, *measure, *par, *gang, *segInsts, *segWorkers, *cacheBytes); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
@@ -167,12 +167,23 @@ func main() {
 	}
 }
 
-// validateFlags rejects negative numeric flag values with a clear error
-// instead of silently reinterpreting them (a negative -gang used to fall
-// through to the auto-size behaviour of 0).
-func validateFlags(gang int, segInsts int64, segWorkers int, cacheBytes int64) error {
+// validateFlags rejects out-of-range numeric flag values with a clear
+// error instead of silently reinterpreting them (a negative -gang or
+// -parallel would fall through to the auto behaviour of 0) or failing
+// later (a non-positive -measure prints all-zero exhibits; a negative
+// run length panics in the trace capture).
+func validateFlags(warmup, measure int64, par, gang int, segInsts int64, segWorkers int, cacheBytes int64) error {
+	if warmup < 0 {
+		return fmt.Errorf("-warmup %d: must be >= 0", warmup)
+	}
+	if measure <= 0 {
+		return fmt.Errorf("-measure %d: must be > 0", measure)
+	}
+	if par < 0 {
+		return fmt.Errorf("-parallel %d: must be >= 0 (0 = GOMAXPROCS)", par)
+	}
 	if gang < 0 {
-		return fmt.Errorf("-gang %d: must be >= 0 (0 = auto, 1 = off, N = cap)", gang)
+		return fmt.Errorf("-gang %d: must be >= 0 (0 = auto, 1 = one config per gang, N = cap)", gang)
 	}
 	if segInsts < 0 {
 		return fmt.Errorf("-trace-segment-insts %d: must be >= 0 (0 = one segment)", segInsts)

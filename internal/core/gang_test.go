@@ -72,9 +72,11 @@ func randomGangConfig(rng *rand.Rand, streamLen int) Config {
 }
 
 // TestRunGangMatchesSequentialRandom is the core-level gang property
-// test: for random streams and random config vectors, RunGang must be
-// bit-identical to running each config alone over its own copy of the
-// stream.
+// test: for random streams and random config vectors of 1 to 8 configs,
+// RunGang must be bit-identical to running each config alone over its
+// own copy of the stream. A gang of one is how the experiments layer
+// dispatches a lone point, so every drawn config, SoA or scalar, is
+// also checked as a gang of one.
 func TestRunGangMatchesSequentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(421))
 	for trial := 0; trial < 20; trial++ {
@@ -82,7 +84,7 @@ func TestRunGangMatchesSequentialRandom(t *testing.T) {
 		insts := randomStream(rng, n, 0.06, 0.01, 0.04, 0.02)
 		sprinkleVP(rng, insts)
 
-		k := 2 + rng.Intn(7)
+		k := 1 + rng.Intn(8)
 		cfgs := make([]Config, k)
 		for i := range cfgs {
 			cfgs[i] = randomGangConfig(rng, n)
@@ -91,6 +93,11 @@ func TestRunGangMatchesSequentialRandom(t *testing.T) {
 		want := make([]Result, k)
 		for i, cfg := range cfgs {
 			want[i] = NewEngine(&aiSource{insts: append([]annotate.Inst(nil), insts...)}, cfg).Run()
+			one := RunGang(&aiSource{insts: append([]annotate.Inst(nil), insts...)}, []Config{cfg})
+			if !reflect.DeepEqual(one[0], want[i]) {
+				t.Fatalf("trial %d config %d (%s, SoA %v): gang of one differs from the engine\ngang: %+v\nsolo: %+v",
+					trial, i, cfg.Name(), SoAEligible(cfg), one[0], want[i])
+			}
 		}
 		got := RunGang(&aiSource{insts: append([]annotate.Inst(nil), insts...)}, cfgs)
 

@@ -21,60 +21,45 @@ type Compare struct {
 	Rows []CompareRow
 }
 
+// comparePoints declares the MLPsim side of the comparison: 64C,
+// stall-on-miss, stall-on-use, 64D and RAE, per workload.
+func comparePoints(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		for _, cfg := range []core.Config{
+			core.Default(),
+			{Mode: core.InOrderStallOnMiss},
+			{Mode: core.InOrderStallOnUse},
+			core.Default().WithIssue(core.ConfigD),
+			core.Default().WithIssue(core.ConfigD).WithRunahead(),
+		} {
+			points = append(points, MLPPoint{Workload: w, Config: cfg})
+		}
+	}
+	return points
+}
+
 // RunCompare executes the comparison.
 func RunCompare(s Setup) Compare {
-	type measured struct {
-		mlp64C, som, sou, conv64D, rae float64
-		vp                             [3]float64
-		missRate                       float64
-	}
-	per := make([]measured, len(s.Workloads))
-	type job struct{ wi, which int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for which := 0; which < 6; which++ {
-			jobs = append(jobs, job{wi, which})
-		}
-	}
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		w := s.Workloads[j.wi]
-		m := &per[j.wi]
-		switch j.which {
-		case 0:
-			res := s.RunMLPsim(w, core.Default(), annotate.Config{})
-			m.mlp64C = res.MLP()
-			m.missRate = res.MissRatePer100()
-		case 1:
-			res := s.RunMLPsim(w, core.Config{Mode: core.InOrderStallOnMiss}, annotate.Config{})
-			m.som = res.MLP()
-		case 2:
-			res := s.RunMLPsim(w, core.Config{Mode: core.InOrderStallOnUse}, annotate.Config{})
-			m.sou = res.MLP()
-		case 3:
-			res := s.RunMLPsim(w, core.Default().WithIssue(core.ConfigD), annotate.Config{})
-			m.conv64D = res.MLP()
-		case 4:
-			res := s.RunMLPsim(w, core.Default().WithIssue(core.ConfigD).WithRunahead(), annotate.Config{})
-			m.rae = res.MLP()
-		case 5:
-			st := s.AnnotateStats(w, annotate.Config{Value: vpred.NewLastValue(vpred.DefaultEntries)}).VP
-			m.vp[0], m.vp[1], m.vp[2] = st.Fractions()
-		}
+	results := s.RunMLPsimBatch(comparePoints(s))
+	vp := make([][3]float64, len(s.Workloads))
+	s.forEach(len(s.Workloads), func(wi int) {
+		st := s.AnnotateStats(s.Workloads[wi], annotate.Config{Value: vpred.NewLastValue(vpred.DefaultEntries)}).VP
+		vp[wi][0], vp[wi][1], vp[wi][2] = st.Fractions()
 	})
 
 	var rows []CompareRow
 	for wi, w := range s.Workloads {
-		m := per[wi]
+		r := results[5*wi : 5*wi+5] // comparePoints' order
 		name := w.Name
 		rows = append(rows,
-			CompareRow{name, "L2 miss rate (/100)", paperT1(name, "miss"), m.missRate},
-			CompareRow{name, "MLP 64C (Table 3)", PaperTable3MLPsim[name]["64C"], m.mlp64C},
-			CompareRow{name, "MLP in-order stall-on-miss", PaperTable5[name][0], m.som},
-			CompareRow{name, "MLP in-order stall-on-use", PaperTable5[name][1], m.sou},
-			CompareRow{name, "RAE MLP gain vs 64D", PaperFigure8Gains[name][0], m.rae/m.conv64D - 1},
-			CompareRow{name, "VP correct fraction", PaperTable6[name][0], m.vp[0]},
-			CompareRow{name, "VP no-predict fraction", PaperTable6[name][2], m.vp[2]},
+			CompareRow{name, "L2 miss rate (/100)", paperT1(name, "miss"), r[0].MissRatePer100()},
+			CompareRow{name, "MLP 64C (Table 3)", PaperTable3MLPsim[name]["64C"], r[0].MLP()},
+			CompareRow{name, "MLP in-order stall-on-miss", PaperTable5[name][0], r[1].MLP()},
+			CompareRow{name, "MLP in-order stall-on-use", PaperTable5[name][1], r[2].MLP()},
+			CompareRow{name, "RAE MLP gain vs 64D", PaperFigure8Gains[name][0], r[4].MLP()/r[3].MLP() - 1},
+			CompareRow{name, "VP correct fraction", PaperTable6[name][0], vp[wi][0]},
+			CompareRow{name, "VP no-predict fraction", PaperTable6[name][2], vp[wi][2]},
 		)
 	}
 	return Compare{Rows: rows}

@@ -34,37 +34,33 @@ type ExtMSHR struct {
 // ExtMSHRCounts is the swept axis (0 = unlimited).
 var ExtMSHRCounts = []int{1, 2, 4, 8, 16, 0}
 
-// RunExtMSHR executes the sweep.
-func RunExtMSHR(s Setup) ExtMSHR {
-	configs := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"64C", core.Default()},
-		{"RAE", core.Default().WithIssue(core.ConfigD).WithRunahead()},
-	}
-	type job struct{ wi, ci, mi int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for ci := range configs {
-			for mi := range ExtMSHRCounts {
-				jobs = append(jobs, job{wi, ci, mi})
+// extMSHRPoints declares the sweep: both key configurations at every
+// MSHR count, per workload.
+func extMSHRPoints(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		for _, c := range keyConfigs() {
+			for _, m := range ExtMSHRCounts {
+				cfg := c.cfg
+				cfg.MSHRs = m
+				points = append(points, MLPPoint{Workload: w, Config: cfg})
 			}
 		}
 	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		cfg := configs[j.ci].cfg
-		cfg.MSHRs = ExtMSHRCounts[j.mi]
-		points[i] = MLPPoint{Workload: s.Workloads[j.wi], Config: cfg, Annot: annotate.Config{}}
-	}
+	return points
+}
+
+// RunExtMSHR executes the sweep.
+func RunExtMSHR(s Setup) ExtMSHR {
+	points := extMSHRPoints(s)
 	results := s.RunMLPsimBatch(points)
-	cells := make([]ExtMSHRCell, len(jobs))
-	for i, j := range jobs {
+	configs := keyConfigs()
+	cells := make([]ExtMSHRCell, len(points))
+	for i, p := range points {
 		cells[i] = ExtMSHRCell{
-			Workload: s.Workloads[j.wi].Name,
-			Config:   configs[j.ci].name,
-			MSHRs:    ExtMSHRCounts[j.mi],
+			Workload: p.Workload.Name,
+			Config:   configs[i/len(ExtMSHRCounts)%len(configs)].name,
+			MSHRs:    p.Config.MSHRs,
 			MLP:      results[i].MLP(),
 		}
 	}
@@ -115,53 +111,57 @@ type ExtPrefetch struct {
 	Rows []ExtPrefetchRow
 }
 
+// extPrefetchVariants are the prefetch configurations, in row order.
+var extPrefetchVariants = []string{"none", "I-seq", "D-stride", "both"}
+
+// extPrefetchPoints declares the sweep: runahead under every prefetch
+// variant, on the paper workloads plus the strided micro-workload. Each
+// point carries fresh prefetcher instances, so the caller's direct path
+// (no trace cache) trains them and reads their statistics back.
+func extPrefetchPoints(s Setup) []MLPPoint {
+	wls := append(append([]workload.Config{}, s.Workloads...), workload.Strided(s.Seed))
+	var points []MLPPoint
+	for _, w := range wls {
+		for _, v := range extPrefetchVariants {
+			acfg := annotate.Config{}
+			if v == "I-seq" || v == "both" {
+				acfg.IPrefetch = prefetch.NewSequential(4, mem.IFetch)
+			}
+			if v == "D-stride" || v == "both" {
+				acfg.DPrefetch = prefetch.NewStride(1024, 4)
+			}
+			points = append(points, MLPPoint{Workload: w, Config: core.Default().WithIssue(core.ConfigD).WithRunahead(), Annot: acfg})
+		}
+	}
+	return points
+}
+
 // RunExtPrefetch executes the experiment on the paper workloads plus the
 // strided micro-workload.
 func RunExtPrefetch(s Setup) ExtPrefetch {
-	wls := append([]workload.Config{}, s.Workloads...)
-	wls = append(wls, workload.Strided(s.Seed))
-	variants := []string{"none", "I-seq", "D-stride", "both"}
-
-	type job struct{ wi, vi int }
-	var jobs []job
-	for wi := range wls {
-		for vi := range variants {
-			jobs = append(jobs, job{wi, vi})
-		}
-	}
-	rows := make([]ExtPrefetchRow, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		acfg := annotate.Config{}
-		var ipf *prefetch.Sequential
-		var dpf *prefetch.Stride
-		if variants[j.vi] == "I-seq" || variants[j.vi] == "both" {
-			ipf = prefetch.NewSequential(4, mem.IFetch)
-			acfg.IPrefetch = ipf
-		}
-		if variants[j.vi] == "D-stride" || variants[j.vi] == "both" {
-			dpf = prefetch.NewStride(1024, 4)
-			acfg.DPrefetch = dpf
-		}
-		res := s.RunMLPsim(wls[j.wi], core.Default().WithIssue(core.ConfigD).WithRunahead(), acfg)
+	points := extPrefetchPoints(s)
+	results := s.RunMLPsimBatch(points)
+	rows := make([]ExtPrefetchRow, len(points))
+	for i, p := range points {
+		res := results[i]
 		row := ExtPrefetchRow{
-			Workload:  wls[j.wi].Name,
-			Variant:   variants[j.vi],
+			Workload:  p.Workload.Name,
+			Variant:   extPrefetchVariants[i%len(extPrefetchVariants)],
 			MLP:       res.MLP(),
 			MissRate:  res.MissRatePer100(),
 			IAccesses: res.IAccesses,
 		}
-		if ipf != nil || dpf != nil {
+		if p.Annot.IPrefetch != nil || p.Annot.DPrefetch != nil {
 			// Stats come from stream metadata on the cached path and from
 			// the (then-trained) instances on the direct path.
-			ist, dst := s.PrefetchStats(wls[j.wi], acfg)
+			ist, dst := s.PrefetchStats(p.Workload, p.Annot)
 			row.Accuracy = prefetch.Stats{
 				Issued: ist.Issued + dst.Issued,
 				Useful: ist.Useful + dst.Useful,
 			}.Accuracy()
 		}
 		rows[i] = row
-	})
+	}
 	return ExtPrefetch{Rows: rows}
 }
 
@@ -200,33 +200,36 @@ type ExtStoreMLP struct {
 // ExtStoreSBs is the swept store-buffer axis (0 = infinite).
 var ExtStoreSBs = []int{1, 2, 4, 8, 0}
 
-// RunExtStoreMLP executes the sweep on the database workload and the
-// store-heavy micro-workload.
-func RunExtStoreMLP(s Setup) ExtStoreMLP {
+// extStoreMLPPoints declares the sweep: the default processor at every
+// store-buffer size, on the store-heavy micro-workload and the database
+// workload.
+func extStoreMLPPoints(s Setup) []MLPPoint {
 	wls := []workload.Config{workload.StoreHeavy(s.Seed)}
 	if len(s.Workloads) > 0 {
 		wls = append(wls, s.Workloads[0])
 	}
-	type job struct{ wi, bi int }
-	var jobs []job
-	for wi := range wls {
-		for bi := range ExtStoreSBs {
-			jobs = append(jobs, job{wi, bi})
+	var points []MLPPoint
+	for _, w := range wls {
+		for _, sb := range ExtStoreSBs {
+			cfg := core.Default()
+			cfg.StoreBuffer = sb
+			points = append(points, MLPPoint{Workload: w, Config: cfg})
 		}
 	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		cfg := core.Default()
-		cfg.StoreBuffer = ExtStoreSBs[j.bi]
-		points[i] = MLPPoint{Workload: wls[j.wi], Config: cfg, Annot: annotate.Config{}}
-	}
+	return points
+}
+
+// RunExtStoreMLP executes the sweep on the database workload and the
+// store-heavy micro-workload.
+func RunExtStoreMLP(s Setup) ExtStoreMLP {
+	points := extStoreMLPPoints(s)
 	results := s.RunMLPsimBatch(points)
-	rows := make([]ExtStoreRow, len(jobs))
-	for i, j := range jobs {
+	rows := make([]ExtStoreRow, len(points))
+	for i, p := range points {
 		fr := results[i].LimiterFracs()
 		rows[i] = ExtStoreRow{
-			Workload:      wls[j.wi].Name,
-			SB:            ExtStoreSBs[j.bi],
+			Workload:      p.Workload.Name,
+			SB:            p.Config.StoreBuffer,
 			MLP:           results[i].MLP(),
 			StoreMLP:      results[i].StoreMLP(),
 			SBLimitedFrac: fr[core.LimStoreBuf],

@@ -50,50 +50,49 @@ func extStoreSetsGrid(si, ci int) storeset.Config {
 	}
 }
 
-// RunExtStoreSets executes the sweep. The oracle and conservative bound
-// rows run on the first grid point's annotated stream — both ignore the
-// Dep column, so their results are bit-identical to plain-annotation
-// runs while sharing the stream (and therefore a gang) with the
-// store-set points.
-func RunExtStoreSets(s Setup) ExtStoreSets {
-	type job struct {
-		wi     int
-		mode   core.DisambMode
-		si, ci int
-	}
-	var jobs []job
-	for wi := range s.Workloads {
-		jobs = append(jobs,
-			job{wi, core.DisambOracle, 0, 0},
-			job{wi, core.DisambConservative, 0, 0})
+// extStoreSetsPoints declares the sweep: per workload, the oracle and
+// conservative bounds, then the store-set grid. The bound rows run on
+// the first grid point's annotated stream — both ignore the Dep column,
+// so their results are bit-identical to plain-annotation runs while
+// sharing the stream (and therefore a gang) with the store-set points.
+func extStoreSetsPoints(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		add := func(mode core.DisambMode, si, ci int) {
+			cfg := core.Default()
+			cfg.Disamb = mode
+			points = append(points, MLPPoint{
+				Workload: w,
+				Config:   cfg,
+				Annot:    annotate.Config{StoreSets: storeset.New(extStoreSetsGrid(si, ci))},
+			})
+		}
+		add(core.DisambOracle, 0, 0)
+		add(core.DisambConservative, 0, 0)
 		for si := range ExtStoreSetsSSITs {
 			for ci := range ExtStoreSetsConfs {
-				jobs = append(jobs, job{wi, core.DisambStoreSets, si, ci})
+				add(core.DisambStoreSets, si, ci)
 			}
 		}
 	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		cfg := core.Default()
-		cfg.Disamb = j.mode
-		points[i] = MLPPoint{
-			Workload: s.Workloads[j.wi],
-			Config:   cfg,
-			Annot:    annotate.Config{StoreSets: storeset.New(extStoreSetsGrid(j.si, j.ci))},
-		}
-	}
+	return points
+}
+
+// RunExtStoreSets executes the sweep.
+func RunExtStoreSets(s Setup) ExtStoreSets {
+	points := extStoreSetsPoints(s)
 	results := s.RunMLPsimBatch(points)
-	rows := make([]ExtStoreSetsRow, len(jobs))
-	for i, j := range jobs {
+	rows := make([]ExtStoreSetsRow, len(points))
+	for i, p := range points {
 		row := ExtStoreSetsRow{
-			Workload:    s.Workloads[j.wi].Name,
-			Disamb:      j.mode.String(),
+			Workload:    p.Workload.Name,
+			Disamb:      p.Config.Disamb.String(),
 			MLP:         results[i].MLP(),
 			Mispredicts: results[i].DepMispredicts,
 			Serializes:  results[i].DepSerializes,
 		}
-		if j.mode == core.DisambStoreSets {
-			g := extStoreSetsGrid(j.si, j.ci)
+		if p.Config.Disamb == core.DisambStoreSets {
+			g := p.Annot.StoreSets.Config()
 			row.SSIT, row.LFST, row.Conf = g.SSITSize, g.LFSTSize, int(g.ConfThreshold)
 		}
 		rows[i] = row

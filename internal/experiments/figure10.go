@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-)
+import "mlpsim/internal/core"
 
 // Figure10Row holds the limit-study MLPs for one workload on one baseline
 // (§5.6): perfect instruction prefetching, perfect value prediction,
@@ -23,56 +20,64 @@ type Figure10 struct {
 	Rows []Figure10Row
 }
 
-// RunFigure10 executes the experiment.
-func RunFigure10(s Setup) Figure10 {
-	baselines := []struct {
+// figure10Baselines are the limit study's two baselines.
+func figure10Baselines() []struct {
+	name string
+	cfg  core.Config
+} {
+	return []struct {
 		name string
 		cfg  core.Config
 	}{
 		{"RAE", core.Default().WithIssue(core.ConfigD).WithRunahead()},
 		{"64D/256", core.Default().WithIssue(core.ConfigD).WithROB(256)},
 	}
-	variants := []func(*core.Config){
-		func(*core.Config) {},
-		func(c *core.Config) { c.PerfectIFetch = true },
-		func(c *core.Config) { c.PerfectVP = true },
-		func(c *core.Config) { c.PerfectBP = true },
-		func(c *core.Config) { c.PerfectVP = true; c.PerfectBP = true },
-	}
+}
 
-	type job struct{ wi, bi, vi int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for bi := range baselines {
-			for vi := range variants {
-				jobs = append(jobs, job{wi, bi, vi})
+// figure10Variants idealize a baseline, in Figure10Row's column order.
+var figure10Variants = []func(*core.Config){
+	func(*core.Config) {},
+	func(c *core.Config) { c.PerfectIFetch = true },
+	func(c *core.Config) { c.PerfectVP = true },
+	func(c *core.Config) { c.PerfectBP = true },
+	func(c *core.Config) { c.PerfectVP = true; c.PerfectBP = true },
+}
+
+// figure10Points declares the sweep: every variant of every baseline,
+// per workload.
+func figure10Points(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		for _, b := range figure10Baselines() {
+			for _, v := range figure10Variants {
+				cfg := b.cfg
+				v(&cfg)
+				points = append(points, MLPPoint{Workload: w, Config: cfg})
 			}
 		}
 	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		cfg := baselines[j.bi].cfg
-		variants[j.vi](&cfg)
-		points[i] = MLPPoint{Workload: s.Workloads[j.wi], Config: cfg, Annot: annotate.Config{}}
-	}
-	results := s.RunMLPsimBatch(points)
-	mlps := make([]float64, len(jobs))
-	for i, res := range results {
-		mlps[i] = res.MLP()
-	}
+	return points
+}
 
+// RunFigure10 executes the experiment.
+func RunFigure10(s Setup) Figure10 {
+	results := s.RunMLPsimBatch(figure10Points(s))
 	var rows []Figure10Row
-	for i := 0; i < len(jobs); i += len(variants) {
-		j := jobs[i]
-		rows = append(rows, Figure10Row{
-			Workload: s.Workloads[j.wi].Name,
-			Baseline: baselines[j.bi].name,
-			Base:     mlps[i],
-			PerfI:    mlps[i+1],
-			PerfVP:   mlps[i+2],
-			PerfBP:   mlps[i+3],
-			PerfVPBP: mlps[i+4],
-		})
+	i := 0
+	for _, w := range s.Workloads {
+		for _, b := range figure10Baselines() {
+			m := results[i : i+len(figure10Variants)]
+			i += len(figure10Variants)
+			rows = append(rows, Figure10Row{
+				Workload: w.Name,
+				Baseline: b.name,
+				Base:     m[0].MLP(),
+				PerfI:    m[1].MLP(),
+				PerfVP:   m[2].MLP(),
+				PerfBP:   m[3].MLP(),
+				PerfVPBP: m[4].MLP(),
+			})
+		}
 	}
 	return Figure10{Rows: rows}
 }

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-)
+import "mlpsim/internal/core"
 
 // Figure11Row is the modelled overall performance improvement of one
 // configuration over the 64D baseline for one workload, at a 1000-cycle
@@ -55,6 +52,18 @@ func withMods(c core.Config, mods ...func(*core.Config)) core.Config {
 	return c
 }
 
+// figure11Points declares the sweep: every charted configuration, per
+// workload.
+func figure11Points(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		for _, c := range figure11Configs() {
+			points = append(points, MLPPoint{Workload: w, Config: c.cfg})
+		}
+	}
+	return points
+}
+
 // RunFigure11 executes the experiment.
 func RunFigure11(s Setup) Figure11 {
 	configs := figure11Configs()
@@ -62,19 +71,7 @@ func RunFigure11(s Setup) Figure11 {
 	s.forEach(len(s.Workloads), func(wi int) {
 		chars[wi] = s.Characterize(s.Workloads[wi], 1000)
 	})
-
-	type job struct{ wi, ci int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for ci := range configs {
-			jobs = append(jobs, job{wi, ci})
-		}
-	}
-	results := make([]core.Result, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		results[i] = s.RunMLPsim(s.Workloads[j.wi], configs[j.ci].cfg, annotate.Config{})
-	})
+	results := s.RunMLPsimBatch(figure11Points(s))
 
 	var rows []Figure11Row
 	for wi := range s.Workloads {

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-)
+import "mlpsim/internal/core"
 
 // Figure4Sizes and Figure4Configs are the sweep axes of Figures 4 and 5.
 var (
@@ -38,34 +35,30 @@ type figure4Key struct {
 	issue    core.IssueConfig
 }
 
-// RunFigure4 executes the sweep.
-func RunFigure4(s Setup) Figure4 {
-	type job struct {
-		wi, si, ci int
-	}
-	var jobs []job
-	for wi := range s.Workloads {
-		for si := range Figure4Sizes {
-			for ci := range Figure4Configs {
-				jobs = append(jobs, job{wi, si, ci})
+// figure4Points declares the sweep: every (workload, window, issue
+// configuration), workload-major.
+func figure4Points(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		for _, size := range Figure4Sizes {
+			for _, ic := range Figure4Configs {
+				points = append(points, MLPPoint{Workload: w, Config: core.Default().WithWindow(size).WithIssue(ic)})
 			}
 		}
 	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		points[i] = MLPPoint{
-			Workload: s.Workloads[j.wi],
-			Config:   core.Default().WithWindow(Figure4Sizes[j.si]).WithIssue(Figure4Configs[j.ci]),
-			Annot:    annotate.Config{},
-		}
-	}
+	return points
+}
+
+// RunFigure4 executes the sweep.
+func RunFigure4(s Setup) Figure4 {
+	points := figure4Points(s)
 	results := s.RunMLPsimBatch(points)
-	cells := make([]Figure4Cell, len(jobs))
-	for i, j := range jobs {
+	cells := make([]Figure4Cell, len(points))
+	for i, p := range points {
 		cells[i] = Figure4Cell{
-			Workload: s.Workloads[j.wi].Name,
-			Window:   Figure4Sizes[j.si],
-			Issue:    Figure4Configs[j.ci],
+			Workload: p.Workload.Name,
+			Window:   p.Config.ROB,
+			Issue:    p.Config.Issue,
 			MLP:      results[i].MLP(),
 			Result:   results[i],
 		}

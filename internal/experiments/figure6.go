@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-)
+import "mlpsim/internal/core"
 
 // Figure6Cell is one bar segment: issue window IW, issue configuration,
 // and a decoupled ROB size.
@@ -43,51 +40,46 @@ var (
 	figure6BigROB  = 2048
 )
 
-// RunFigure6 executes the sweep.
-func RunFigure6(s Setup) Figure6 {
-	type job struct {
-		wi, iwi, ci int
-		rob         int
-	}
-	var jobs []job
-	for wi := range s.Workloads {
+// figure6Points declares the sweep: every bar segment, workload-major,
+// then the per-workload INF reference — one batch, so the whole
+// exhibit shares each workload's stream.
+func figure6Points(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
 		for _, iw := range Figure6IWs {
-			for ci := range Figure6Configs {
+			for _, ic := range Figure6Configs {
+				cfg := core.Default().WithIssue(ic)
+				cfg.IssueWindow = iw
 				for _, m := range Figure6Mults {
-					jobs = append(jobs, job{wi, iw, ci, iw * m})
+					cfg.ROB = iw * m
+					points = append(points, MLPPoint{Workload: w, Config: cfg})
 				}
-				jobs = append(jobs, job{wi, iw, ci, figure6BigROB})
+				cfg.ROB = figure6BigROB
+				points = append(points, MLPPoint{Workload: w, Config: cfg})
 			}
 		}
 	}
-	// One batch covers the bar segments and the per-workload INF
-	// reference, so the whole exhibit shares each workload's stream.
-	points := make([]MLPPoint, 0, len(jobs)+len(s.Workloads))
-	for _, j := range jobs {
-		cfg := core.Default().WithIssue(Figure6Configs[j.ci])
-		cfg.IssueWindow = j.iwi
-		cfg.ROB = j.rob
-		points = append(points, MLPPoint{Workload: s.Workloads[j.wi], Config: cfg, Annot: annotate.Config{}})
+	for _, w := range s.Workloads {
+		points = append(points, MLPPoint{Workload: w, Config: core.Default().WithWindow(figure6BigROB).WithIssue(core.ConfigE)})
 	}
-	for wi := range s.Workloads {
-		points = append(points, MLPPoint{
-			Workload: s.Workloads[wi],
-			Config:   core.Default().WithWindow(figure6BigROB).WithIssue(core.ConfigE),
-			Annot:    annotate.Config{},
-		})
-	}
-	results := s.RunMLPsimBatch(points)
+	return points
+}
 
-	cells := make([]Figure6Cell, len(jobs))
-	for i, j := range jobs {
+// RunFigure6 executes the sweep.
+func RunFigure6(s Setup) Figure6 {
+	points := figure6Points(s)
+	results := s.RunMLPsimBatch(points)
+	n := len(points) - len(s.Workloads)
+	cells := make([]Figure6Cell, n)
+	for i, p := range points[:n] {
 		cells[i] = Figure6Cell{
-			Workload: s.Workloads[j.wi].Name, IW: j.iwi, Issue: Figure6Configs[j.ci], ROB: j.rob,
+			Workload: p.Workload.Name, IW: p.Config.IssueWindow, Issue: p.Config.Issue, ROB: p.Config.ROB,
 			MLP: results[i].MLP(),
 		}
 	}
 	inf := make(map[string]float64, len(s.Workloads))
 	for wi, w := range s.Workloads {
-		inf[w.Name] = results[len(jobs)+wi].MLP()
+		inf[w.Name] = results[n+wi].MLP()
 	}
 	return Figure6{Cells: cells, INF: inf}
 }

@@ -22,28 +22,32 @@ type Figure7 struct {
 // Figure7L2Sizes is the swept capacity axis.
 var Figure7L2Sizes = []int{1 << 20, 2 << 20, 4 << 20, 8 << 20}
 
-// RunFigure7 executes the sweep with the default 64C processor.
-func RunFigure7(s Setup) Figure7 {
-	type job struct{ wi, li int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for li := range Figure7L2Sizes {
-			jobs = append(jobs, job{wi, li})
+// figure7Points declares the sweep: the default 64C processor at every
+// L2 capacity, per workload.
+func figure7Points(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		for _, l2 := range Figure7L2Sizes {
+			points = append(points, MLPPoint{Workload: w, Config: core.Default(),
+				Annot: annotate.Config{Hierarchy: mem.DefaultHierarchy().WithL2Size(l2)}})
 		}
 	}
-	cells := make([]Figure7Cell, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		w := s.Workloads[j.wi]
-		acfg := annotate.Config{Hierarchy: mem.DefaultHierarchy().WithL2Size(Figure7L2Sizes[j.li])}
-		res := s.RunMLPsim(w, core.Default(), acfg)
+	return points
+}
+
+// RunFigure7 executes the sweep with the default 64C processor.
+func RunFigure7(s Setup) Figure7 {
+	points := figure7Points(s)
+	results := s.RunMLPsimBatch(points)
+	cells := make([]Figure7Cell, len(points))
+	for i, p := range points {
 		cells[i] = Figure7Cell{
-			Workload: w.Name,
-			L2Bytes:  Figure7L2Sizes[j.li],
-			MLP:      res.MLP(),
-			MissRate: res.MissRatePer100(),
+			Workload: p.Workload.Name,
+			L2Bytes:  p.Annot.Hierarchy.L2.SizeBytes,
+			MLP:      results[i].MLP(),
+			MissRate: results[i].MissRatePer100(),
 		}
-	})
+	}
 	return Figure7{Cells: cells}
 }
 

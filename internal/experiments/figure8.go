@@ -1,10 +1,5 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-)
-
 // Figure8Row compares runahead execution against two conventional
 // configurations for one workload (§5.4.1).
 type Figure8Row struct {
@@ -22,35 +17,28 @@ type Figure8 struct {
 	Rows []Figure8Row
 }
 
+// figure8Points declares the sweep: the three Figure 8/9 bases per
+// workload.
+func figure8Points(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		for _, b := range figure9Bases() {
+			points = append(points, MLPPoint{Workload: w, Config: b.cfg})
+		}
+	}
+	return points
+}
+
 // RunFigure8 executes the experiment.
 func RunFigure8(s Setup) Figure8 {
+	results := s.RunMLPsimBatch(figure8Points(s))
 	rows := make([]Figure8Row, len(s.Workloads))
 	for i, w := range s.Workloads {
-		rows[i].Workload = w.Name
-	}
-	points := make([]MLPPoint, len(s.Workloads)*3)
-	for i := range points {
-		wi, which := i/3, i%3
-		var cfg core.Config
-		switch which {
-		case 0:
-			cfg = core.Default().WithIssue(core.ConfigD)
-		case 1:
-			cfg = core.Default().WithIssue(core.ConfigD).WithROB(256)
-		default:
-			cfg = core.Default().WithIssue(core.ConfigD).WithRunahead()
-		}
-		points[i] = MLPPoint{Workload: s.Workloads[wi], Config: cfg, Annot: annotate.Config{}}
-	}
-	results := s.RunMLPsimBatch(points)
-	for i, res := range results {
-		switch wi := i / 3; i % 3 {
-		case 0:
-			rows[wi].Conv64 = res.MLP()
-		case 1:
-			rows[wi].Conv256 = res.MLP()
-		default:
-			rows[wi].RAE = res.MLP()
+		rows[i] = Figure8Row{
+			Workload: w.Name,
+			Conv64:   results[3*i].MLP(),
+			Conv256:  results[3*i+1].MLP(),
+			RAE:      results[3*i+2].MLP(),
 		}
 	}
 	return Figure8{Rows: rows}

@@ -39,49 +39,47 @@ func figure9Bases() []struct {
 	}
 }
 
+// figure9Points declares the sweep: each base without and with
+// last-value prediction, per workload.
+func figure9Points(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		for _, b := range figure9Bases() {
+			vp := b.cfg
+			vp.ValuePredict = true
+			points = append(points,
+				MLPPoint{Workload: w, Config: b.cfg},
+				MLPPoint{Workload: w, Config: vp, Annot: annotate.Config{Value: vpred.NewLastValue(vpred.DefaultEntries)}})
+		}
+	}
+	return points
+}
+
 // RunFigure9 executes the experiment.
 func RunFigure9(s Setup) Figure9 {
-	bases := figure9Bases()
 	chars := make([]Characterization, len(s.Workloads))
 	s.forEach(len(s.Workloads), func(wi int) {
 		chars[wi] = s.Characterize(s.Workloads[wi], 1000)
 	})
-
-	type job struct{ wi, bi, vp int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for bi := range bases {
-			for vp := 0; vp < 2; vp++ {
-				jobs = append(jobs, job{wi, bi, vp})
-			}
-		}
-	}
-	points := make([]MLPPoint, len(jobs))
-	for i, j := range jobs {
-		cfg := bases[j.bi].cfg
-		acfg := annotate.Config{}
-		if j.vp == 1 {
-			cfg.ValuePredict = true
-			acfg.Value = vpred.NewLastValue(vpred.DefaultEntries)
-		}
-		points[i] = MLPPoint{Workload: s.Workloads[j.wi], Config: cfg, Annot: acfg}
-	}
-	mlps := s.RunMLPsimBatch(points)
+	mlps := s.RunMLPsimBatch(figure9Points(s))
 
 	var rows []Figure9Row
-	for i := 0; i < len(jobs); i += 2 {
-		j := jobs[i]
-		base, withVP := mlps[i], mlps[i+1]
-		p := chars[j.wi].Params()
-		baseCPI := p.Estimate(base.MLP())
-		vpCPI := p.Estimate(withVP.MLP())
-		rows = append(rows, Figure9Row{
-			Workload:    s.Workloads[j.wi].Name,
-			Base:        bases[j.bi].name,
-			MLPBase:     base.MLP(),
-			MLPVP:       withVP.MLP(),
-			PerfGainPct: 100 * (baseCPI/vpCPI - 1),
-		})
+	i := 0
+	for wi, w := range s.Workloads {
+		p := chars[wi].Params()
+		for _, b := range figure9Bases() {
+			base, withVP := mlps[i], mlps[i+1]
+			i += 2
+			baseCPI := p.Estimate(base.MLP())
+			vpCPI := p.Estimate(withVP.MLP())
+			rows = append(rows, Figure9Row{
+				Workload:    w.Name,
+				Base:        b.name,
+				MLPBase:     base.MLP(),
+				MLPVP:       withVP.MLP(),
+				PerfGainPct: 100 * (baseCPI/vpCPI - 1),
+			})
+		}
 	}
 	return Figure9{Rows: rows}
 }

@@ -10,10 +10,11 @@ import (
 )
 
 // MLPPoint is one MLPsim sweep point: a workload, an engine
-// configuration and an annotation configuration. Exhibits hand a slice
-// of these to RunMLPsimBatch instead of looping over RunMLPsim, which
-// lets points sharing an annotated stream run as a gang (one decode,
-// one dependence-binding pass, K engines — see core.RunGang).
+// configuration and an annotation configuration. Exhibits declare their
+// sweep as a slice of these (Runner.Points) and hand it to one
+// RunMLPsimBatch call, which lets points sharing an annotated stream run
+// as a gang (one decode, one dependence-binding pass, K engines — see
+// core.RunGang).
 type MLPPoint struct {
 	Workload workload.Config
 	Config   core.Config
@@ -27,35 +28,27 @@ type GangStats struct {
 	Gangs atomic.Uint64
 	// Configs counts engine configs run inside those gangs.
 	Configs atomic.Uint64
-	// Solo counts points dispatched individually (singleton groups,
-	// unkeyable annotation configs, or GangSize == 1).
+	// Solo counts one-point gangs (singleton groups, unkeyable
+	// annotation configs, or GangSize == 1).
 	Solo atomic.Uint64
 	// SoAInsts and ScalarInsts split the instructions processed inside
-	// gangs between the structure-of-arrays fast path and the scalar
-	// fallback engines (see core.SoAEligible) — the divergence rate of
-	// the sweep's config mix.
+	// multi-config gangs between the structure-of-arrays fast path and
+	// the scalar fallback engines (see core.SoAEligible) — the
+	// divergence rate of the sweep's config mix.
 	SoAInsts    atomic.Uint64
 	ScalarInsts atomic.Uint64
 }
 
 // runLocal executes points[i] for every i in todo on this replica,
 // writing results[i] and memoizing each point as it completes — a
-// cancelled sweep's undispatched points are never stored. It is the
-// gang-dispatch engine behind RunMLPsimBatch (see shard.go for the
-// memo check and the sharded and shard-executor wrappers).
+// cancelled sweep's undispatched points are never stored. Every dispatch
+// group runs as a gang; a one-point group is a gang of one, which
+// core.NewGang runs on the scalar engine unless the config is on the
+// SoA fast path, and counts as Solo.
 func (s Setup) runLocal(points []MLPPoint, todo []int, results []core.Result) {
 	plan := s.gangPlan(points, todo)
 	s.forEach(len(plan), func(gi int) {
 		idxs := plan[gi]
-		if len(idxs) == 1 {
-			p := points[idxs[0]]
-			results[idxs[0]] = s.runMLPsim(p.Workload, p.Config, p.Annot)
-			s.remember(p, results[idxs[0]])
-			if s.GangStats != nil {
-				s.GangStats.Solo.Add(1)
-			}
-			return
-		}
 		p0 := points[idxs[0]]
 		cfgs := make([]core.Config, len(idxs))
 		for k, pi := range idxs {
@@ -69,13 +62,19 @@ func (s Setup) runLocal(points []MLPPoint, todo []int, results []core.Result) {
 			s.noteDepStats(rs[k])
 			s.remember(points[pi], rs[k])
 		}
-		if s.GangStats != nil {
-			s.GangStats.Gangs.Add(1)
-			s.GangStats.Configs.Add(uint64(len(idxs)))
-			gs := g.Stats()
-			s.GangStats.SoAInsts.Add(gs.SoAInsts)
-			s.GangStats.ScalarInsts.Add(gs.ScalarInsts)
+		st := s.GangStats
+		if st == nil {
+			return
 		}
+		if len(idxs) == 1 {
+			st.Solo.Add(1)
+			return
+		}
+		st.Gangs.Add(1)
+		st.Configs.Add(uint64(len(idxs)))
+		gs := g.Stats()
+		st.SoAInsts.Add(gs.SoAInsts)
+		st.ScalarInsts.Add(gs.ScalarInsts)
 	})
 }
 
@@ -85,21 +84,15 @@ func (s Setup) runLocal(points []MLPPoint, todo []int, results []core.Result) {
 // this Setup's warmup and measure. Grouping does not require the cache
 // — a gang over a direct annotator still shares its single annotation
 // pass — but unkeyable configs (e.g. trained prefetcher instances) have
-// private stream state and always run solo. Groups are then chunked: a
+// private stream state and always run alone. Groups are then chunked: a
 // fixed GangSize when set, otherwise just enough chunks to keep every
 // worker busy (on one worker, a whole group is one gang).
 func (s Setup) gangPlan(points []MLPPoint, todo []int) [][]int {
-	var plan [][]int
-	if s.GangSize == 1 {
-		for _, i := range todo {
-			plan = append(plan, []int{i})
-		}
-		return plan
-	}
 	type gkey struct {
 		w     workload.Config
 		annot string
 	}
+	var plan [][]int
 	var order []gkey
 	groups := make(map[gkey][]int)
 	for _, i := range todo {

@@ -15,7 +15,8 @@ import (
 // repo's gang contract: a random vector of engine configurations (mixed
 // window sizes, issue policies, runahead and value prediction on or
 // off) over the three paper workloads at Quick scale must produce
-// Results bit-identical to one-at-a-time runs. (MaxInstructions
+// Results bit-identical to one scalar engine per point, at every
+// GangSize (1 runs gangs of one). (MaxInstructions
 // variation across gang members is pinned separately at the core layer
 // by TestRunGangMatchesSequentialRandom — the experiments layer always
 // runs points to Setup.Measure.) It runs under -race in `make test`,
@@ -45,12 +46,14 @@ func TestGangMatchesSequential(t *testing.T) {
 		}
 	}
 
-	seq := s
-	seq.GangSize = 1
-	seq.GangStats = nil
-	want := seq.RunMLPsimBatch(points)
+	want := make([]core.Result, len(points))
+	for i, p := range points {
+		cfg := p.Config
+		cfg.MaxInstructions = s.Measure
+		want[i] = core.NewEngine(s.annotatedSource(p.Workload, p.Annot), cfg).Run()
+	}
 
-	for _, gangSize := range []int{0, 3} {
+	for _, gangSize := range []int{0, 1, 3} {
 		s.GangSize = gangSize
 		got := s.RunMLPsimBatch(points)
 		for i := range points {
@@ -69,9 +72,9 @@ func TestGangMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestGangPlanShapes pins the dispatch planner: GangSize 1 never gangs,
-// a fixed size chunks exactly, and unkeyable annotation configs always
-// run solo.
+// TestGangPlanShapes pins the dispatch planner: GangSize 1 makes gangs
+// of one, a fixed size chunks exactly, and unkeyable annotation configs
+// always run alone.
 func TestGangPlanShapes(t *testing.T) {
 	s := Quick(1)
 	w := s.Workloads[0]
@@ -106,7 +109,7 @@ func TestGangPlanShapes(t *testing.T) {
 	}
 	for i, g := range s.gangPlan(pts, seq(len(pts))) {
 		if len(g) != 1 {
-			t.Errorf("unkeyable group %d has %d members, want solo dispatch", i, len(g))
+			t.Errorf("unkeyable group %d has %d members, want a gang of one", i, len(g))
 		}
 	}
 }

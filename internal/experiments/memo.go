@@ -130,21 +130,6 @@ func (s Setup) mlpKey(p MLPPoint) (pointKey, bool) {
 	return s.memoKey("mlpsim", p.Workload, p.Annot, p.Config)
 }
 
-// memoized answers the point keyed k from s.Memo, or runs it and, when
-// ok, stores the completed result.
-func memoized[R any](s Setup, k pointKey, ok bool, run func() R) R {
-	if ok {
-		if res, hit := s.Memo.get(k); hit {
-			return res.(R)
-		}
-	}
-	res := run()
-	if ok {
-		s.Memo.put(k, res)
-	}
-	return res
-}
-
 // recall fills results[i] from the memo for every i in idxs it holds
 // and returns the rest of idxs, in order.
 func (s Setup) recall(points []MLPPoint, idxs []int, results []core.Result) []int {

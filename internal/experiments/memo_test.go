@@ -298,15 +298,15 @@ func TestPointMemoConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestRunExhibitShardDuplicateIndices: a peer request may repeat an
-// index. The executor runs each requested point once — with one point
-// per dispatch, running a repeat twice would race on its result slot —
+// TestRunPointsDuplicateIndices: a peer request may repeat an index.
+// The executor runs each requested point once — with one point per
+// dispatch, running a repeat twice would race on its result slot —
 // answers every repeat in request order, and answers a later request
 // for the same points from the memo.
-func TestRunExhibitShardDuplicateIndices(t *testing.T) {
+func TestRunPointsDuplicateIndices(t *testing.T) {
 	s := memoSetup()
 	s.GangSize, s.Parallelism = 1, 2
-	rs, _, err := RunExhibitShard(s, "table5", 0, []int{1, 0, 1})
+	rs, _, err := RunPoints(s, "table5", []int{1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestRunExhibitShardDuplicateIndices(t *testing.T) {
 	if st := s.Memo.Stats(); st.Misses != 2 || st.Entries != 2 {
 		t.Errorf("executor memo %+v, want the 2 distinct points run and stored", st)
 	}
-	again, _, err := RunExhibitShard(s, "table5", 0, []int{0, 1})
+	again, _, err := RunPoints(s, "table5", []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,11 +54,10 @@ type Setup struct {
 	// GangSize controls how RunMLPsimBatch gangs sweep points that share
 	// an annotated stream (same workload, annotation config, warmup and
 	// measure): 0 batches each shared-stream group into just enough gangs
-	// to keep every worker busy, 1 disables ganging (one engine per
-	// dispatch, the pre-gang behaviour), and N >= 2 caps gangs at N
-	// configs. Results are bit-identical across all settings; only
-	// wall-clock changes. Parallelism bounds concurrent gangs, not
-	// points.
+	// to keep every worker busy, 1 = one config per gang, and N >= 2
+	// caps gangs at N configs. Results are bit-identical across all
+	// settings; only wall-clock changes. Parallelism bounds concurrent
+	// gangs, not points.
 	GangSize int
 	// GangStats, when non-nil, accumulates gang occupancy counters
 	// across sweeps (the daemon exports them on /metrics).
@@ -76,11 +75,6 @@ type Setup struct {
 	// again (see PointMemo). Results are bit-identical either way; nil
 	// runs every point.
 	Memo *PointMemo
-	// shard, when non-nil, reroutes RunMLPsimBatch: coordinator mode
-	// (set via ShardedBy) splits each batch across peer replicas;
-	// executor mode (set by RunExhibitShard) runs only a requested
-	// shard. See shard.go.
-	shard *shardRun
 }
 
 // SMTSchedStats accumulates scheduled-SMT policy counters across
@@ -239,18 +233,9 @@ func (s Setup) PrefetchStats(w workload.Config, acfg annotate.Config) (ipf, dpf 
 }
 
 // RunMLPsim generates, annotates and runs one MLPsim configuration,
-// or answers it from s.Memo.
+// or answers it from s.Memo: a batch of one point.
 func (s Setup) RunMLPsim(w workload.Config, cfg core.Config, acfg annotate.Config) core.Result {
-	k, ok := s.mlpKey(MLPPoint{Workload: w, Config: cfg, Annot: acfg})
-	return memoized(s, k, ok, func() core.Result { return s.runMLPsim(w, cfg, acfg) })
-}
-
-// runMLPsim runs one MLPsim configuration on the engine.
-func (s Setup) runMLPsim(w workload.Config, cfg core.Config, acfg annotate.Config) core.Result {
-	cfg.MaxInstructions = s.Measure
-	res := core.NewEngine(s.annotatedSource(w, acfg), cfg).Run()
-	s.noteDepStats(res)
-	return res
+	return s.RunMLPsimBatch([]MLPPoint{{Workload: w, Config: cfg, Annot: acfg}})[0]
 }
 
 // RunCycleSim generates, annotates and runs one cycle-simulator
@@ -258,9 +243,16 @@ func (s Setup) runMLPsim(w workload.Config, cfg core.Config, acfg annotate.Confi
 func (s Setup) RunCycleSim(w workload.Config, cfg cyclesim.Config, acfg annotate.Config) cyclesim.Result {
 	cfg.MaxInstructions = s.Measure
 	k, ok := s.memoKey("cyclesim", w, acfg, cfg)
-	return memoized(s, k, ok, func() cyclesim.Result {
-		return cyclesim.New(s.annotatedSource(w, acfg), cfg).Run()
-	})
+	if ok {
+		if res, hit := s.Memo.get(k); hit {
+			return res.(cyclesim.Result)
+		}
+	}
+	res := cyclesim.New(s.annotatedSource(w, acfg), cfg).Run()
+	if ok {
+		s.Memo.put(k, res)
+	}
+	return res
 }
 
 // parallelism resolves the worker count.

@@ -7,17 +7,19 @@ import (
 	"sync"
 	"testing"
 
+	"mlpsim/internal/atrace"
 	"mlpsim/internal/core"
 	"mlpsim/internal/workload"
 )
 
-// peerRouter shards points across a fake two-replica fleet: odd indices
-// belong to "peer", which answers by re-deriving the points through
-// RunExhibitShard on its own Setup — the real peer protocol minus HTTP.
+// peerRouter shards points across a fake two-replica fleet: indices
+// mine rejects belong to "peer", which answers by re-deriving the
+// points through RunPoints on its own Setup — the real peer protocol
+// minus HTTP.
 type peerRouter struct {
 	exhibit string
 	peer    Setup
-	mine    func(batch, index int) bool
+	mine    func(index int) bool
 
 	mu      sync.Mutex
 	fetches int
@@ -26,14 +28,14 @@ type peerRouter struct {
 	short   bool
 }
 
-func (r *peerRouter) Owner(batch, index int) string {
-	if r.mine(batch, index) {
+func (r *peerRouter) Owner(index int) string {
+	if r.mine(index) {
 		return ""
 	}
 	return "peer"
 }
 
-func (r *peerRouter) Fetch(owner string, batch int, indices []int) ([]core.Result, error) {
+func (r *peerRouter) Fetch(owner string, n int, indices []int) ([]core.Result, error) {
 	r.mu.Lock()
 	r.fetches++
 	r.points += len(indices)
@@ -42,9 +44,12 @@ func (r *peerRouter) Fetch(owner string, batch int, indices []int) ([]core.Resul
 	if fail {
 		return nil, fmt.Errorf("peer down")
 	}
-	rs, _, err := RunExhibitShard(r.peer, r.exhibit, batch, indices)
+	rs, pn, err := RunPoints(r.peer, r.exhibit, indices)
 	if err != nil {
 		return nil, err
+	}
+	if pn != n {
+		return nil, fmt.Errorf("peer declares %d points, coordinator %d", pn, n)
 	}
 	if short && len(rs) > 0 {
 		rs = rs[:len(rs)-1]
@@ -52,9 +57,15 @@ func (r *peerRouter) Fetch(owner string, batch int, indices []int) ([]core.Resul
 	return rs, nil
 }
 
+// coordinator returns a Setup with the point memo Prefetch fills.
+func coordinator(s Setup) Setup {
+	s.Memo = NewPointMemo()
+	return s
+}
+
 // TestShardedExhibitMatchesSolo is the heart of the peer protocol: an
 // exhibit whose odd-indexed points are computed by a separate replica —
-// which re-derives them from (exhibit, batch, indices) alone — renders
+// which re-derives them from (exhibit, indices) alone — renders
 // byte-identical to the solo run.
 func TestShardedExhibitMatchesSolo(t *testing.T) {
 	if testing.Short() {
@@ -66,9 +77,11 @@ func TestShardedExhibitMatchesSolo(t *testing.T) {
 	r := &peerRouter{
 		exhibit: "figure4",
 		peer:    tiny(11, workload.Database(11)),
-		mine:    func(batch, index int) bool { return index%2 == 0 },
+		mine:    func(index int) bool { return index%2 == 0 },
 	}
-	got := RunFigure4(tiny(11, workload.Database(11)).ShardedBy(r)).String()
+	s := coordinator(tiny(11, workload.Database(11)))
+	Prefetch(s, figure4Points(s), r)
+	got := RunFigure4(s).String()
 	if got != want {
 		t.Errorf("sharded figure4 differs from solo:\n--- solo ---\n%s\n--- sharded ---\n%s", want, got)
 	}
@@ -88,9 +101,11 @@ func TestShardedFleetOwnsEverything(t *testing.T) {
 	r := &peerRouter{
 		exhibit: "table5",
 		peer:    tiny(12, workload.Web(12)),
-		mine:    func(batch, index int) bool { return false },
+		mine:    func(index int) bool { return false },
 	}
-	got := RunTable5(tiny(12, workload.Web(12)).ShardedBy(r)).String()
+	s := coordinator(tiny(12, workload.Web(12)))
+	Prefetch(s, table5Points(s), r)
+	got := RunTable5(s).String()
 	if got != want {
 		t.Errorf("fully-offloaded table5 differs from solo:\n%s\nvs\n%s", want, got)
 	}
@@ -108,11 +123,13 @@ func TestShardFallbackOnPeerFailure(t *testing.T) {
 		r := &peerRouter{
 			exhibit: "table5",
 			peer:    tiny(13, workload.Database(13)),
-			mine:    func(batch, index int) bool { return index%2 == 0 },
+			mine:    func(index int) bool { return index%2 == 0 },
 			fail:    mode == "fail",
 			short:   mode == "short",
 		}
-		got := RunTable5(tiny(13, workload.Database(13)).ShardedBy(r)).String()
+		s := coordinator(tiny(13, workload.Database(13)))
+		Prefetch(s, table5Points(s), r)
+		got := RunTable5(s).String()
 		if got != want {
 			t.Errorf("%s-mode fallback differs from solo:\n%s\nvs\n%s", mode, want, got)
 		}
@@ -130,14 +147,14 @@ type recordingRouter struct {
 	oracle map[int]core.Result
 }
 
-func (r *recordingRouter) Owner(batch, index int) string {
+func (r *recordingRouter) Owner(index int) string {
 	r.mu.Lock()
 	r.asked[index] = true
 	r.mu.Unlock()
 	return "peer"
 }
 
-func (r *recordingRouter) Fetch(owner string, batch int, indices []int) ([]core.Result, error) {
+func (r *recordingRouter) Fetch(owner string, n int, indices []int) ([]core.Result, error) {
 	out := make([]core.Result, len(indices))
 	for k, i := range indices {
 		out[k] = r.oracle[i]
@@ -145,11 +162,12 @@ func (r *recordingRouter) Fetch(owner string, batch int, indices []int) ([]core.
 	return out, nil
 }
 
-// TestShardOnEpochNeverOffloads: a point carrying an epoch callback is
-// never even offered to the router — funcs do not travel, and the
-// caller's collector must see the epochs locally.
+// TestShardOnEpochNeverOffloads: Prefetch never even offers a point
+// carrying an epoch callback to the router — funcs do not travel, and
+// the caller's collector must see the epochs locally when the batch
+// runs.
 func TestShardOnEpochNeverOffloads(t *testing.T) {
-	s := tiny(14, workload.Database(14))
+	s := coordinator(tiny(14, workload.Database(14)))
 	s.Measure = 200_000
 	epochs := 0
 	points := []MLPPoint{
@@ -162,7 +180,8 @@ func TestShardOnEpochNeverOffloads(t *testing.T) {
 	r := &recordingRouter{asked: make(map[int]bool), oracle: map[int]core.Result{
 		0: {Instructions: 123},
 	}}
-	rs := s.ShardedBy(r).RunMLPsimBatch(points)
+	Prefetch(s, points, r)
+	rs := s.RunMLPsimBatch(points)
 	if r.asked[1] {
 		t.Error("router was offered a point with an OnEpoch callback")
 	}
@@ -180,98 +199,103 @@ func TestShardOnEpochNeverOffloads(t *testing.T) {
 	}
 }
 
-// TestRunExhibitShardErrors pins the executor's failure envelope — each
-// of these makes the coordinator fall back to local execution.
-func TestRunExhibitShardErrors(t *testing.T) {
-	s := tiny(15, workload.Database(15))
-	s.Measure = 200_000
-	if _, _, err := RunExhibitShard(s, "no-such-exhibit", 0, []int{0}); err == nil ||
+// TestRunPointsErrors pins the executor's failure envelope — each of
+// these makes the coordinator fall back to local execution. None of
+// them runs anything: an exhibit without declared points is refused
+// before its cycle-simulator runs, a bad index before any point.
+func TestRunPointsErrors(t *testing.T) {
+	s := memoSetup()
+	if _, _, err := RunPoints(s, "no-such-exhibit", []int{0}); err == nil ||
 		!strings.Contains(err.Error(), "unknown exhibit") {
 		t.Errorf("unknown exhibit: err = %v", err)
 	}
-	if _, _, err := RunExhibitShard(s, "table5", -1, []int{0}); err == nil ||
-		!strings.Contains(err.Error(), "negative batch") {
-		t.Errorf("negative batch: err = %v", err)
+	if _, _, err := RunPoints(s, "table1", []int{0}); err == nil ||
+		!strings.Contains(err.Error(), "declares no sweep points") {
+		t.Errorf("exhibit without points: err = %v", err)
 	}
-	if _, _, err := RunExhibitShard(s, "table5", 99, []int{0}); err == nil ||
-		!strings.Contains(err.Error(), "never happened") {
-		t.Errorf("batch past the end: err = %v", err)
-	}
-	if _, n, err := RunExhibitShard(s, "table5", 0, []int{0, 10_000}); err == nil ||
+	if _, n, err := RunPoints(s, "table5", []int{0, 10_000}); err == nil ||
 		!strings.Contains(err.Error(), "out of range") {
 		t.Errorf("index out of range: err = %v", err)
-	} else if n <= 0 {
-		t.Errorf("batch length %d alongside the range error, want the real count", n)
+	} else if n != len(table5Points(s)) {
+		t.Errorf("point count %d alongside the range error, want the declared %d", n, len(table5Points(s)))
+	}
+	if st := s.Memo.Stats(); st.Misses != 0 || st.Entries != 0 {
+		t.Errorf("rejected requests touched the memo: %+v", st)
 	}
 }
 
-// TestRunExhibitShardMatchesBatch: the executor's answers for a shard
-// equal the corresponding slots of a plain local batch, and the
-// reported batch length matches.
-func TestRunExhibitShardMatchesBatch(t *testing.T) {
+// TestRunPointsMatchesBatch: the executor's answers for every declared
+// point equal a plain local batch over the same declaration, and the
+// reported count is the declaration's length.
+func TestRunPointsMatchesBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full exhibit runs")
 	}
 	s := tiny(16, workload.Database(16))
-	full := RunTable5(s)
-	// Re-derive table5's batch locally for the oracle: its points are the
-	// in-order configs per workload; easiest oracle is a second executor
-	// answering for ALL indices.
-	n := -1
-	probe, bl, err := RunExhibitShard(tiny(16, workload.Database(16)), "table5", 0, []int{0})
+	want := s.RunMLPsimBatch(table5Points(s))
+	rs, n, err := RunPoints(tiny(16, workload.Database(16)), "table5", seq(len(want)))
+	if err != nil || n != len(want) {
+		t.Fatalf("full shard: err=%v count=%d want %d", err, n, len(want))
+	}
+	if !reflect.DeepEqual(rs, want) {
+		t.Error("executor results differ from the local batch")
+	}
+}
+
+// TestRunPointsRunsOnlyRequested: an executor asked for figure9's
+// point 0 runs that one point — not the Characterize cycle-simulator
+// runs that precede the batch in the exhibit, nor any other point.
+func TestRunPointsRunsOnlyRequested(t *testing.T) {
+	s := memoSetup()
+	s.Workloads = s.Workloads[:1]
+	rs, _, err := RunPoints(s, "figure9", []int{0})
 	if err != nil {
-		t.Fatalf("probe shard: %v", err)
+		t.Fatal(err)
 	}
-	n = bl
-	if len(probe) != 1 {
-		t.Fatalf("probe returned %d results, want 1", len(probe))
+	if rs[0].Instructions != s.Measure {
+		t.Errorf("point ran %d instructions, want %d", rs[0].Instructions, s.Measure)
 	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
+	if st := s.Memo.Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("executor memo %+v, want exactly the requested point run", st)
 	}
-	rs, bl2, err := RunExhibitShard(tiny(16, workload.Database(16)), "table5", 0, all)
-	if err != nil || bl2 != n {
-		t.Fatalf("full shard: err=%v len=%d want %d", err, bl2, n)
-	}
-	if !reflect.DeepEqual(rs[0], probe[0]) {
-		t.Error("executor results differ between shard requests (non-deterministic?)")
-	}
-	_ = full
 }
 
-// TestShardCounterPerRun: ShardedBy hands out a fresh batch counter, so
-// two sequential exhibit runs both start at batch 0.
-func TestShardCounterPerRun(t *testing.T) {
-	s := tiny(17, workload.Database(17))
-	s.Measure = 200_000
-	var batches []int
-	r := &funcRouter{owner: func(batch, index int) string {
-		batches = append(batches, batch)
-		return ""
-	}}
-	p := []MLPPoint{{Workload: s.Workloads[0], Config: core.Default()}}
-	for run := 0; run < 2; run++ {
-		sh := s.ShardedBy(r)
-		sh.RunMLPsimBatch(p)
-		sh.RunMLPsimBatch(p)
+// TestPrefetchCoversEveryDeclaredPoint runs every exhibit that declares
+// points as a coordinator that owns nothing: Prefetch fetches the whole
+// declaration from a peer on a second Setup, after which Run must find
+// every MLPsim point in the memo — no engine dispatch — and render what
+// a plain run renders. An exhibit whose Run used a point its
+// declaration lacks would dispatch it here.
+func TestPrefetchCoversEveryDeclaredPoint(t *testing.T) {
+	cache := atrace.NewCache()
+	small := func() Setup {
+		s := Quick(1)
+		s.Warmup, s.Measure = 20_000, 60_000
+		s.Cache = cache
+		return s
 	}
-	want := []int{0, 1, 0, 1}
-	if len(batches) != len(want) {
-		t.Fatalf("owner saw batches %v, want %v", batches, want)
-	}
-	for i := range want {
-		if batches[i] != want[i] {
-			t.Fatalf("owner saw batches %v, want %v", batches, want)
+	for _, runner := range All() {
+		if runner.Points == nil {
+			continue
 		}
+		t.Run(runner.ID, func(t *testing.T) {
+			want := runner.Run(small()).String()
+			s := coordinator(small())
+			s.GangStats = &GangStats{}
+			r := &peerRouter{exhibit: runner.ID, peer: small(), mine: func(int) bool { return false }}
+			Prefetch(s, runner.Points(s), r)
+			if r.points == 0 {
+				t.Fatal("Prefetch fetched nothing")
+			}
+			ran := func() uint64 { return s.GangStats.Configs.Load() + s.GangStats.Solo.Load() }
+			before := ran()
+			got := runner.Run(s).String()
+			if n := ran() - before; n != 0 {
+				t.Errorf("Run dispatched %d MLPsim points after Prefetch; the declaration misses them", n)
+			}
+			if got != want {
+				t.Errorf("prefetched %s differs from a plain run:\n--- plain ---\n%s\n--- prefetched ---\n%s", runner.ID, want, got)
+			}
+		})
 	}
-}
-
-type funcRouter struct {
-	owner func(batch, index int) string
-}
-
-func (r *funcRouter) Owner(batch, index int) string { return r.owner(batch, index) }
-func (r *funcRouter) Fetch(string, int, []int) ([]core.Result, error) {
-	return nil, fmt.Errorf("unexpected fetch")
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
 	"mlpsim/internal/stats"
 )
@@ -26,41 +25,52 @@ type Stability struct {
 // StabilitySeeds is the number of independent seeds measured.
 const StabilitySeeds = 5
 
-// RunStability executes the experiment.
-func RunStability(s Setup) Stability {
-	configs := []struct {
+// keyConfigs are the default 64C processor and runahead, the two
+// configurations the stability and MSHR sweeps measure.
+func keyConfigs() []struct {
+	name string
+	cfg  core.Config
+} {
+	return []struct {
 		name string
 		cfg  core.Config
 	}{
 		{"64C", core.Default()},
 		{"RAE", core.Default().WithIssue(core.ConfigD).WithRunahead()},
 	}
-	type job struct{ wi, ci, si int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for ci := range configs {
+}
+
+// stabilityPoints declares the sweep: every key configuration over
+// StabilitySeeds workload seeds, per workload.
+func stabilityPoints(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		for _, c := range keyConfigs() {
 			for si := 0; si < StabilitySeeds; si++ {
-				jobs = append(jobs, job{wi, ci, si})
+				points = append(points, MLPPoint{Workload: w.WithSeed(s.Seed + int64(si)*7919), Config: c.cfg})
 			}
 		}
 	}
-	mlps := make([]float64, len(jobs))
-	rates := make([]float64, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		w := s.Workloads[j.wi].WithSeed(s.Seed + int64(j.si)*7919)
-		res := s.RunMLPsim(w, configs[j.ci].cfg, annotate.Config{})
+	return points
+}
+
+// RunStability executes the experiment.
+func RunStability(s Setup) Stability {
+	results := s.RunMLPsimBatch(stabilityPoints(s))
+	mlps := make([]float64, len(results))
+	rates := make([]float64, len(results))
+	for i, res := range results {
 		mlps[i] = res.MLP()
 		rates[i] = res.MissRatePer100()
-	})
+	}
 
 	var rows []StabilityRow
 	i := 0
-	for wi := range s.Workloads {
-		for ci := range configs {
+	for _, w := range s.Workloads {
+		for _, c := range keyConfigs() {
 			rows = append(rows, StabilityRow{
-				Workload: s.Workloads[wi].Name,
-				Config:   configs[ci].name,
+				Workload: w.Name,
+				Config:   c.name,
 				MLP:      stats.Summarize(mlps[i : i+StabilitySeeds]),
 				MissRate: stats.Summarize(rates[i : i+StabilitySeeds]),
 			})

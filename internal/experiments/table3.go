@@ -4,7 +4,6 @@ import (
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
 	"mlpsim/internal/cyclesim"
-	"mlpsim/internal/workload"
 )
 
 // Table3Row is one (workload, window, config) validation cell: the cycle
@@ -28,38 +27,39 @@ type Table3 struct {
 // Table3Latencies are the off-chip latencies the paper validates against.
 var Table3Latencies = []int{200, 500, 1000}
 
-// RunTable3 executes the validation matrix: windows 32/64/128 and issue
-// configurations A/B/C (the cycle simulator cannot model out-of-order
-// branches, exactly like the paper's).
-func RunTable3(s Setup) Table3 {
-	windows := []int{32, 64, 128}
-	configs := []core.IssueConfig{core.ConfigA, core.ConfigB, core.ConfigC}
+// validationConfigs are the issue configurations Tables 3 and 4
+// validate: the cycle simulator cannot model out-of-order branches,
+// exactly like the paper's.
+var validationConfigs = []core.IssueConfig{core.ConfigA, core.ConfigB, core.ConfigC}
 
-	type job struct {
-		w      workload.Config
-		window int
-		issue  core.IssueConfig
-	}
-	var jobs []job
+// table3Points declares the MLPsim side of the validation matrix:
+// windows 32/64/128 by configurations A/B/C, per workload.
+func table3Points(s Setup) []MLPPoint {
+	var points []MLPPoint
 	for _, w := range s.Workloads {
-		for _, win := range windows {
-			for _, ic := range configs {
-				jobs = append(jobs, job{w, win, ic})
+		for _, win := range []int{32, 64, 128} {
+			for _, ic := range validationConfigs {
+				points = append(points, MLPPoint{Workload: w, Config: core.Default().WithWindow(win).WithIssue(ic)})
 			}
 		}
 	}
-	rows := make([]Table3Row, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		row := Table3Row{Workload: j.w.Name, Window: j.window, Issue: j.issue}
-		mres := s.RunMLPsim(j.w, core.Default().WithWindow(j.window).WithIssue(j.issue),
-			annotate.Config{})
-		row.MLPsim = mres.MLP()
+	return points
+}
+
+// RunTable3 executes the validation matrix: each MLPsim point against
+// the cycle simulator at the same window and issue configuration.
+func RunTable3(s Setup) Table3 {
+	points := table3Points(s)
+	mlps := s.RunMLPsimBatch(points)
+	rows := make([]Table3Row, len(points))
+	s.forEach(len(points), func(i int) {
+		p := points[i]
+		row := Table3Row{Workload: p.Workload.Name, Window: p.Config.ROB, Issue: p.Config.Issue, MLPsim: mlps[i].MLP()}
 		for _, pen := range Table3Latencies {
 			cfg := cyclesim.Default(pen)
-			cfg.IssueWindow, cfg.ROB = j.window, j.window
-			cfg.Issue = j.issue
-			cres := s.RunCycleSim(j.w, cfg, annotate.Config{})
+			cfg.IssueWindow, cfg.ROB = p.Config.IssueWindow, p.Config.ROB
+			cfg.Issue = p.Config.Issue
+			cres := s.RunCycleSim(p.Workload, cfg, annotate.Config{})
 			switch pen {
 			case 200:
 				row.CycleSim200 = cres.MLP

@@ -29,9 +29,21 @@ type Table4 struct {
 // Table4Penalty is the off-chip latency used by the experiment.
 const Table4Penalty = 1000
 
+// table4Points declares the sweep: window 64 under configurations A/B/C,
+// per workload.
+func table4Points(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		for _, ic := range validationConfigs {
+			points = append(points, MLPPoint{Workload: w, Config: core.Default().WithIssue(ic)})
+		}
+	}
+	return points
+}
+
 // RunTable4 executes the experiment.
 func RunTable4(s Setup) Table4 {
-	configs := []core.IssueConfig{core.ConfigA, core.ConfigB, core.ConfigC}
+	configs := validationConfigs
 
 	type char struct {
 		params   [3]Characterization
@@ -50,19 +62,13 @@ func RunTable4(s Setup) Table4 {
 		chars[j.wi].params[j.ci] = s.characterizeConfig(s.Workloads[j.wi], configs[j.ci])
 		chars[j.wi].measured[j.ci] = chars[j.wi].params[j.ci].CPI
 	})
-
-	mlps := make([][3]core.Result, len(s.Workloads))
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		mlps[j.wi][j.ci] = s.RunMLPsim(s.Workloads[j.wi],
-			core.Default().WithIssue(configs[j.ci]), annotate.Config{})
-	})
+	mlps := s.RunMLPsimBatch(table4Points(s))
 
 	var rows []Table4Row
 	for wi, w := range s.Workloads {
 		for ci, ic := range configs {
 			row := Table4Row{Workload: w.Name, Issue: ic, Measured: chars[wi].measured[ci]}
-			m := &mlps[wi][ci]
+			m := &mlps[wi*len(configs)+ci]
 			for pi := range configs {
 				p := chars[wi].params[pi].Params()
 				p.MissRatePer100 = m.MissRatePer100()

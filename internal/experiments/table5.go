@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-)
+import "mlpsim/internal/core"
 
 // Table5Row holds the in-order MLP of one workload.
 type Table5Row struct {
@@ -17,28 +14,24 @@ type Table5 struct {
 	Rows []Table5Row
 }
 
+// table5Points declares the sweep: stall-on-miss then stall-on-use,
+// per workload.
+func table5Points(s Setup) []MLPPoint {
+	var points []MLPPoint
+	for _, w := range s.Workloads {
+		for _, mode := range []core.WindowMode{core.InOrderStallOnMiss, core.InOrderStallOnUse} {
+			points = append(points, MLPPoint{Workload: w, Config: core.Config{Mode: mode}})
+		}
+	}
+	return points
+}
+
 // RunTable5 executes the experiment.
 func RunTable5(s Setup) Table5 {
+	results := s.RunMLPsimBatch(table5Points(s))
 	rows := make([]Table5Row, len(s.Workloads))
 	for i, w := range s.Workloads {
-		rows[i].Workload = w.Name
-	}
-	points := make([]MLPPoint, len(s.Workloads)*2)
-	for i := range points {
-		wi, mode := i/2, i%2
-		cfg := core.Config{Mode: core.InOrderStallOnMiss}
-		if mode == 1 {
-			cfg.Mode = core.InOrderStallOnUse
-		}
-		points[i] = MLPPoint{Workload: s.Workloads[wi], Config: cfg, Annot: annotate.Config{}}
-	}
-	results := s.RunMLPsimBatch(points)
-	for i, res := range results {
-		if wi := i / 2; i%2 == 0 {
-			rows[wi].StallOnMiss = res.MLP()
-		} else {
-			rows[wi].StallOnUse = res.MLP()
-		}
+		rows[i] = Table5Row{Workload: w.Name, StallOnMiss: results[2*i].MLP(), StallOnUse: results[2*i+1].MLP()}
 	}
 	return Table5{Rows: rows}
 }

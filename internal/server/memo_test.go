@@ -175,7 +175,9 @@ func TestObserverFigure5AddsNoPeerFetches(t *testing.T) {
 	if n := f.obs.metrics.peerFetchErrors.Load(); n != 0 {
 		t.Errorf("observer hit %d fetch errors against a healthy fleet", n)
 	}
-	if st := f.obs.memo.Stats(); st.Hits != 75 || st.Entries != 75 {
-		t.Errorf("observer memo %+v, want 75 hits over figure4's 75 fetched points", st)
+	// The coordinator looks each declared point up twice per request:
+	// once in Prefetch to route it, once in Run to render it.
+	if st := f.obs.memo.Stats(); st.Misses != 75 || st.Entries != 75 {
+		t.Errorf("observer memo %+v, want 75 misses and entries: figure4's 75 fetched points", st)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 
 	"mlpsim/internal/core"
 	"mlpsim/internal/experiments"
@@ -20,19 +19,21 @@ import (
 //
 // N daemon replicas cooperate on one exhibit: every replica builds the
 // same consistent-hash ring over the fleet's ids, so for any result key
-// (exhibit, seed, warmup, measure) plus batch ordinal and point index
-// they all agree on the owner without coordination. A replica answering
-// GET /v1/exhibits/{name} runs its own shard of the sweep while
-// fetching remotely-owned shards over GET /v1/peer/points; peers
-// re-derive the points deterministically from the key alone, so only
-// (exhibit, batch, indices) and the resulting []core.Result travel the
-// wire. Any fetch failure — dead peer, mismatched batch geometry, short
-// reply — falls back to local execution, so a degraded fleet is slower,
-// never wrong, and the merged response stays byte-identical to a solo
-// daemon's.
+// (exhibit, seed, warmup, measure) plus point index into the exhibit's
+// declared points (experiments.Runner.Points) they all agree on the
+// owner without coordination. A replica answering
+// GET /v1/exhibits/{name} prefetches the declared points into its memo
+// — running its own shard while fetching remotely-owned shards over
+// GET /v1/peer/points — and then runs the exhibit, which answers them
+// from the memo. Peers re-derive the points deterministically from the
+// key alone, so only (exhibit, indices) and the resulting
+// []core.Result travel the wire. Any fetch failure — dead peer,
+// mismatched point count, short reply — falls back to local execution,
+// so a degraded fleet is slower, never wrong, and the merged response
+// stays byte-identical to a solo daemon's.
 //
-// The peer-points endpoint itself never re-shards (the executor hook
-// carries no router), so requests cannot recurse through the fleet.
+// The peer-points endpoint itself never re-shards (RunPoints takes no
+// router), so requests cannot recurse through the fleet.
 
 // Peer identifies one replica of the fleet.
 type Peer struct {
@@ -42,14 +43,14 @@ type Peer struct {
 	URL string
 }
 
-// maxPeerPoints bounds one peer-points request; a full sweep batch is
-// far below this.
+// maxPeerPoints bounds one peer-points request; an exhibit's declared
+// sweep is far below this.
 const maxPeerPoints = 65536
 
 // peerPointsResponse is the wire format of /v1/peer/points.
 type peerPointsResponse struct {
-	// BatchLen is the peer's total point count for the batch; the
-	// coordinator cross-validates it against its own batch geometry.
+	// BatchLen is the peer's declared point count for the exhibit; the
+	// coordinator cross-validates it against its own declaration.
 	BatchLen int `json:"batch_len"`
 	// Results carries the executed points, in request order.
 	Results []core.Result `json:"results"`
@@ -61,39 +62,30 @@ type peerRouter struct {
 	s   *Server
 	ctx context.Context
 	key resultKey
-
-	mu   sync.Mutex
-	lens map[int]int // batch ordinal -> observed local batch length
 }
 
 func (s *Server) newPeerRouter(ctx context.Context, key resultKey) *peerRouter {
-	return &peerRouter{s: s, ctx: ctx, key: key, lens: make(map[int]int)}
+	return &peerRouter{s: s, ctx: ctx, key: key}
 }
 
 // pointKey is the ring key for one sweep point: the result-cache key
-// plus the point's coordinates within the run.
-func (r *peerRouter) pointKey(batch, index int) string {
-	return fmt.Sprintf("%s#b%d#p%d", r.key, batch, index)
+// plus the point's index into the declared list. The "#b0" is the one
+// batch every exhibit runs; it stays so every point keeps the owner it
+// had when exhibits could run several batches.
+func (r *peerRouter) pointKey(index int) string {
+	return fmt.Sprintf("%s#b0#p%d", r.key, index)
 }
 
-func (r *peerRouter) Owner(batch, index int) string {
-	// Owner is consulted for every point of the batch in order, which
-	// makes max(index)+1 the batch length — remembered here and checked
-	// against the peer's own derivation before results are trusted.
-	r.mu.Lock()
-	if index+1 > r.lens[batch] {
-		r.lens[batch] = index + 1
-	}
-	r.mu.Unlock()
-	id := r.s.ring.owner(r.pointKey(batch, index))
+func (r *peerRouter) Owner(index int) string {
+	id := r.s.ring.owner(r.pointKey(index))
 	if id == r.s.opts.PeerID {
 		return ""
 	}
 	return id
 }
 
-func (r *peerRouter) Fetch(owner string, batch int, indices []int) ([]core.Result, error) {
-	res, err := r.fetch(owner, batch, indices)
+func (r *peerRouter) Fetch(owner string, n int, indices []int) ([]core.Result, error) {
+	res, err := r.fetch(owner, n, indices)
 	if err != nil {
 		r.s.metrics.peerFetchErrors.Add(1)
 		return nil, err
@@ -102,7 +94,7 @@ func (r *peerRouter) Fetch(owner string, batch int, indices []int) ([]core.Resul
 	return res, nil
 }
 
-func (r *peerRouter) fetch(owner string, batch int, indices []int) ([]core.Result, error) {
+func (r *peerRouter) fetch(owner string, n int, indices []int) ([]core.Result, error) {
 	r.s.metrics.peerFetches.Add(1)
 	p, ok := r.s.peers[owner]
 	if !ok {
@@ -117,7 +109,6 @@ func (r *peerRouter) fetch(owner string, batch int, indices []int) ([]core.Resul
 		"seed":    {strconv.FormatInt(r.key.Seed, 10)},
 		"warmup":  {strconv.FormatInt(r.key.Warmup, 10)},
 		"measure": {strconv.FormatInt(r.key.Measure, 10)},
-		"batch":   {strconv.Itoa(batch)},
 		"points":  {strings.Join(pts, ",")},
 	}
 	u := strings.TrimSuffix(p.URL, "/") + "/v1/peer/points?" + q.Encode()
@@ -138,12 +129,9 @@ func (r *peerRouter) fetch(owner string, batch int, indices []int) ([]core.Resul
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 		return nil, fmt.Errorf("peer %s: decode: %w", owner, err)
 	}
-	r.mu.Lock()
-	want := r.lens[batch]
-	r.mu.Unlock()
-	if pr.BatchLen != want {
-		return nil, fmt.Errorf("peer %s derived %d points for batch %d, coordinator has %d — geometry mismatch",
-			owner, pr.BatchLen, batch, want)
+	if pr.BatchLen != n {
+		return nil, fmt.Errorf("peer %s declares %d points for %s, coordinator has %d — geometry mismatch",
+			owner, pr.BatchLen, r.key.Exhibit, n)
 	}
 	if len(pr.Results) != len(indices) {
 		return nil, fmt.Errorf("peer %s returned %d results for %d requested points", owner, len(pr.Results), len(indices))
@@ -171,10 +159,11 @@ func parsePoints(s string) ([]int, error) {
 	return out, nil
 }
 
-// handlePeerPoints executes one shard of one batch of an exhibit on
-// behalf of a coordinating replica. The endpoint is available on every
-// daemon (peer fleet or not): it only exposes results the public
-// exhibit endpoint already serves, at finer granularity.
+// handlePeerPoints executes one shard of an exhibit's declared points
+// on behalf of a coordinating replica. The endpoint is available on
+// every daemon (peer fleet or not): it only exposes results the public
+// exhibit endpoint already serves, at finer granularity. A "batch"
+// parameter, which older coordinators send, is ignored.
 func (s *Server) handlePeerPoints(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("exhibit")
@@ -201,12 +190,7 @@ func (s *Server) handlePeerPoints(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "warmup must be >= 0 and measure > 0 (got %d, %d)", warmup, measure)
 		return
 	}
-	batch, err := strconv.Atoi(r.URL.Query().Get("batch"))
-	if err != nil || batch < 0 {
-		httpError(w, http.StatusBadRequest, "batch=%q: want a non-negative integer", r.URL.Query().Get("batch"))
-		return
-	}
-	indices, err := parsePoints(r.URL.Query().Get("points"))
+	indices, err := parsePoints(q.Get("points"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -232,15 +216,16 @@ func (s *Server) handlePeerPoints(w http.ResponseWriter, r *http.Request) {
 	setup.Measure = measure
 	setup.Ctx = ctx
 
-	results, batchLen, err := experiments.RunExhibitShard(setup, name, batch, indices)
+	results, n, err := experiments.RunPoints(setup, name, indices)
 	if err != nil {
 		// 422: the request was well-formed but this replica cannot derive
-		// that shard (geometry drift between versions, cancelled context).
-		// The coordinator falls back to local execution.
-		httpError(w, http.StatusUnprocessableEntity, "shard %s batch %d: %v", name, batch, err)
+		// that shard (an exhibit without declared points, geometry drift
+		// between versions, cancelled context). The coordinator falls
+		// back to local execution.
+		httpError(w, http.StatusUnprocessableEntity, "shard %s: %v", name, err)
 		return
 	}
 	s.metrics.peerPointsServed.Add(uint64(len(results)))
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(peerPointsResponse{BatchLen: batchLen, Results: results})
+	json.NewEncoder(w).Encode(peerPointsResponse{BatchLen: n, Results: results})
 }

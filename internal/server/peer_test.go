@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,7 +169,7 @@ func TestFleetSurvivesDeadPeer(t *testing.T) {
 // every request-level failure mode.
 func TestPeerPointsEndpoint(t *testing.T) {
 	_, ts := testServer(t)
-	code, body := get(t, ts, "/v1/peer/points?exhibit=table5&batch=0&points=0,1")
+	code, body := get(t, ts, "/v1/peer/points?exhibit=table5&points=0,1")
 	if code != http.StatusOK {
 		t.Fatalf("happy path: %d\n%s", code, body)
 	}
@@ -185,14 +188,14 @@ func TestPeerPointsEndpoint(t *testing.T) {
 		name, path string
 		wantCode   int
 	}{
-		{"unknown exhibit", "/v1/peer/points?exhibit=nope&batch=0&points=0", http.StatusNotFound},
-		{"missing points", "/v1/peer/points?exhibit=table5&batch=0", http.StatusBadRequest},
-		{"bad points", "/v1/peer/points?exhibit=table5&batch=0&points=1,x", http.StatusBadRequest},
-		{"negative point", "/v1/peer/points?exhibit=table5&batch=0&points=-1", http.StatusBadRequest},
-		{"bad batch", "/v1/peer/points?exhibit=table5&batch=-1&points=0", http.StatusBadRequest},
-		{"batch past the end", "/v1/peer/points?exhibit=table5&batch=99&points=0", http.StatusUnprocessableEntity},
-		{"index out of range", "/v1/peer/points?exhibit=table5&batch=0&points=99999", http.StatusUnprocessableEntity},
-		{"bad measure", "/v1/peer/points?exhibit=table5&batch=0&points=0&measure=0", http.StatusBadRequest},
+		{"unknown exhibit", "/v1/peer/points?exhibit=nope&points=0", http.StatusNotFound},
+		{"missing points", "/v1/peer/points?exhibit=table5", http.StatusBadRequest},
+		{"bad points", "/v1/peer/points?exhibit=table5&points=1,x", http.StatusBadRequest},
+		{"negative point", "/v1/peer/points?exhibit=table5&points=-1", http.StatusBadRequest},
+		{"index out of range", "/v1/peer/points?exhibit=table5&points=99999", http.StatusUnprocessableEntity},
+		{"exhibit without points", "/v1/peer/points?exhibit=table1&points=0", http.StatusUnprocessableEntity},
+		{"bad measure", "/v1/peer/points?exhibit=table5&points=0&measure=0", http.StatusBadRequest},
+		{"ignored batch", "/v1/peer/points?exhibit=table5&batch=0&points=0", http.StatusOK},
 	}
 	for _, tc := range cases {
 		if code, body := get(t, ts, tc.path); code != tc.wantCode {
@@ -211,4 +214,33 @@ func TestSoloIgnoresPeerOptions(t *testing.T) {
 	if s.ring != nil || s.peers != nil {
 		t.Fatal("single-member fleet formed a ring")
 	}
+}
+
+// FuzzParsePoints fuzzes the peer wire's point list: parsePoints never
+// panics, every list it accepts has at most maxPeerPoints non-negative
+// entries, and re-joining an accepted list parses back to the same list.
+func FuzzParsePoints(f *testing.F) {
+	for _, seed := range []string{"0", "0,1,2", "1,0,1", "", "-1", "1,x", ",", "+7,007", "99999999999999999999"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		pts, err := parsePoints(s)
+		if err != nil {
+			return
+		}
+		if len(pts) == 0 || len(pts) > maxPeerPoints {
+			t.Fatalf("parsePoints(%q) accepted %d points", s, len(pts))
+		}
+		parts := make([]string, len(pts))
+		for i, p := range pts {
+			if p < 0 {
+				t.Fatalf("parsePoints(%q) accepted negative index %d", s, p)
+			}
+			parts[i] = strconv.Itoa(p)
+		}
+		again, err := parsePoints(strings.Join(parts, ","))
+		if err != nil || !reflect.DeepEqual(again, pts) {
+			t.Fatalf("parsePoints(%q) = %v; re-parsing its join gives %v, %v", s, pts, again, err)
+		}
+	})
 }

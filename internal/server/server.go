@@ -332,11 +332,11 @@ func (s *Server) runExhibit(ctx context.Context, runner experiments.Runner, key 
 	setup.Warmup = key.Warmup
 	setup.Measure = key.Measure
 	setup.Ctx = ctx
-	if s.ring != nil {
+	if s.ring != nil && runner.Points != nil {
 		// Peer fleet: remotely-owned sweep points are fetched from their
-		// owners instead of run; any failure falls back to local
-		// execution, so the output is byte-identical either way.
-		setup = setup.ShardedBy(s.newPeerRouter(ctx, key))
+		// owners into the memo instead of run; any failure falls back to
+		// local execution, so the output is byte-identical either way.
+		experiments.Prefetch(setup, runner.Points(setup), s.newPeerRouter(ctx, key))
 	}
 
 	out := runner.Run(setup)
