@@ -261,15 +261,43 @@ func BenchmarkGangSweepSoA(b *testing.B) {
 	}
 }
 
-// BenchmarkCycleSim measures the cycle-level simulator.
+// BenchmarkCycleSim measures the cycle-level simulator alone: one op is
+// one instruction replayed from a trace captured off the clock, so
+// annotation is not in the number.
 func BenchmarkCycleSim(b *testing.B) {
 	a := annotate.New(workload.MustNew(workload.Database(1)), annotate.Config{})
+	a.Warm(150_000)
+	s := atrace.Capture(a, 400_000)
 	cfg := cyclesim.Default(1000)
-	cfg.MaxInstructions = int64(b.N)
+	b.ReportAllocs()
 	b.ResetTimer()
-	res := cyclesim.New(a, cfg).Run()
-	if res.Instructions != int64(b.N) {
-		b.Fatalf("retired %d of %d", res.Instructions, b.N)
+	for remaining := int64(b.N); remaining > 0; {
+		cfg.MaxInstructions = min(remaining, s.Len())
+		res := cyclesim.New(s.Replay(), cfg).Run()
+		remaining -= res.Instructions
+	}
+}
+
+// BenchmarkCycleSimGang measures a cycle-simulator gang on Table 3's
+// matrix for one workload: windows 32/64/128 by configurations A-C by
+// penalties 200/500/1000, 27 configs over one decode of a replayed
+// trace. One op is one config·instruction, comparable to
+// BenchmarkCycleSim's per-instruction cost.
+func BenchmarkCycleSimGang(b *testing.B) {
+	a := annotate.New(workload.MustNew(workload.Database(1)), annotate.Config{})
+	a.Warm(150_000)
+	s := atrace.Capture(a, 400_000)
+	cfgs := experiments.Table3CycleConfigs()
+	k := int64(len(cfgs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for remaining := int64(b.N); remaining > 0; {
+		n := min((remaining+k-1)/k, s.Len())
+		for i := range cfgs {
+			cfgs[i].MaxInstructions = n
+		}
+		cyclesim.RunGang(s.Replay(), cfgs)
+		remaining -= k * n
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command bench tracks the simulator's performance trajectory: it runs
-// the annotator/replay/engine/gang micro-benchmarks, a one-segment vs
+// the annotator/replay/engine/gang/cycle-simulator-gang micro-benchmarks, a one-segment vs
 // K-segment capture comparison (the pipelined parallel spill writer),
 // the Figure 4+5+6 sweep three ways — uncached,
 // with the in-heap annotated-trace cache, and replaying memory-mapped
@@ -48,6 +48,7 @@ import (
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/atrace"
 	"mlpsim/internal/core"
+	"mlpsim/internal/cyclesim"
 	"mlpsim/internal/experiments"
 	"mlpsim/internal/server"
 	"mlpsim/internal/smt"
@@ -324,6 +325,25 @@ func microBenchmarks(w workload.Config) map[string]benchResult {
 			}
 		}))
 	}
+	// Table 3's cycle-simulator matrix for one workload: 27 pipelines
+	// (windows x configurations A-C x penalties) over one decode. One op
+	// = one config·instruction. Each gang's construction stays on the
+	// clock; it is a few dozen allocations per gang of 27M ops, so the
+	// steady state reports exactly zero allocations per op.
+	out["CycleSimGang"] = toResult(testing.Benchmark(func(b *testing.B) {
+		cfgs := experiments.Table3CycleConfigs()
+		k := int64(len(cfgs))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for remaining := int64(b.N); remaining > 0; {
+			n := min((remaining+k-1)/k, s.Len())
+			for i := range cfgs {
+				cfgs[i].MaxInstructions = n
+			}
+			cyclesim.RunGang(s.Replay(), cfgs)
+			remaining -= k * n
+		}
+	}))
 	// Pure policy replay over fixed synthetic per-thread epoch traces:
 	// one op = one full Schedule pass (K=4 threads, 4k epochs each) under
 	// the most stateful policy. The trace pre-pass is the annotator's

@@ -17,10 +17,9 @@ package cyclesim
 
 import (
 	"fmt"
+	"math"
 
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
-	"mlpsim/internal/isa"
 )
 
 // Config parameterizes one cycle-simulator run.
@@ -88,6 +87,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cyclesim: fetch buffer must be positive")
 	case c.MSHRs < 0:
 		return fmt.Errorf("cyclesim: negative MSHR count %d", c.MSHRs)
+	case c.MispredictPenalty < 0:
+		return fmt.Errorf("cyclesim: negative mispredict penalty %d", c.MispredictPenalty)
+	case c.MaxInstructions < 0:
+		return fmt.Errorf("cyclesim: negative instruction limit %d (0 runs the whole stream)", c.MaxInstructions)
 	}
 	return nil
 }
@@ -123,14 +126,47 @@ func (r *Result) MissRatePer100() float64 {
 	return 100 * float64(r.Accesses) / float64(r.Instructions)
 }
 
-// robEntry is one in-flight instruction.
-type robEntry struct {
-	ai      annotate.Inst
-	issued  bool
-	doneAt  int64 // cycle the result becomes available (valid once issued)
-	prod1   int64 // producer instruction indices (absolute)
-	prod2   int64
-	memProd int64
+// Sim is one cycle-level simulation: a gang of one (see RunGang).
+type Sim struct{ g *gang }
+
+// New builds a simulation over the annotated source. It panics on invalid
+// configurations.
+func New(src core.AnnotatedSource, cfg Config) *Sim {
+	return &Sim{g: newGang(src, []Config{cfg})}
+}
+
+// Run simulates to completion and returns the result.
+func (s *Sim) Run() Result { return s.g.run()[0] }
+
+// uop flag bits. The class bits are the class predicates the pipeline
+// tests, precomputed once at decode.
+const (
+	uStore    uint16 = 1 << iota // writes memory: Store, CASA, LDSTUB
+	uMem                         // Load or memory write: ordered by configuration A
+	uLoad                        // reads memory and waits for the data: Load, CASA, LDSTUB
+	uPrefetch                    // software prefetch: fire and forget
+	uBranch
+	uSerial  // CASA, LDSTUB, MemBar: issues only from the ROB head
+	uMiss    // a load-like DMiss or a prefetch PMiss: the data access goes off-chip
+	uIMiss   // the fetch goes off-chip (a pending fetch clears it once it requests the line)
+	uMispred // a mispredicted branch
+)
+
+// notIssued is the doneAt of an entry that has not issued, so "issued
+// and done by cycle c" is the single test doneAt <= c.
+const notIssued = math.MaxInt64
+
+// uop is the compact form of one instruction: all the pipeline reads of
+// it. The gang's decoder fills the class and event flags and binds the
+// producers once per instruction; each pipeline copies the uop into its
+// own ring when it fetches it and updates doneAt when it issues.
+type uop struct {
+	// prod1 and prod2 are the absolute indices of the register
+	// producers, memProd that of the last earlier store to the same
+	// 8-byte word (load-like instructions only); -1 when none.
+	prod1, prod2, memProd int64
+	doneAt                int64 // cycle the result becomes available
+	flags                 uint16
 }
 
 // eventHeap is a hand-rolled min-heap of completion cycles. Unlike a
@@ -179,83 +215,68 @@ func (h *eventHeap) pop() int64 {
 	return top
 }
 
-// inPlaceSource is the optional fetch fast path (mirroring the core
-// engine): sources that can decode directly into a caller-provided Inst
-// (e.g. atrace.Replay) skip the by-value copies of Next.
-type inPlaceSource interface {
-	NextInto(*annotate.Inst) bool
-}
-
-// Sim is one cycle-level simulation.
-type Sim struct {
-	cfg     Config
-	src     core.AnnotatedSource
-	srcInto inPlaceSource // src's fast path, nil when unsupported
+// pipeline is one configuration's machine state. Its instructions live
+// in one ring, indexed by absolute stream position, that spans
+//
+//	[retired, dispatched)  the reorder buffer
+//	[dispatched, queued)   the fetch queue
+//	queued                 an instruction waiting for its off-chip
+//	                       I-line, when pending
+//
+// so fetch copies each instruction once and dispatch moves none.
+type pipeline struct {
+	cfg   Config
+	limit int64 // MaxInstructions, or MaxInt64 for the whole stream
 
 	cycle int64
-	// rob is a preallocated power-of-two ring of in-flight instructions;
-	// robBase is the absolute index of the oldest entry. Entries retire
-	// from the front. Capacity is fixed at construction (≥ cfg.ROB, the
-	// dispatch gate), so steady-state operation never reallocates.
-	rob      []robEntry
-	robBase  int64
-	robHead  int // ring offset of the oldest entry
-	robCount int
-	robMask  int
-	nextIdx  int64
-	unissued int
+	ops   []uop // power-of-two ring ≥ ROB + FetchBuffer + 1
+	mask  int64
 
-	// fetchQ is a preallocated power-of-two ring (≥ FetchBuffer+1: an
-	// arriving off-chip I-line delivers its instruction past the normal
-	// fetch gate).
-	fetchQ     []annotate.Inst
-	fetchHead  int
-	fetchCount int
-	fetchMask  int
+	retired    int64
+	dispatched int64
+	queued     int64
+	fetched    int64
+	// waiting lists the unissued ROB entries, oldest first; its length
+	// is the issue-window occupancy.
+	waiting []int64
+
 	fetchStall int64
 	// awaitBranch, when >= 0, is the absolute index of a fetched
 	// mispredicted branch; fetch resumes after it resolves.
 	awaitBranch int64
-	// pendingIMiss holds an instruction whose fetch is waiting for an
-	// off-chip line (valid when havePendingIMiss).
-	pendingIMiss     annotate.Inst
-	havePendingIMiss bool
-	// fetchTmp stages the instruction being pulled from the source. It
-	// lives on the Sim rather than the fetch stack so the pointer handed
-	// to the source interface does not force a per-instruction heap
-	// escape.
-	fetchTmp       annotate.Inst
-	pendingIMissAt int64
-	srcDone        bool
-	fetched        int64
-
-	producers [isa.NumRegs]int64
-	lastStore *core.StoreTable
+	pending     bool
+	pendingAt   int64 // arrival cycle of the pending instruction's I-line
+	srcDone     bool
+	done        bool
 
 	outstanding int
 	completions eventHeap
 	mlpSum      int64
 	mlpCycles   int64
 	accesses    uint64
-	retired     int64
 }
 
-// New builds a simulation over the annotated source. It panics on invalid
-// configurations.
-func New(src core.AnnotatedSource, cfg Config) *Sim {
+func newPipeline(cfg Config) pipeline {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &Sim{cfg: cfg, src: src, lastStore: core.NewStoreTable(), awaitBranch: -1}
-	s.srcInto, _ = src.(inPlaceSource)
-	for i := range s.producers {
-		s.producers[i] = -1
+	// The ROB holds at most ROB entries and the fetch queue at most
+	// FetchBuffer (the normal fetch gate, which an arriving I-line also
+	// respects: its instruction was taken while the queue had room and
+	// nothing else entered since), plus the one pending instruction.
+	n := ringCap(cfg.ROB + cfg.FetchBuffer + 1)
+	p := pipeline{
+		cfg:         cfg,
+		limit:       cfg.MaxInstructions,
+		ops:         make([]uop, n),
+		mask:        int64(n) - 1,
+		waiting:     make([]int64, 0, cfg.IssueWindow),
+		awaitBranch: -1,
 	}
-	s.rob = make([]robEntry, ringCap(cfg.ROB))
-	s.robMask = len(s.rob) - 1
-	s.fetchQ = make([]annotate.Inst, ringCap(cfg.FetchBuffer+1))
-	s.fetchMask = len(s.fetchQ) - 1
-	return s
+	if p.limit == 0 {
+		p.limit = math.MaxInt64
+	}
+	return p
 }
 
 // ringCap returns the smallest power of two ≥ n.
@@ -267,370 +288,284 @@ func ringCap(n int) int {
 	return c
 }
 
-// pull reads the next instruction from the source into *dst, using the
-// in-place fast path when the source supports it.
-func (s *Sim) pull(dst *annotate.Inst) bool {
-	if s.srcInto != nil {
-		return s.srcInto.NextInto(dst)
+// advance simulates cycles until the pipeline finishes (it returns
+// true) or its next cycle could fetch past the decoded window (false).
+// A cycle fetches at most FetchWidth instructions, so the pause leaves
+// every position the pipeline reads decoded: the pipeline sees exactly
+// the stream it would see alone, whatever the window's block size.
+func (p *pipeline) advance(w *window) bool {
+	for !p.finished() {
+		if !w.eof {
+			need := p.fetched + int64(p.cfg.FetchWidth)
+			if need > p.limit {
+				need = p.limit
+			}
+			if need > w.end {
+				return false
+			}
+		}
+		p.cycle++
+		p.doCompletions()
+		progress := p.retire()
+		progress += p.issue()
+		progress += p.dispatch()
+		progress += p.fetch(w)
+		if p.outstanding > 0 {
+			p.mlpSum += int64(p.outstanding)
+			p.mlpCycles++
+		}
+		if progress == 0 {
+			p.leap()
+		}
 	}
-	ai, ok := s.src.Next()
-	if !ok {
-		return false
-	}
-	*dst = ai
 	return true
 }
 
-func (s *Sim) robLen() int { return s.robCount }
-
-func (s *Sim) robAt(i int) *robEntry { return &s.rob[(s.robHead+i)&s.robMask] }
-
-// robPush appends an entry at the ring tail, doubling the ring in the
-// (configuration-error) case that the dispatch gate let it fill.
-func (s *Sim) robPush(e robEntry) {
-	if s.robCount == len(s.rob) {
-		s.growROB()
-	}
-	s.rob[(s.robHead+s.robCount)&s.robMask] = e
-	s.robCount++
-}
-
-func (s *Sim) growROB() {
-	grown := make([]robEntry, 2*len(s.rob))
-	for i := 0; i < s.robCount; i++ {
-		grown[i] = s.rob[(s.robHead+i)&s.robMask]
-	}
-	s.rob = grown
-	s.robMask = len(grown) - 1
-	s.robHead = 0
-}
-
-func (s *Sim) fetchQLen() int { return s.fetchCount }
-
-func (s *Sim) fetchQAt(i int) *annotate.Inst { return &s.fetchQ[(s.fetchHead+i)&s.fetchMask] }
-
-func (s *Sim) fetchPush(ai annotate.Inst) {
-	if s.fetchCount == len(s.fetchQ) {
-		s.growFetchQ()
-	}
-	s.fetchQ[(s.fetchHead+s.fetchCount)&s.fetchMask] = ai
-	s.fetchCount++
-}
-
-func (s *Sim) growFetchQ() {
-	grown := make([]annotate.Inst, 2*len(s.fetchQ))
-	for i := 0; i < s.fetchCount; i++ {
-		grown[i] = s.fetchQ[(s.fetchHead+i)&s.fetchMask]
-	}
-	s.fetchQ = grown
-	s.fetchMask = len(grown) - 1
-	s.fetchHead = 0
-}
-
-// Run simulates to completion and returns the result.
-func (s *Sim) Run() Result {
-	for !s.finished() {
-		s.cycle++
-		s.doCompletions()
-		progress := s.retire()
-		progress += s.issue()
-		progress += s.dispatch()
-		progress += s.fetch()
-		if s.outstanding > 0 {
-			s.mlpSum += int64(s.outstanding)
-			s.mlpCycles++
-		}
-		if progress == 0 {
-			s.leap()
-		}
-	}
+func (p *pipeline) result() Result {
 	res := Result{
-		Config:       s.cfg,
-		Instructions: s.retired,
-		Cycles:       s.cycle,
-		MLPCycles:    s.mlpCycles,
-		Accesses:     s.accesses,
+		Config:       p.cfg,
+		Instructions: p.retired,
+		Cycles:       p.cycle,
+		MLPCycles:    p.mlpCycles,
+		Accesses:     p.accesses,
 	}
-	if s.mlpCycles > 0 {
-		res.MLP = float64(s.mlpSum) / float64(s.mlpCycles)
+	if p.mlpCycles > 0 {
+		res.MLP = float64(p.mlpSum) / float64(p.mlpCycles)
 	}
 	return res
 }
 
-func (s *Sim) finished() bool {
-	return s.srcDone && s.robLen() == 0 && s.fetchQLen() == 0 && !s.havePendingIMiss
+func (p *pipeline) finished() bool {
+	return p.srcDone && p.retired == p.queued && !p.pending
 }
 
-// entryDone reports whether an issued entry's result is available.
-func (s *Sim) entryDone(e *robEntry) bool {
-	return e.issued && e.doneAt <= s.cycle
+// ready reports whether the producer at absolute index i has produced
+// its value; -1 (no producer) and retired producers always have.
+func (p *pipeline) ready(i int64) bool {
+	return i < p.retired || p.ops[i&p.mask].doneAt <= p.cycle
 }
 
 // latency returns the result latency for a data access.
-func (s *Sim) latency(offChip bool) int64 {
-	if offChip && !s.cfg.PerfectL2 {
-		return int64(s.cfg.MissPenalty)
+func (p *pipeline) latency(offChip bool) int64 {
+	if offChip && !p.cfg.PerfectL2 {
+		return int64(p.cfg.MissPenalty)
 	}
 	if offChip {
-		return int64(s.cfg.L2Latency)
+		return int64(p.cfg.L2Latency)
 	}
-	return int64(s.cfg.L1Latency)
+	return int64(p.cfg.L1Latency)
 }
 
 // noteAccess registers one useful off-chip access outstanding for lat
 // cycles.
-func (s *Sim) noteAccess(lat int64) {
-	s.outstanding++
-	s.accesses++
-	s.completions.push(s.cycle + lat)
+func (p *pipeline) noteAccess(lat int64) {
+	p.outstanding++
+	p.accesses++
+	p.completions.push(p.cycle + lat)
 }
 
-func (s *Sim) doCompletions() {
-	for s.completions.len() > 0 && s.completions.min() <= s.cycle {
-		s.completions.pop()
-		s.outstanding--
+// mshrFull reports whether a new off-chip access must wait for a free
+// miss register.
+func (p *pipeline) mshrFull() bool {
+	return p.cfg.MSHRs > 0 && p.outstanding >= p.cfg.MSHRs
+}
+
+func (p *pipeline) doCompletions() {
+	for p.completions.len() > 0 && p.completions.min() <= p.cycle {
+		p.completions.pop()
+		p.outstanding--
 	}
 }
 
-func (s *Sim) retire() int {
+func (p *pipeline) retire() int {
 	n := 0
-	for n < s.cfg.RetireWidth && s.robLen() > 0 {
-		e := s.robAt(0)
-		if !s.entryDone(e) {
-			break
-		}
-		s.robHead = (s.robHead + 1) & s.robMask
-		s.robCount--
-		s.robBase++
-		s.retired++
+	for n < p.cfg.RetireWidth && p.retired < p.dispatched && p.ops[p.retired&p.mask].doneAt <= p.cycle {
+		p.retired++
 		n++
 	}
 	return n
 }
 
-// opReady reports whether the producer at absolute index p has produced
-// its value.
-func (s *Sim) opReady(p int64) bool {
-	if p < s.robBase {
-		return true
-	}
-	i := p - s.robBase
-	if i >= int64(s.robLen()) {
-		return true
-	}
-	return s.entryDone(s.robAt(int(i)))
-}
-
-// issue picks ready, constraint-satisfying instructions oldest first. It
-// returns the number issued.
-func (s *Sim) issue() int {
-	issued := 0
-	var firstUnresolvedStore, unissuedMem, unissuedBranch, unissuedSerial int64 = -1, -1, -1, -1
-	for i := 0; i < s.robLen() && issued < s.cfg.IssueWidth; i++ {
-		e := s.robAt(i)
-		abs := s.robBase + int64(i)
-		if e.issued {
+// issue picks ready, constraint-satisfying instructions oldest first,
+// walking only the unissued entries. It returns the number issued.
+func (p *pipeline) issue() int {
+	n := 0
+	// Whether an older entry still waits this cycle: a memory write
+	// whose address is unresolved, a load or memory write, a branch.
+	var storeUnresolved, memWaiting, branchWaiting bool
+	list := p.waiting
+	kept, i := 0, 0
+	for ; i < len(list) && n < p.cfg.IssueWidth; i++ {
+		abs := list[i]
+		e := &p.ops[abs&p.mask]
+		if p.tryIssue(abs, e, storeUnresolved, memWaiting, branchWaiting) {
+			n++
 			continue
 		}
-		if s.tryIssue(abs, e, firstUnresolvedStore, unissuedMem, unissuedBranch, unissuedSerial) {
-			issued++
+		list[kept] = abs
+		kept++
+		f := e.flags
+		if f&uSerial != 0 {
+			// A waiting serializing instruction drains the pipeline:
+			// nothing younger issues past it.
+			i++
+			break
 		}
-		if !e.issued {
-			cls := e.ai.Class
-			if cls.IsMemWrite() && firstUnresolvedStore < 0 && !s.opReady(e.prod1) {
-				firstUnresolvedStore = abs
-			}
-			if (cls == isa.Load || cls.IsMemWrite()) && unissuedMem < 0 {
-				unissuedMem = abs
-			}
-			if cls == isa.Branch && unissuedBranch < 0 {
-				unissuedBranch = abs
-			}
-			if cls.IsSerializing() && unissuedSerial < 0 {
-				unissuedSerial = abs
-			}
+		if f&uStore != 0 && !storeUnresolved && !p.ready(e.prod1) {
+			storeUnresolved = true
+		}
+		if f&uMem != 0 {
+			memWaiting = true
+		}
+		if f&uBranch != 0 {
+			branchWaiting = true
 		}
 	}
-	return issued
+	if kept < i {
+		kept += copy(list[kept:], list[i:])
+		p.waiting = list[:kept]
+	}
+	return n
 }
 
 // tryIssue attempts to issue one entry under the configuration's
-// constraints; it returns true if the entry issued this cycle.
-func (s *Sim) tryIssue(abs int64, e *robEntry, firstUnresolvedStore, unissuedMem, unissuedBranch, unissuedSerial int64) bool {
-	cls := e.ai.Class
-
-	// A pending serializing instruction drains the pipeline: nothing
-	// younger issues, and the serializing instruction itself issues only
-	// from the ROB head.
-	if unissuedSerial >= 0 && unissuedSerial < abs {
+// constraints; it returns true if the entry issued this cycle. An entry
+// issued this cycle is done no earlier than the next, so the readiness
+// tests see the same machine state wherever they fall in the walk.
+func (p *pipeline) tryIssue(abs int64, e *uop, storeUnresolved, memWaiting, branchWaiting bool) bool {
+	f := e.flags
+	if f&uSerial != 0 && abs != p.retired {
 		return false
 	}
-	if cls.IsSerializing() && abs != s.robBase {
+	if !p.ready(e.prod1) || !p.ready(e.prod2) {
 		return false
 	}
-	if !s.opReady(e.prod1) || !s.opReady(e.prod2) {
-		return false
-	}
-	isLoadLike := cls.IsMemRead() && cls != isa.Prefetch
-	if isLoadLike && e.memProd >= 0 && !s.opReady(e.memProd) {
-		return false
-	}
-	if cls == isa.Branch && s.cfg.Issue.BranchesInOrder() &&
-		unissuedBranch >= 0 && unissuedBranch < abs {
-		return false
-	}
-	if isLoadLike {
-		if s.cfg.Issue.LoadsInOrder() && unissuedMem >= 0 && unissuedMem < abs {
+	if f&uLoad != 0 {
+		if !p.ready(e.memProd) {
 			return false
 		}
-		if s.cfg.Issue.LoadsWaitStoreAddr() && firstUnresolvedStore >= 0 && firstUnresolvedStore < abs {
+		if p.cfg.Issue.LoadsInOrder() && memWaiting {
+			return false
+		}
+		if p.cfg.Issue.LoadsWaitStoreAddr() && storeUnresolved {
 			return false
 		}
 	}
-
+	if f&uBranch != 0 && p.cfg.Issue.BranchesInOrder() && branchWaiting {
+		return false
+	}
 	// Finite MSHRs: a new off-chip access waits for a free register.
-	needsMSHR := !s.cfg.PerfectL2 &&
-		((cls == isa.Prefetch && e.ai.PMiss) || (isLoadLike && e.ai.DMiss))
-	if needsMSHR && s.cfg.MSHRs > 0 && s.outstanding >= s.cfg.MSHRs {
+	offChip := f&uMiss != 0
+	if offChip && !p.cfg.PerfectL2 && p.mshrFull() {
 		return false
 	}
 
-	e.issued = true
-	s.unissued--
 	switch {
-	case cls == isa.Prefetch:
-		if e.ai.PMiss && !s.cfg.PerfectL2 {
-			s.noteAccess(int64(s.cfg.MissPenalty))
+	case f&uPrefetch != 0:
+		if offChip && !p.cfg.PerfectL2 {
+			p.noteAccess(int64(p.cfg.MissPenalty))
 		}
-		e.doneAt = s.cycle + 1 // fire and forget
-	case isLoadLike:
-		lat := s.latency(e.ai.DMiss)
-		if e.ai.DMiss && !s.cfg.PerfectL2 {
-			s.noteAccess(lat)
+		e.doneAt = p.cycle + 1 // fire and forget
+	case f&uLoad != 0:
+		lat := p.latency(offChip)
+		if offChip && !p.cfg.PerfectL2 {
+			p.noteAccess(lat)
 		}
-		e.doneAt = s.cycle + lat
-	case cls == isa.Store:
-		e.doneAt = s.cycle + 1 // commits from the store buffer
-	case cls == isa.Branch:
-		e.doneAt = s.cycle + 1
-		if s.awaitBranch == abs {
+		e.doneAt = p.cycle + lat
+	case f&uBranch != 0:
+		e.doneAt = p.cycle + 1
+		if p.awaitBranch == abs {
 			// Resolution redirects the front end.
-			s.fetchStall = maxI64(s.fetchStall, e.doneAt+int64(s.cfg.MispredictPenalty))
-			s.awaitBranch = -1
+			p.fetchStall = max(p.fetchStall, e.doneAt+int64(p.cfg.MispredictPenalty))
+			p.awaitBranch = -1
 		}
 	default:
-		e.doneAt = s.cycle + 1
+		// ALU ops, and stores, which commit from the store buffer.
+		e.doneAt = p.cycle + 1
 	}
 	return true
 }
 
-func (s *Sim) dispatch() int {
+func (p *pipeline) dispatch() int {
 	n := 0
-	for n < s.cfg.DispatchWidth && s.fetchQLen() > 0 {
-		if s.robLen() >= s.cfg.ROB || s.unissued >= s.cfg.IssueWindow {
+	for n < p.cfg.DispatchWidth && p.dispatched < p.queued {
+		if p.dispatched-p.retired >= int64(p.cfg.ROB) || len(p.waiting) >= p.cfg.IssueWindow {
 			break
 		}
-		ai := *s.fetchQAt(0)
-		s.fetchHead = (s.fetchHead + 1) & s.fetchMask
-		s.fetchCount--
-		e := robEntry{ai: ai, prod1: -1, prod2: -1, memProd: -1}
-		j := s.nextIdx
-		if ai.Src1 != isa.NoReg && ai.Src1 != isa.RegZero {
-			e.prod1 = s.producers[ai.Src1]
-		}
-		if ai.Src2 != isa.NoReg && ai.Src2 != isa.RegZero {
-			e.prod2 = s.producers[ai.Src2]
-		}
-		cls := ai.Class
-		if cls.IsMemRead() && cls != isa.Prefetch {
-			if p, ok := s.lastStore.Get(ai.EA >> 3); ok {
-				e.memProd = p
-			}
-		}
-		if cls.IsMemWrite() {
-			s.lastStore.Put(ai.EA>>3, j)
-		}
-		if ai.HasDst() {
-			s.producers[ai.Dst] = j
-		}
-		s.robPush(e)
-		s.nextIdx++
-		s.unissued++
+		p.waiting = append(p.waiting, p.dispatched)
+		p.dispatched++
 		n++
 	}
 	return n
 }
 
-func (s *Sim) fetch() int {
+func (p *pipeline) fetch(w *window) int {
 	// An off-chip instruction fetch in flight delivers its instruction
 	// when the line arrives. A fetch still waiting for a free MSHR issues
 	// its access as soon as one drains.
-	if s.havePendingIMiss {
-		if s.pendingIMiss.IMiss {
-			if s.cfg.MSHRs > 0 && s.outstanding >= s.cfg.MSHRs {
+	if p.pending {
+		e := &p.ops[p.queued&p.mask]
+		if e.flags&uIMiss != 0 {
+			if p.mshrFull() {
 				return 0
 			}
-			s.noteAccess(int64(s.cfg.MissPenalty))
-			s.pendingIMiss.IMiss = false
-			s.pendingIMissAt = s.cycle + int64(s.cfg.MissPenalty)
+			p.noteAccess(int64(p.cfg.MissPenalty))
+			e.flags &^= uIMiss
+			p.pendingAt = p.cycle + int64(p.cfg.MissPenalty)
 			return 1
 		}
-		if s.cycle < s.pendingIMissAt {
+		if p.cycle < p.pendingAt {
 			return 0
 		}
-		s.fetchPush(s.pendingIMiss)
-		s.havePendingIMiss = false
+		p.queued++
+		p.pending = false
 		return 1
 	}
-	if s.cycle < s.fetchStall || s.awaitBranch >= 0 {
+	if p.cycle < p.fetchStall || p.awaitBranch >= 0 {
 		return 0
 	}
 	n := 0
-	for n < s.cfg.FetchWidth && s.fetchQLen() < s.cfg.FetchBuffer {
-		if s.srcDone {
+	for n < p.cfg.FetchWidth && p.queued-p.dispatched < int64(p.cfg.FetchBuffer) {
+		if p.srcDone {
 			break
 		}
-		if s.cfg.MaxInstructions > 0 && s.fetched >= s.cfg.MaxInstructions {
-			s.srcDone = true
+		// advance's pause leaves fetched < w.end here unless the
+		// stream has ended.
+		if p.fetched >= p.limit || p.fetched >= w.end {
+			p.srcDone = true
 			break
 		}
-		ai := &s.fetchTmp
-		if !s.pull(ai) {
-			s.srcDone = true
-			break
-		}
-		s.fetched++
-		if ai.IMiss && !s.cfg.PerfectL2 && s.cfg.MSHRs > 0 && s.outstanding >= s.cfg.MSHRs {
-			// No MSHR free: the fetch waits (IMiss stays set; the pending
-			// branch above issues the access when a register drains).
-			s.pendingIMiss, s.havePendingIMiss = *ai, true
-			return n
-		}
-		if ai.IMiss && !s.cfg.PerfectL2 {
+		e := &p.ops[p.fetched&p.mask]
+		*e = w.ops[p.fetched&w.mask]
+		p.fetched++
+		if e.flags&uIMiss != 0 && !p.cfg.PerfectL2 {
+			p.pending = true
+			if p.mshrFull() {
+				// No MSHR free: the fetch waits (uIMiss stays set; the
+				// pending branch above issues the access when a
+				// register drains).
+				return n
+			}
 			// Fetch blocks until the line returns; the access overlaps
-			// with whatever else is outstanding. In the CPI_perf run the
-			// line comes from the (perfect) L2 instead.
-			s.noteAccess(int64(s.cfg.MissPenalty))
-			s.pendingIMissAt = s.cycle + int64(s.cfg.MissPenalty)
-			ai.IMiss = false
-			s.pendingIMiss, s.havePendingIMiss = *ai, true
+			// with whatever else is outstanding.
+			p.noteAccess(int64(p.cfg.MissPenalty))
+			p.pendingAt = p.cycle + int64(p.cfg.MissPenalty)
+			e.flags &^= uIMiss
 			return n + 1
 		}
-		if ai.IMiss {
-			// Perfect L2: a short front-end bubble.
-			s.fetchStall = s.cycle + int64(s.cfg.L2Latency)
-			ai.IMiss = false
-			s.fetchPush(*ai)
-			n++
+		p.queued++
+		n++
+		if e.flags&uIMiss != 0 {
+			// Perfect L2: the line comes from the L2 after a short
+			// front-end bubble.
+			p.fetchStall = p.cycle + int64(p.cfg.L2Latency)
 			break
 		}
-		s.fetchPush(*ai)
-		n++
-		if ai.Class == isa.Branch && ai.Mispred {
+		if e.flags&uMispred != 0 {
 			// Fetch proceeds down the wrong path until resolution; the
 			// trace holds only correct-path instructions, so fetch waits
 			// for the branch to resolve and redirect.
-			s.awaitBranch = s.robBase + int64(s.robLen()) + int64(s.fetchQLen()) - 1
+			p.awaitBranch = p.queued - 1
 			break
 		}
 	}
@@ -640,46 +575,38 @@ func (s *Sim) fetch() int {
 // leap advances time to the next event when a cycle made no progress:
 // everything in flight waits on a completion, an arriving I-line, or a
 // front-end redirect.
-func (s *Sim) leap() {
+func (p *pipeline) leap() {
 	next := int64(1 << 62)
-	for i := 0; i < s.robLen(); i++ {
-		e := s.robAt(i)
-		if e.issued && e.doneAt > s.cycle && e.doneAt < next {
-			next = e.doneAt
+	for i := p.retired; i < p.dispatched; i++ {
+		if d := p.ops[i&p.mask].doneAt; d > p.cycle && d < next {
+			next = d
 		}
 	}
-	if s.havePendingIMiss && !s.pendingIMiss.IMiss && s.pendingIMissAt < next {
-		next = s.pendingIMissAt
+	if p.pending && p.ops[p.queued&p.mask].flags&uIMiss == 0 && p.pendingAt < next {
+		next = p.pendingAt
 	}
-	if s.completions.len() > 0 && s.completions.min() > s.cycle && s.completions.min() < next {
-		next = s.completions.min()
+	if p.completions.len() > 0 && p.completions.min() > p.cycle && p.completions.min() < next {
+		next = p.completions.min()
 	}
-	if s.fetchStall > s.cycle && s.fetchStall < next {
-		next = s.fetchStall
+	if p.fetchStall > p.cycle && p.fetchStall < next {
+		next = p.fetchStall
 	}
 	if next >= 1<<62 {
 		// No timed event: either we are finished, or the machine is
 		// deadlocked (a bug).
-		if !s.finished() {
+		if !p.finished() {
 			panic(fmt.Sprintf("cyclesim: deadlock at cycle %d (rob=%d fetchQ=%d)",
-				s.cycle, s.robLen(), s.fetchQLen()))
+				p.cycle, p.dispatched-p.retired, p.queued-p.dispatched))
 		}
 		return
 	}
-	if next <= s.cycle+1 {
+	if next <= p.cycle+1 {
 		return
 	}
-	gap := next - s.cycle - 1
-	if s.outstanding > 0 {
-		s.mlpSum += int64(s.outstanding) * gap
-		s.mlpCycles += gap
+	gap := next - p.cycle - 1
+	if p.outstanding > 0 {
+		p.mlpSum += int64(p.outstanding) * gap
+		p.mlpCycles += gap
 	}
-	s.cycle += gap
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	p.cycle += gap
 }

@@ -234,14 +234,20 @@ func TestLoadPoliciesOrdering(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := Default(500)
-	bad.Issue = core.ConfigD
-	if err := bad.Validate(); err == nil {
-		t.Fatal("config D accepted (cycle sim supports A-C only)")
-	}
-	bad = Default(0)
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero penalty accepted")
+	for _, tc := range []struct {
+		name string
+		bad  func(*Config)
+	}{
+		{"config D (cycle sim supports A-C only)", func(c *Config) { c.Issue = core.ConfigD }},
+		{"zero penalty", func(c *Config) { c.MissPenalty = 0 }},
+		{"negative mispredict penalty", func(c *Config) { c.MispredictPenalty = -1 }},
+		{"negative instruction limit", func(c *Config) { c.MaxInstructions = -1 }},
+	} {
+		cfg := Default(500)
+		tc.bad(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	good := Default(200)
 	if err := good.Validate(); err != nil {

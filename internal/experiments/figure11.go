@@ -67,10 +67,7 @@ func figure11Points(s Setup) []MLPPoint {
 // RunFigure11 executes the experiment.
 func RunFigure11(s Setup) Figure11 {
 	configs := figure11Configs()
-	chars := make([]Characterization, len(s.Workloads))
-	s.forEach(len(s.Workloads), func(wi int) {
-		chars[wi] = s.Characterize(s.Workloads[wi], 1000)
-	})
+	chars := s.characterizeAt(1000)
 	results := s.RunMLPsimBatch(figure11Points(s))
 
 	var rows []Figure11Row

@@ -57,10 +57,7 @@ func figure9Points(s Setup) []MLPPoint {
 
 // RunFigure9 executes the experiment.
 func RunFigure9(s Setup) Figure9 {
-	chars := make([]Characterization, len(s.Workloads))
-	s.forEach(len(s.Workloads), func(wi int) {
-		chars[wi] = s.Characterize(s.Workloads[wi], 1000)
-	})
+	chars := s.characterizeAt(1000)
 	mlps := s.RunMLPsimBatch(figure9Points(s))
 
 	var rows []Figure9Row

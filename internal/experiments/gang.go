@@ -78,16 +78,27 @@ func (s Setup) runLocal(points []MLPPoint, todo []int, results []core.Result) {
 	})
 }
 
-// gangPlan partitions the point indices todo into dispatch groups.
-// Points group when they will see the same annotated stream: same
-// workload and same canonical annotation key (atrace.ConfigKey), under
-// this Setup's warmup and measure. Grouping does not require the cache
-// — a gang over a direct annotator still shares its single annotation
-// pass — but unkeyable configs (e.g. trained prefetcher instances) have
-// private stream state and always run alone. Groups are then chunked: a
-// fixed GangSize when set, otherwise just enough chunks to keep every
-// worker busy (on one worker, a whole group is one gang).
+// gangPlan partitions the MLPsim point indices todo into dispatch
+// groups by streamPlan, with each stream-sharing group reordered SoA
+// fast path first (partitionSoAFirst) before it is chunked.
 func (s Setup) gangPlan(points []MLPPoint, todo []int) [][]int {
+	return s.streamPlan(todo,
+		func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot },
+		func(g []int) []int { return partitionSoAFirst(g, points) })
+}
+
+// streamPlan partitions the point indices todo into dispatch groups,
+// stream(i) naming point i's annotated stream. Points group when they
+// will see the same annotated stream: same workload and same canonical
+// annotation key (atrace.ConfigKey), under this Setup's warmup and
+// measure. Grouping does not require the cache — a gang over a direct
+// annotator still shares its single annotation pass — but unkeyable
+// configs (e.g. trained prefetcher instances) have private stream state
+// and always run alone. Groups are then reordered by arrange, when
+// non-nil, and chunked: a fixed GangSize when set, otherwise just enough
+// chunks to keep every worker busy (on one worker, a whole group is one
+// gang). MLPsim and cycle-simulator sweeps share this planner.
+func (s Setup) streamPlan(todo []int, stream func(i int) (workload.Config, annotate.Config), arrange func([]int) []int) [][]int {
 	type gkey struct {
 		w     workload.Config
 		annot string
@@ -96,20 +107,23 @@ func (s Setup) gangPlan(points []MLPPoint, todo []int) [][]int {
 	var order []gkey
 	groups := make(map[gkey][]int)
 	for _, i := range todo {
-		p := points[i]
-		akey, _, ok := atrace.ConfigKey(p.Annot)
+		w, acfg := stream(i)
+		akey, _, ok := atrace.ConfigKey(acfg)
 		if !ok {
 			plan = append(plan, []int{i})
 			continue
 		}
-		k := gkey{p.Workload, akey}
+		k := gkey{w, akey}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}
 		groups[k] = append(groups[k], i)
 	}
 	for _, k := range order {
-		g := partitionSoAFirst(groups[k], points)
+		g := groups[k]
+		if arrange != nil {
+			g = arrange(g)
+		}
 		size := s.GangSize
 		if size <= 0 {
 			per := (s.parallelism() + len(order) - 1) / len(order)

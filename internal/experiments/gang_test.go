@@ -72,6 +72,27 @@ func TestGangMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestCycleSimGangsMatchPointAtATime: the cycle-simulator exhibits
+// render byte-identical text whether each point runs alone (GangSize 1)
+// or in the planner's auto-sized gangs (GangSize 0). It runs under -race
+// in `make test`, which also exercises concurrent cyclesim gangs.
+func TestCycleSimGangsMatchPointAtATime(t *testing.T) {
+	s := Quick(1)
+	s.Warmup, s.Measure = 20_000, 40_000
+	s.Parallelism = 4
+	render := func(gangSize int) []string {
+		s := s
+		s.GangSize = gangSize
+		return []string{RunTable1(s).String(), RunTable3(s).String(), RunTable4(s).String()}
+	}
+	solo, ganged := render(1), render(0)
+	for i, name := range []string{"table1", "table3", "table4"} {
+		if solo[i] != ganged[i] {
+			t.Errorf("%s differs between GangSize 1 and 0\nGangSize 1:\n%s\nGangSize 0:\n%s", name, solo[i], ganged[i])
+		}
+	}
+}
+
 // TestGangPlanShapes pins the dispatch planner: GangSize 1 makes gangs
 // of one, a fixed size chunks exactly, and unkeyable annotation configs
 // always run alone.

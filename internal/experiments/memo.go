@@ -21,8 +21,9 @@ const memoCap = 4096
 // not depend on timing, so a point's result is a pure function of that
 // key, and exhibits reuse points: figure5 is figure4's sweep, figure6's
 // IW=ROB cells are figure4's, table4's window-64 runs are table3's.
-// RunMLPsim, RunCycleSim and RunMLPsimBatch consult Setup.Memo before
-// any peer or engine work. Safe for concurrent use.
+// RunMLPsimBatch and RunCycleSimBatch (and so RunMLPsim and
+// RunCycleSim, batches of one) consult Setup.Memo before any peer or
+// engine work. Safe for concurrent use.
 type PointMemo struct {
 	mu      sync.Mutex
 	lru     *list.List // of *memoEntry, most recently used first

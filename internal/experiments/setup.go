@@ -51,11 +51,11 @@ type Setup struct {
 	// that care (e.g. the HTTP server) must check Ctx.Err() and discard
 	// the result. Nil means run to completion.
 	Ctx context.Context
-	// GangSize controls how RunMLPsimBatch gangs sweep points that share
-	// an annotated stream (same workload, annotation config, warmup and
-	// measure): 0 batches each shared-stream group into just enough gangs
-	// to keep every worker busy, 1 = one config per gang, and N >= 2
-	// caps gangs at N configs. Results are bit-identical across all
+	// GangSize controls how RunMLPsimBatch and RunCycleSimBatch gang
+	// sweep points that share an annotated stream (same workload,
+	// annotation config, warmup and measure): 0 batches each
+	// shared-stream group into just enough gangs to keep every worker
+	// busy, 1 = one config per gang, and N >= 2 caps gangs at N configs. Results are bit-identical across all
 	// settings; only wall-clock changes. Parallelism bounds concurrent
 	// gangs, not points.
 	GangSize int
@@ -239,20 +239,63 @@ func (s Setup) RunMLPsim(w workload.Config, cfg core.Config, acfg annotate.Confi
 }
 
 // RunCycleSim generates, annotates and runs one cycle-simulator
-// configuration, or answers it from s.Memo.
+// configuration, or answers it from s.Memo: a batch of one point.
 func (s Setup) RunCycleSim(w workload.Config, cfg cyclesim.Config, acfg annotate.Config) cyclesim.Result {
-	cfg.MaxInstructions = s.Measure
-	k, ok := s.memoKey("cyclesim", w, acfg, cfg)
-	if ok {
-		if res, hit := s.Memo.get(k); hit {
-			return res.(cyclesim.Result)
+	return s.RunCycleSimBatch([]CyclePoint{{Workload: w, Config: cfg, Annot: acfg}})[0]
+}
+
+// CyclePoint is one cycle-simulator sweep point: a workload, a pipeline
+// configuration and an annotation configuration.
+type CyclePoint struct {
+	Workload workload.Config
+	Config   cyclesim.Config
+	Annot    annotate.Config
+}
+
+// cycleKey is memoKey for one cycle-simulator point run to s.Measure.
+func (s Setup) cycleKey(p CyclePoint) (pointKey, bool) {
+	p.Config.MaxInstructions = s.Measure
+	return s.memoKey("cyclesim", p.Workload, p.Annot, p.Config)
+}
+
+// RunCycleSimBatch runs every point to s.Measure instructions and
+// returns results in point order. The batch checks s.Memo first; the
+// points it does not hold are planned like an MLPsim sweep (streamPlan:
+// grouped by shared annotated stream, chunked by GangSize or the worker
+// count) and each group runs as one cyclesim.RunGang — one decode and
+// bind, one pipeline per point — with Parallelism bounding concurrent
+// gangs. Results are bit-identical to one lone simulation per point.
+func (s Setup) RunCycleSimBatch(points []CyclePoint) []cyclesim.Result {
+	results := make([]cyclesim.Result, len(points))
+	var todo []int
+	for i, p := range points {
+		if k, ok := s.cycleKey(p); ok {
+			if res, hit := s.Memo.get(k); hit {
+				results[i] = res.(cyclesim.Result)
+				continue
+			}
 		}
+		todo = append(todo, i)
 	}
-	res := cyclesim.New(s.annotatedSource(w, acfg), cfg).Run()
-	if ok {
-		s.Memo.put(k, res)
-	}
-	return res
+	plan := s.streamPlan(todo,
+		func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot }, nil)
+	s.forEach(len(plan), func(gi int) {
+		idxs := plan[gi]
+		cfgs := make([]cyclesim.Config, len(idxs))
+		for k, pi := range idxs {
+			cfgs[k] = points[pi].Config
+			cfgs[k].MaxInstructions = s.Measure
+		}
+		p0 := points[idxs[0]]
+		rs := cyclesim.RunGang(s.annotatedSource(p0.Workload, p0.Annot), cfgs)
+		for k, pi := range idxs {
+			results[pi] = rs[k]
+			if key, ok := s.cycleKey(points[pi]); ok {
+				s.Memo.put(key, rs[k])
+			}
+		}
+	})
+	return results
 }
 
 // parallelism resolves the worker count.

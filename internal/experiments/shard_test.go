@@ -243,8 +243,9 @@ func TestRunPointsMatchesBatch(t *testing.T) {
 }
 
 // TestRunPointsRunsOnlyRequested: an executor asked for figure9's
-// point 0 runs that one point — not the Characterize cycle-simulator
-// runs that precede the batch in the exhibit, nor any other point.
+// point 0 runs that one point — not the characterization cycle-
+// simulator runs that precede the batch in the exhibit, nor any other
+// point.
 func TestRunPointsRunsOnlyRequested(t *testing.T) {
 	s := memoSetup()
 	s.Workloads = s.Workloads[:1]

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"mlpsim/internal/annotate"
+	"mlpsim/internal/core"
 	"mlpsim/internal/cpi"
 	"mlpsim/internal/cyclesim"
 	"mlpsim/internal/workload"
@@ -33,33 +33,54 @@ func (c Characterization) Params() cpi.Params {
 	}
 }
 
-// Characterize measures one workload at one latency with two cycle-
-// simulator runs (realistic and perfect L2), deriving Overlap_CM from the
-// CPI equation exactly as §2.2 prescribes.
-func (s Setup) Characterize(w workload.Config, penalty int) Characterization {
-	var meas, perf cyclesim.Result
-	s.forEach(2, func(i int) {
-		cfg := cyclesim.Default(penalty)
-		cfg.PerfectL2 = i == 1
-		r := s.RunCycleSim(w, cfg, annotate.Config{})
-		if i == 1 {
-			perf = r
-		} else {
-			meas = r
-		}
-	})
-	c := Characterization{
-		Workload:       w.Name,
-		Penalty:        penalty,
-		CPI:            meas.CPI(),
-		CPIPerf:        perf.CPI(),
-		MissRatePer100: meas.MissRatePer100(),
-		MLP:            meas.MLP,
+// charSpec names one characterization: a workload under the default
+// pipeline with the given issue configuration at one off-chip latency.
+type charSpec struct {
+	w       workload.Config
+	penalty int
+	issue   core.IssueConfig
+}
+
+// characterize measures every spec with two cycle-simulator runs
+// (realistic and perfect L2), all in one batch, deriving Overlap_CM
+// from the CPI equation exactly as §2.2 prescribes.
+func (s Setup) characterize(specs []charSpec) []Characterization {
+	points := make([]CyclePoint, 0, 2*len(specs))
+	for _, sp := range specs {
+		cfg := cyclesim.Default(sp.penalty)
+		cfg.Issue = sp.issue
+		perfect := cfg
+		perfect.PerfectL2 = true
+		points = append(points, CyclePoint{Workload: sp.w, Config: cfg}, CyclePoint{Workload: sp.w, Config: perfect})
 	}
-	c.OverlapCM = cpi.DeriveOverlap(c.CPI, c.CPIPerf, c.MissRatePer100, float64(penalty), c.MLP)
-	c.CPIOnChip = c.CPIPerf * (1 - c.OverlapCM)
-	c.CPIOffChip = c.CPI - c.CPIOnChip
-	return c
+	rs := s.RunCycleSimBatch(points)
+	chars := make([]Characterization, len(specs))
+	for i, sp := range specs {
+		meas, perf := &rs[2*i], &rs[2*i+1]
+		c := Characterization{
+			Workload:       sp.w.Name,
+			Penalty:        sp.penalty,
+			CPI:            meas.CPI(),
+			CPIPerf:        perf.CPI(),
+			MissRatePer100: meas.MissRatePer100(),
+			MLP:            meas.MLP,
+		}
+		c.OverlapCM = cpi.DeriveOverlap(c.CPI, c.CPIPerf, c.MissRatePer100, float64(sp.penalty), c.MLP)
+		c.CPIOnChip = c.CPIPerf * (1 - c.OverlapCM)
+		c.CPIOffChip = c.CPI - c.CPIOnChip
+		chars[i] = c
+	}
+	return chars
+}
+
+// characterizeAt characterizes every workload of s at one latency under
+// the default pipeline (configuration C).
+func (s Setup) characterizeAt(penalty int) []Characterization {
+	specs := make([]charSpec, len(s.Workloads))
+	for i, w := range s.Workloads {
+		specs[i] = charSpec{w, penalty, core.ConfigC}
+	}
+	return s.characterize(specs)
 }
 
 // Table1 reproduces Table 1: on-chip and off-chip CPI components for each
@@ -70,21 +91,13 @@ type Table1 struct {
 
 // RunTable1 executes the experiment.
 func RunTable1(s Setup) Table1 {
-	type job struct {
-		w       workload.Config
-		penalty int
-	}
-	var jobs []job
+	var specs []charSpec
 	for _, w := range s.Workloads {
 		for _, p := range []int{200, 1000} {
-			jobs = append(jobs, job{w, p})
+			specs = append(specs, charSpec{w, p, core.ConfigC})
 		}
 	}
-	rows := make([]Characterization, len(jobs))
-	s.forEach(len(jobs), func(i int) {
-		rows[i] = s.Characterize(jobs[i].w, jobs[i].penalty)
-	})
-	return Table1{Rows: rows}
+	return Table1{Rows: s.characterize(specs)}
 }
 
 // String renders the table in the paper's column order.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
 	"mlpsim/internal/cyclesim"
 )
@@ -27,6 +26,9 @@ type Table3 struct {
 // Table3Latencies are the off-chip latencies the paper validates against.
 var Table3Latencies = []int{200, 500, 1000}
 
+// table3Windows are the validated ROB/IW sizes.
+var table3Windows = []int{32, 64, 128}
+
 // validationConfigs are the issue configurations Tables 3 and 4
 // validate: the cycle simulator cannot model out-of-order branches,
 // exactly like the paper's.
@@ -37,7 +39,7 @@ var validationConfigs = []core.IssueConfig{core.ConfigA, core.ConfigB, core.Conf
 func table3Points(s Setup) []MLPPoint {
 	var points []MLPPoint
 	for _, w := range s.Workloads {
-		for _, win := range []int{32, 64, 128} {
+		for _, win := range table3Windows {
 			for _, ic := range validationConfigs {
 				points = append(points, MLPPoint{Workload: w, Config: core.Default().WithWindow(win).WithIssue(ic)})
 			}
@@ -46,31 +48,46 @@ func table3Points(s Setup) []MLPPoint {
 	return points
 }
 
+// Table3CycleConfigs is the cycle-simulator side of one workload's
+// validation matrix, in row order: windows 32/64/128 by configurations
+// A/B/C, each at the Table3Latencies.
+func Table3CycleConfigs() []cyclesim.Config {
+	var cfgs []cyclesim.Config
+	for _, win := range table3Windows {
+		for _, ic := range validationConfigs {
+			for _, pen := range Table3Latencies {
+				cfg := cyclesim.Default(pen)
+				cfg.IssueWindow, cfg.ROB = win, win
+				cfg.Issue = ic
+				cfgs = append(cfgs, cfg)
+			}
+		}
+	}
+	return cfgs
+}
+
 // RunTable3 executes the validation matrix: each MLPsim point against
-// the cycle simulator at the same window and issue configuration.
+// the cycle simulator at the same window and issue configuration, the
+// cycle-simulator side as one batch.
 func RunTable3(s Setup) Table3 {
 	points := table3Points(s)
 	mlps := s.RunMLPsimBatch(points)
-	rows := make([]Table3Row, len(points))
-	s.forEach(len(points), func(i int) {
-		p := points[i]
-		row := Table3Row{Workload: p.Workload.Name, Window: p.Config.ROB, Issue: p.Config.Issue, MLPsim: mlps[i].MLP()}
-		for _, pen := range Table3Latencies {
-			cfg := cyclesim.Default(pen)
-			cfg.IssueWindow, cfg.ROB = p.Config.IssueWindow, p.Config.ROB
-			cfg.Issue = p.Config.Issue
-			cres := s.RunCycleSim(p.Workload, cfg, annotate.Config{})
-			switch pen {
-			case 200:
-				row.CycleSim200 = cres.MLP
-			case 500:
-				row.CycleSim500 = cres.MLP
-			case 1000:
-				row.CycleSim1000 = cres.MLP
-			}
+	var cpoints []CyclePoint
+	for _, w := range s.Workloads {
+		for _, cfg := range Table3CycleConfigs() {
+			cpoints = append(cpoints, CyclePoint{Workload: w, Config: cfg})
 		}
-		rows[i] = row
-	})
+	}
+	cres := s.RunCycleSimBatch(cpoints)
+	rows := make([]Table3Row, len(points))
+	for i, p := range points {
+		c := cres[len(Table3Latencies)*i:]
+		rows[i] = Table3Row{
+			Workload: p.Workload.Name, Window: p.Config.ROB, Issue: p.Config.Issue,
+			CycleSim200: c[0].MLP, CycleSim500: c[1].MLP, CycleSim1000: c[2].MLP,
+			MLPsim: mlps[i].MLP(),
+		}
+	}
 	return Table3{Rows: rows}
 }
 

@@ -1,12 +1,6 @@
 package experiments
 
-import (
-	"mlpsim/internal/annotate"
-	"mlpsim/internal/core"
-	"mlpsim/internal/cpi"
-	"mlpsim/internal/cyclesim"
-	"mlpsim/internal/workload"
-)
+import "mlpsim/internal/core"
 
 // Table4Row validates the CPI equation for one (workload, issue config):
 // the CPI estimated from MLPsim's MLP and miss rate — using CPI_perf and
@@ -44,33 +38,23 @@ func table4Points(s Setup) []MLPPoint {
 // RunTable4 executes the experiment.
 func RunTable4(s Setup) Table4 {
 	configs := validationConfigs
-
-	type char struct {
-		params   [3]Characterization
-		measured [3]float64
-	}
-	chars := make([]char, len(s.Workloads))
-	type job struct{ wi, ci int }
-	var jobs []job
-	for wi := range s.Workloads {
-		for ci := range configs {
-			jobs = append(jobs, job{wi, ci})
+	var specs []charSpec
+	for _, w := range s.Workloads {
+		for _, ic := range configs {
+			specs = append(specs, charSpec{w, Table4Penalty, ic})
 		}
 	}
-	s.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		chars[j.wi].params[j.ci] = s.characterizeConfig(s.Workloads[j.wi], configs[j.ci])
-		chars[j.wi].measured[j.ci] = chars[j.wi].params[j.ci].CPI
-	})
+	chars := s.characterize(specs)
 	mlps := s.RunMLPsimBatch(table4Points(s))
 
 	var rows []Table4Row
 	for wi, w := range s.Workloads {
+		wchars := chars[wi*len(configs) : (wi+1)*len(configs)]
 		for ci, ic := range configs {
-			row := Table4Row{Workload: w.Name, Issue: ic, Measured: chars[wi].measured[ci]}
+			row := Table4Row{Workload: w.Name, Issue: ic, Measured: wchars[ci].CPI}
 			m := &mlps[wi*len(configs)+ci]
 			for pi := range configs {
-				p := chars[wi].params[pi].Params()
+				p := wchars[pi].Params()
 				p.MissRatePer100 = m.MissRatePer100()
 				row.EstimatedUsing[pi] = p.Estimate(m.MLP())
 			}
@@ -78,33 +62,6 @@ func RunTable4(s Setup) Table4 {
 		}
 	}
 	return Table4{Rows: rows}
-}
-
-// characterizeConfig is Characterize with a non-default issue
-// configuration at the Table 4 penalty.
-func (s Setup) characterizeConfig(w workload.Config, ic core.IssueConfig) Characterization {
-	var meas, perf cyclesim.Result
-	s.forEach(2, func(i int) {
-		cfg := cyclesim.Default(Table4Penalty)
-		cfg.Issue = ic
-		cfg.PerfectL2 = i == 1
-		r := s.RunCycleSim(w, cfg, annotate.Config{})
-		if i == 1 {
-			perf = r
-		} else {
-			meas = r
-		}
-	})
-	c := Characterization{
-		Workload:       w.Name,
-		Penalty:        Table4Penalty,
-		CPI:            meas.CPI(),
-		CPIPerf:        perf.CPI(),
-		MissRatePer100: meas.MissRatePer100(),
-		MLP:            meas.MLP,
-	}
-	c.OverlapCM = cpi.DeriveOverlap(c.CPI, c.CPIPerf, c.MissRatePer100, Table4Penalty, c.MLP)
-	return c
 }
 
 // String renders the comparison.
