@@ -1,6 +1,7 @@
 // Command bench tracks the simulator's performance trajectory: it runs
-// the annotator/replay/engine/gang/cycle-simulator-gang micro-benchmarks, a one-segment vs
-// K-segment capture comparison (the pipelined parallel spill writer),
+// the annotator/replay/engine/gang micro-benchmarks (the cycle
+// simulator's gang included), a one-segment vs K-segment capture
+// comparison (the pipelined parallel spill writer),
 // the Figure 4+5+6 sweep three ways — uncached,
 // with the in-heap annotated-trace cache, and replaying memory-mapped
 // spills from a warm on-disk cache — a sequential-vs-gang-dispatch

@@ -55,9 +55,10 @@ type Setup struct {
 	// sweep points that share an annotated stream (same workload,
 	// annotation config, warmup and measure): 0 batches each
 	// shared-stream group into just enough gangs to keep every worker
-	// busy, 1 = one config per gang, and N >= 2 caps gangs at N configs. Results are bit-identical across all
-	// settings; only wall-clock changes. Parallelism bounds concurrent
-	// gangs, not points.
+	// busy, 1 = one config per gang, and N >= 2 caps gangs at N
+	// configs. Results are bit-identical across all settings; only
+	// wall-clock changes. Parallelism bounds concurrent gangs, not
+	// points.
 	GangSize int
 	// GangStats, when non-nil, accumulates gang occupancy counters
 	// across sweeps (the daemon exports them on /metrics).
