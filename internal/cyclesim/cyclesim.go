@@ -517,7 +517,7 @@ func (p *pipeline) fetch(w *window) int {
 		if p.cycle < p.pendingAt {
 			return 0
 		}
-		p.queued++
+		p.enqueue()
 		p.pending = false
 		return 1
 	}
@@ -553,7 +553,7 @@ func (p *pipeline) fetch(w *window) int {
 			e.flags &^= uIMiss
 			return n + 1
 		}
-		p.queued++
+		p.enqueue()
 		n++
 		if e.flags&uIMiss != 0 {
 			// Perfect L2: the line comes from the L2 after a short
@@ -561,15 +561,24 @@ func (p *pipeline) fetch(w *window) int {
 			p.fetchStall = p.cycle + int64(p.cfg.L2Latency)
 			break
 		}
-		if e.flags&uMispred != 0 {
-			// Fetch proceeds down the wrong path until resolution; the
-			// trace holds only correct-path instructions, so fetch waits
-			// for the branch to resolve and redirect.
-			p.awaitBranch = p.queued - 1
+		if p.awaitBranch >= 0 {
 			break
 		}
 	}
 	return n
+}
+
+// enqueue moves the fetched instruction at index queued into the fetch
+// queue. A mispredicted branch holds fetch from then on, whichever path
+// it arrived by (directly, or after its off-chip I-line): fetch proceeds
+// down the wrong path until resolution, and the trace holds only
+// correct-path instructions, so fetch waits for the branch to resolve
+// and redirect.
+func (p *pipeline) enqueue() {
+	if p.ops[p.queued&p.mask].flags&uMispred != 0 {
+		p.awaitBranch = p.queued
+	}
+	p.queued++
 }
 
 // leap advances time to the next event when a cycle made no progress:

@@ -196,6 +196,41 @@ func TestImissBlocksFetch(t *testing.T) {
 	}
 }
 
+// TestIMissMispredictKeepsRedirect: a mispredicted branch whose fetch
+// misses the I-cache still holds fetch until it resolves and redirects,
+// on every I-miss path — an off-chip line, a wait for a free MSHR, and
+// the perfect-L2 bubble. The I-miss can only add time: the same stream
+// without it must not run longer.
+func TestIMissMispredictKeepsRedirect(t *testing.T) {
+	// 8 ALU ops, a missing load into r2, a mispredicted branch on r2
+	// (which cannot resolve before the miss returns), then 400 ALU ops.
+	mk := func(imiss bool) []annotate.Inst {
+		insts := append(alu(8), ld(2, 1, true), annotate.Inst{
+			Inst:    isa.Inst{Class: isa.Branch, Src1: 2, Src2: isa.NoReg, Dst: isa.NoReg},
+			Mispred: true,
+			IMiss:   imiss,
+		})
+		return append(insts, alu(400)...)
+	}
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"off-chip line", func(*Config) {}},
+		{"MSHR wait", func(c *Config) { c.MSHRs = 1 }},
+		{"perfect L2", func(c *Config) { c.PerfectL2 = true }},
+	} {
+		cfg := Default(500)
+		tc.mod(&cfg)
+		plain := run(t, mk(false), cfg)
+		missing := run(t, mk(true), cfg)
+		if missing.Cycles < plain.Cycles {
+			t.Errorf("%s: the I-missing branch ran %d cycles, %d without the I-miss; want at least as many",
+				tc.name, missing.Cycles, plain.Cycles)
+		}
+	}
+}
+
 func TestPerfectL2Run(t *testing.T) {
 	insts := []annotate.Inst{ld(2, 1, true), add(3, 2, 2)}
 	insts = append(insts, alu(50)...)
