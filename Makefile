@@ -15,7 +15,7 @@ build:
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCacheBuildPanic|TestCrossProcessSingleflight|TestCacheDiskSpill|TestBuildLeavesNoLockOrLease|TestMonolithicSpillQuarantined|TestCorruptSpillQuarantined|TestDiskEviction|TestSegmented|TestCrashDuringPublishRecovery|TestLease|TestPartialEviction'
+	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCacheBuildPanic|TestCrossProcessSingleflight|TestCacheDiskSpill|TestBuildLeavesNoLockOrLease|TestMonolithicSpillQuarantined|TestCorruptSpillQuarantined|TestDiskEviction|TestSegmented|TestCrashDuringPublishRecovery|TestLease'
 	$(GO) test -race ./internal/server
 	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestCycleSimGangsMatchPointAtATime|TestExtStoreSets|Memo|PointKey|TestCancelledSweepStoresOnlyCompletedPoints|TestRunPoints|TestShard'
 	$(GO) test -race ./internal/core -run 'TestRunGangDivergentMatchesSequential|TestDisambMatchesBruteForceReferenceRandom'
@@ -34,13 +34,13 @@ perfbench-test:
 	cd perfbench && $(GO) test ./...
 
 bench-gate:
-	$(GO) run ./cmd/bench -scale quick -skip-sweep -skip-capture -skip-gang -skip-storesets -skip-smtsched \
+	$(GO) run ./cmd/bench -scale quick -skip-sweep -skip-gang -skip-storesets -skip-smtsched \
 		-out /tmp/bench_gate.json -compare BENCH_BASELINE.json -gate-pct 50
 
 # bench-baseline refreshes the committed gate baseline. Run it on the
 # machine class the gate will run on, with the tree otherwise idle.
 bench-baseline:
-	$(GO) run ./cmd/bench -scale quick -skip-sweep -skip-capture -skip-gang -skip-storesets -skip-smtsched -out BENCH_BASELINE.json
+	$(GO) run ./cmd/bench -scale quick -skip-sweep -skip-gang -skip-storesets -skip-smtsched -out BENCH_BASELINE.json
 
 # cover prints per-package statement coverage and gates the scheduled-SMT
 # package (internal/smt) against the floor in scripts/cover.sh;
@@ -58,9 +58,9 @@ vet:
 	$(GO) vet ./...
 
 # Performance report: micro-benchmarks (engine, gang dispatch at
-# K=1/4/16/32/64, the SMT policy scheduler), the one-segment vs K-segment
-# capture comparison, the sequential-vs-gang Figure 4 sweep, the
-# ext-storesets disambiguation and ext-smtsched policy sweeps, the
+# K=1/4/16/32/64, the SMT policy scheduler), the sequential-vs-gang
+# Figure 4 sweep, the ext-storesets disambiguation and ext-smtsched
+# policy sweeps, the
 # uncached / in-heap-cached / memory-mapped Figure 4+5+6 sweeps, plus
 # the peer-mode shard sweep (figure4 through a 3-replica in-process
 # fleet, byte-compared against a solo daemon). `make bench` is the

@@ -1,18 +1,17 @@
 // Command bench tracks the simulator's performance trajectory: it runs
 // the annotator/replay/engine/gang micro-benchmarks (the cycle
-// simulator's gang included), a one-segment vs K-segment capture
-// comparison (the pipelined parallel spill writer),
-// the Figure 4+5+6 sweep three ways — uncached,
-// with the in-heap annotated-trace cache, and replaying memory-mapped
-// spills from a warm on-disk cache — a sequential-vs-gang-dispatch
-// comparison of the Figure 4 sweep, the ext-storesets memory
-// disambiguation sweep (bracketing check plus dep-event totals), and the
-// ext-smtsched scheduled-SMT policy sweep (every policy's aggregate MLP
-// checked against its point's combined bounds), and a peer-mode shard
-// sweep — figure4 answered by a 3-replica in-process fleet through a
-// coordinator that owns none of the points, byte-compared against a
-// solo daemon — then writes a JSON report with ns/op, wall times, peak
-// Go-heap occupancy and headline MLP metrics.
+// simulator's gang included), the Figure 4+5+6 sweep three ways —
+// uncached, with the in-heap annotated-trace cache, and replaying
+// memory-mapped spills from a warm on-disk cache — a
+// sequential-vs-gang-dispatch comparison of the Figure 4 sweep, the
+// ext-storesets memory disambiguation sweep (bracketing check plus
+// dep-event totals), and the ext-smtsched scheduled-SMT policy sweep
+// (every policy's aggregate MLP checked against its point's combined
+// bounds), and a peer-mode shard sweep — figure4 answered by a
+// 3-replica in-process fleet through a coordinator that owns none of
+// the points, byte-compared against a solo daemon — then writes a JSON
+// report with ns/op, wall times, peak Go-heap occupancy and headline
+// MLP metrics.
 //
 // With -compare and -gate-pct the command doubles as a regression gate:
 // it exits non-zero when any micro-benchmark's ns/op or a sweep heap
@@ -37,7 +36,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -129,34 +127,6 @@ type smtSchedResult struct {
 	Bracketed  bool    `json:"bracketed"`
 }
 
-// captureResult records the one-segment vs K-segment capture comparison
-// (the monolithic_* names, kept so older reports still compare, mean
-// the one-segment capture on one worker). The speedup scales with cores (each worker runs an independent
-// generation->annotation->encoding pipeline); NumCPU records the machine
-// context so a 1.0x speedup on a 1-CPU box is interpretable. The
-// time-to-first-replay win is real on any core count: replay can consume
-// segment 0 as soon as it is published, long before the final segment
-// (and the manifest) exist.
-type captureResult struct {
-	Workload          string  `json:"workload"`
-	SegmentInsts      int64   `json:"segment_insts"`
-	Segments          int     `json:"segments"`
-	Workers           int     `json:"workers"`
-	NumCPU            int     `json:"num_cpu"`
-	MonolithicSeconds float64 `json:"monolithic_seconds"`
-	// Per-instruction cost of one bare capture pass (annotation +
-	// columnar encoding) and its heap allocation rate — the capture fast
-	// path's headline numbers. Steady state is zero allocations; the
-	// reported rate amortizes construction over the whole window.
-	MonolithicNsPerInst     float64 `json:"monolithic_ns_per_inst"`
-	MonolithicAllocsPerInst float64 `json:"monolithic_allocs_per_inst"`
-	SegmentedSeconds        float64 `json:"segmented_seconds"`
-	Speedup                 float64 `json:"speedup"`
-	FirstSegmentSeconds     float64 `json:"first_segment_seconds"`
-	TimeToFirstReplayWin    float64 `json:"time_to_first_replay_win"`
-	Identical               bool    `json:"bit_identical"`
-}
-
 // shardSweepResult records the peer-mode fleet comparison: an
 // in-process fleet of replicas plus a coordinator-only observer (on
 // nobody's hash ring, so it owns zero points) answers one exhibit over
@@ -182,7 +152,6 @@ type report struct {
 	Warmup     int64                  `json:"warmup"`
 	Measure    int64                  `json:"measure"`
 	Benchmarks map[string]benchResult `json:"benchmarks"`
-	Capture    *captureResult         `json:"capture,omitempty"`
 	Sweep      *sweepResult           `json:"sweep,omitempty"`
 	GangSweep  *gangSweepResult       `json:"gang_sweep,omitempty"`
 	StoreSets  *storeSetsResult       `json:"store_sets,omitempty"`
@@ -388,117 +357,6 @@ func gangConfigs(k int) []core.Config {
 			WithIssue(issues[(i/len(sizes))%len(issues)])
 	}
 	return cfgs
-}
-
-// runCaptureBench times the same annotated-trace build done two ways
-// through the pipelined spill writer (CaptureSegmentedToFile): one
-// segment on one worker, and segInsts-instruction segments on
-// GOMAXPROCS workers. It verifies the two spills replay bit-identically,
-// and brackets one bare Capture pass for the per-instruction rate and
-// allocation count.
-func runCaptureBench(s experiments.Setup, segInsts int64) *captureResult {
-	w := s.Workloads[0]
-	dir, err := os.MkdirTemp("", "mlpsim-bench-capture-")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: capture comparison skipped: %v\n", err)
-		return nil
-	}
-	defer os.RemoveAll(dir)
-	spec := atrace.BuildSpec{
-		NewAnnotator: func() *annotate.Annotator {
-			return annotate.New(workload.MustNew(w), annotate.Config{})
-		},
-		Warmup:  s.Warmup,
-		Measure: s.Measure,
-	}
-
-	a := spec.NewAnnotator()
-	a.Warm(s.Warmup)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	capStart := time.Now()
-	atrace.Capture(a, s.Measure)
-	capDur := time.Since(capStart)
-	runtime.ReadMemStats(&m1)
-
-	// capture writes one spill, timing its first segment and the whole.
-	capture := func(path string, spec atrace.BuildSpec) (p *atrace.PendingCapture, first, total time.Duration, err error) {
-		start := time.Now()
-		p = atrace.CaptureSegmentedToFile(path, spec)
-		if _, err = p.Segment(0); err != nil {
-			return
-		}
-		first = time.Since(start)
-		if _, err = p.Wait(); err == nil {
-			err = p.PublishErr()
-		}
-		return p, first, time.Since(start), err
-	}
-	one := filepath.Join(dir, "one.acol")
-	spec.Workers = 1
-	_, _, oneDur, err := capture(one, spec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: capture comparison skipped: %v\n", err)
-		return nil
-	}
-	seg := filepath.Join(dir, "seg.acol")
-	spec.SegmentInsts, spec.Workers = segInsts, 0
-	p, firstDur, segDur, err := capture(seg, spec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: capture comparison skipped: %v\n", err)
-		return nil
-	}
-
-	c := &captureResult{
-		Workload:                w.Name,
-		SegmentInsts:            segInsts,
-		Segments:                p.Segments(),
-		Workers:                 runtime.GOMAXPROCS(0),
-		NumCPU:                  runtime.NumCPU(),
-		MonolithicSeconds:       oneDur.Seconds(),
-		MonolithicNsPerInst:     float64(capDur.Nanoseconds()) / float64(s.Measure),
-		MonolithicAllocsPerInst: float64(m1.Mallocs-m0.Mallocs) / float64(s.Measure),
-		SegmentedSeconds:        segDur.Seconds(),
-		Speedup:                 oneDur.Seconds() / segDur.Seconds(),
-		FirstSegmentSeconds:     firstDur.Seconds(),
-		TimeToFirstReplayWin:    oneDur.Seconds() / firstDur.Seconds(),
-		Identical:               sameSpills(one, seg),
-	}
-	fmt.Fprintf(os.Stderr, "bench: capture: one segment %.1fs (%.1f ns/inst, %.4f allocs/inst), segmented %.1fs (%d segments, %d workers on %d CPUs, %.2fx), first segment replayable after %.1fs (%.1fx win), identical: %v\n",
-		c.MonolithicSeconds, c.MonolithicNsPerInst, c.MonolithicAllocsPerInst,
-		c.SegmentedSeconds, c.Segments, c.Workers, c.NumCPU,
-		c.Speedup, c.FirstSegmentSeconds, c.TimeToFirstReplayWin, c.Identical)
-	return c
-}
-
-// sameSpills replays both on-disk traces and compares every instruction
-// and the aggregate statistics.
-func sameSpills(a, b string) bool {
-	ta, err := atrace.OpenSpill(a)
-	if err != nil {
-		return false
-	}
-	tb, err := atrace.OpenSpill(b)
-	if err != nil {
-		return false
-	}
-	if ta.Len() != tb.Len() || ta.FirstIndex() != tb.FirstIndex() || ta.Stats() != tb.Stats() {
-		return false
-	}
-	ra, rb := ta.Source(), tb.Source()
-	var ia, ib annotate.Inst
-	for {
-		oka, okb := ra.NextInto(&ia), rb.NextInto(&ib)
-		if oka != okb {
-			return false
-		}
-		if !oka {
-			return true
-		}
-		if ia != ib {
-			return false
-		}
-	}
 }
 
 // runSweep executes the Figure 4+5+6 sweep and returns elapsed time plus
@@ -911,22 +769,6 @@ func gateViolations(old, cur report, pct float64) []string {
 		heap("cached sweep", old.Sweep.CachedHeapPeakBytes, cur.Sweep.CachedHeapPeakBytes)
 		heap("mapped sweep", old.Sweep.MappedHeapPeakBytes, cur.Sweep.MappedHeapPeakBytes)
 	}
-	if old.Capture != nil && cur.Capture != nil {
-		o, c := old.Capture, cur.Capture
-		if o.MonolithicNsPerInst > 0 && c.MonolithicNsPerInst > 0 {
-			if growth := 100 * (c.MonolithicNsPerInst - o.MonolithicNsPerInst) / o.MonolithicNsPerInst; growth > pct {
-				out = append(out, fmt.Sprintf("capture: %.1f -> %.1f ns/inst (+%.1f%%, limit %.0f%%)",
-					o.MonolithicNsPerInst, c.MonolithicNsPerInst, growth, pct))
-			}
-			// The capture pass is pinned at (amortized) zero allocations:
-			// any sustained per-instruction allocation rate is a regression
-			// regardless of the percentage threshold.
-			if o.MonolithicAllocsPerInst < 0.01 && c.MonolithicAllocsPerInst >= 0.01 {
-				out = append(out, fmt.Sprintf("capture: %.4f -> %.4f allocs/inst (zero-alloc fast path regressed)",
-					o.MonolithicAllocsPerInst, c.MonolithicAllocsPerInst))
-			}
-		}
-	}
 	// Bracketing is a physical invariant, not a percent threshold: a
 	// store-set point outside its conservative/oracle bounds means the
 	// disambiguation engine itself regressed.
@@ -983,21 +825,6 @@ func printComparison(path string, old, cur report) {
 			fmt.Printf("  cache footprint  %7.1f MB in-heap -> heap peak %.1f MB mapped (%.1fx drop)\n",
 				float64(o.CacheBytes)/(1<<20), float64(c.MappedHeapPeakBytes)/(1<<20),
 				float64(o.CacheBytes)/float64(c.MappedHeapPeakBytes))
-		}
-	}
-	if old.Capture != nil && cur.Capture != nil {
-		o, c := old.Capture, cur.Capture
-		fmt.Printf("  capture (1 seg)  %8.1f -> %8.1f s\n", o.MonolithicSeconds, c.MonolithicSeconds)
-		if c.MonolithicNsPerInst > 0 {
-			if o.MonolithicNsPerInst > 0 {
-				fmt.Printf("  capture ns/inst  %8.1f -> %8.1f  (%+.1f%%), %.4f allocs/inst\n",
-					o.MonolithicNsPerInst, c.MonolithicNsPerInst,
-					100*(c.MonolithicNsPerInst-o.MonolithicNsPerInst)/o.MonolithicNsPerInst,
-					c.MonolithicAllocsPerInst)
-			} else {
-				fmt.Printf("  capture ns/inst  %17.1f, %.4f allocs/inst (no baseline in %s)\n",
-					c.MonolithicNsPerInst, c.MonolithicAllocsPerInst, old.Schema)
-			}
 		}
 	}
 	if cur.GangSweep != nil {
@@ -1070,7 +897,6 @@ func main() {
 	out := flag.String("out", "BENCH_10.json", "output JSON path")
 	seed := flag.Int64("seed", 1, "workload seed")
 	skipSweep := flag.Bool("skip-sweep", false, "skip the cached-vs-uncached sweep comparison")
-	skipCapture := flag.Bool("skip-capture", false, "skip the one-segment vs K-segment capture comparison")
 	skipGang := flag.Bool("skip-gang", false, "skip the sequential-vs-gang dispatch comparison")
 	skipStoreSets := flag.Bool("skip-storesets", false, "skip the ext-storesets disambiguation sweep")
 	skipSMTSched := flag.Bool("skip-smtsched", false, "skip the ext-smtsched scheduled-SMT policy sweep")
@@ -1104,11 +930,6 @@ func main() {
 	rep.Benchmarks = microBenchmarks(s.Workloads[0])
 	for name, r := range rep.Benchmarks {
 		fmt.Fprintf(os.Stderr, "bench: %-16s %8.1f ns/op  %d allocs/op\n", name, r.NsPerOp, r.AllocsPerOp)
-	}
-
-	if !*skipCapture {
-		fmt.Fprintln(os.Stderr, "bench: comparing one-segment vs K-segment capture...")
-		rep.Capture = runCaptureBench(s, s.Measure/8)
 	}
 
 	if !*skipGang {

@@ -15,17 +15,15 @@ func TestValidateFlags(t *testing.T) {
 		name            string
 		warmup, measure int64
 		par, gang       int
-		segInsts        int64
-		segWorkers      int
 		cacheBytes      int64
+		cacheDir        string
 		wantMsg         string // empty = accepted
 	}{
 		{name: "all-zero", measure: 1},
-		{name: "all-positive", warmup: 1000, measure: 5000, par: 2, gang: 4, segInsts: 100_000, segWorkers: 2, cacheBytes: 1 << 20},
+		{name: "all-positive", warmup: 1000, measure: 5000, par: 2, gang: 4, cacheBytes: 1 << 20, cacheDir: "/tmp/atrace"},
 		{name: "negative-gang", measure: 1, gang: -3, wantMsg: "-gang -3"},
-		{name: "negative-seg-insts", measure: 1, segInsts: -1, wantMsg: "-trace-segment-insts -1"},
-		{name: "negative-workers", measure: 1, segWorkers: -2, wantMsg: "-trace-capture-workers -2"},
 		{name: "negative-cache-bytes", measure: 1, cacheBytes: -5, wantMsg: "-trace-cache-bytes -5"},
+		{name: "cache-bytes-without-dir", measure: 1, cacheBytes: 1 << 20, wantMsg: "-trace-cache-bytes 1048576 requires -trace-cache-dir"},
 		{name: "zero-measure", warmup: 1000, wantMsg: "-measure 0"},
 		{name: "negative-measure", measure: -5, wantMsg: "-measure -5"},
 		{name: "negative-warmup", warmup: -50, measure: 1, wantMsg: "-warmup -50"},
@@ -33,7 +31,7 @@ func TestValidateFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.warmup, c.measure, c.par, c.gang, c.segInsts, c.segWorkers, c.cacheBytes)
+			err := validateFlags(c.warmup, c.measure, c.par, c.gang, c.cacheBytes, c.cacheDir)
 			if c.wantMsg == "" {
 				if err != nil {
 					t.Fatalf("rejected valid flags: %v", err)
@@ -116,9 +114,8 @@ func TestCLIRejectsNegativeFlags(t *testing.T) {
 	cases := []struct{ args, wantMsg string }{
 		{"-gang -3 -list", "-gang -3"},
 		{"-measure 0 -list", "-measure 0"},
-		{"-trace-segment-insts -1 -list", "-trace-segment-insts -1"},
-		{"-trace-capture-workers -2 -list", "-trace-capture-workers -2"},
 		{"-trace-cache-bytes -5 -list", "-trace-cache-bytes -5"},
+		{"-trace-cache-bytes 1024 -list", "-trace-cache-bytes 1024 requires -trace-cache-dir"},
 		{"-lease-ttl -1s -list", "-lease-ttl -1s"},
 		{"-peers a=http://h1:1,b=http://h2:2 -list", "-peers requires -peer-id"},
 		{"-peer-id a -peers a=notaurl,b=http://h2:2 -serve 127.0.0.1:0 -list", "malformed URL"},

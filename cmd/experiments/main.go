@@ -46,14 +46,12 @@ func main() {
 		leaseTTL     = flag.Duration("lease-ttl", atrace.DefaultLeaseTTL, "time-to-live of the per-trace build leases in -trace-cache-dir: a builder that dies holding one blocks that trace for at most this long")
 		cacheDir     = flag.String("trace-cache-dir", "", "spill annotated-trace cache entries to this directory (shared across invocations and processes)")
 		cacheBytes   = flag.Int64("trace-cache-bytes", 0, "byte cap for -trace-cache-dir; least-recently-used spills are evicted (0 = default cap)")
-		segInsts     = flag.Int64("trace-segment-insts", 0, "capture annotated traces as N-instruction segments built by parallel pipelines (0 = one segment)")
-		segWorkers   = flag.Int("trace-capture-workers", 0, "parallel capture workers with -trace-segment-insts (0 = GOMAXPROCS)")
 		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
-	if err := validateFlags(*warmup, *measure, *par, *gang, *segInsts, *segWorkers, *cacheBytes); err != nil {
+	if err := validateFlags(*warmup, *measure, *par, *gang, *cacheBytes, *cacheDir); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
@@ -119,9 +117,6 @@ func main() {
 		// derives a unique owner.
 		setup.Cache.SetLease(*peerID, *leaseTTL)
 	}
-	if *segInsts > 0 {
-		setup.Cache.SetSegments(*segInsts, *segWorkers)
-	}
 
 	if *serveAddr != "" {
 		if err := serve(*serveAddr, setup, *drainTimeout, *peerID, fleet); err != nil {
@@ -149,6 +144,7 @@ func main() {
 			}
 		}
 	}
+	writeFailed := false
 	for _, r := range runners {
 		start := time.Now()
 		out := r.Run(setup)
@@ -157,13 +153,18 @@ func main() {
 		if *csvDir != "" {
 			if err := writeRows(filepath.Join(*csvDir, r.ID+".csv"), out, experiments.WriteCSV); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments: csv:", err)
+				writeFailed = true
 			}
 		}
 		if *jsonDir != "" {
 			if err := writeRows(filepath.Join(*jsonDir, r.ID+".json"), out, experiments.WriteJSON); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments: json:", err)
+				writeFailed = true
 			}
 		}
+	}
+	if writeFailed {
+		os.Exit(1)
 	}
 }
 
@@ -171,8 +172,9 @@ func main() {
 // error instead of silently reinterpreting them (a negative -gang or
 // -parallel would fall through to the auto behaviour of 0) or failing
 // later (a non-positive -measure prints all-zero exhibits; a negative
-// run length panics in the trace capture).
-func validateFlags(warmup, measure int64, par, gang int, segInsts int64, segWorkers int, cacheBytes int64) error {
+// run length panics in the trace capture), and a -trace-cache-bytes cap
+// with no -trace-cache-dir to apply it to.
+func validateFlags(warmup, measure int64, par, gang int, cacheBytes int64, cacheDir string) error {
 	if warmup < 0 {
 		return fmt.Errorf("-warmup %d: must be >= 0", warmup)
 	}
@@ -185,14 +187,11 @@ func validateFlags(warmup, measure int64, par, gang int, segInsts int64, segWork
 	if gang < 0 {
 		return fmt.Errorf("-gang %d: must be >= 0 (0 = auto, 1 = one config per gang, N = cap)", gang)
 	}
-	if segInsts < 0 {
-		return fmt.Errorf("-trace-segment-insts %d: must be >= 0 (0 = one segment)", segInsts)
-	}
-	if segWorkers < 0 {
-		return fmt.Errorf("-trace-capture-workers %d: must be >= 0 (0 = GOMAXPROCS)", segWorkers)
-	}
 	if cacheBytes < 0 {
 		return fmt.Errorf("-trace-cache-bytes %d: must be >= 0 (0 = default cap)", cacheBytes)
+	}
+	if cacheBytes > 0 && cacheDir == "" {
+		return fmt.Errorf("-trace-cache-bytes %d requires -trace-cache-dir (it caps that directory)", cacheBytes)
 	}
 	return nil
 }
@@ -257,6 +256,9 @@ func writeRows(path string, exhibit interface{}, write func(io.Writer, interface
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return write(f, exhibit)
+	if err := write(f, exhibit); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -200,7 +200,7 @@ func validateFlags(traceFile string, warmup, measure int64) error {
 // openSource returns the instruction source: an annotated trace (pre),
 // or raw instructions (src) decoded from a raw trace file or generated
 // from a preset workload.
-func openSource(traceFile, name string, seed int64) (src trace.Source, pre *atrace.SegStream, err error) {
+func openSource(traceFile, name string, seed int64) (src trace.Source, pre *atrace.Stream, err error) {
 	if traceFile == "" {
 		cfg, err := workload.ByName(name, seed)
 		if err != nil {

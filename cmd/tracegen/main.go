@@ -5,24 +5,18 @@
 // With -annotate it instead runs the functional annotation pass (cache
 // hierarchy + branch predictor) over the workload and writes the
 // annotated trace in the spill format of the experiment trace cache: an
-// MLPCOLS2 manifest at -o plus one MLPCOLS1 column file per segment
-// beside it (-o.seg0000, ...). -warmup instructions train the annotator,
-// then -n post-warmup instructions are captured. cmd/mlpsim replays
-// annotated traces directly, memory-mapped, skipping its own annotation
-// and warm-up.
-//
-// -segment N splits the capture into N-instruction segments built by
-// -workers parallel pipelines (generation -> annotation -> columnar
-// encoding per segment, exploiting the seed-deterministic generator),
-// each segment file published the moment it completes and the manifest
-// written last. Replay can open segment 0 while later segments are still
-// being captured; the result is bit-identical to a one-segment capture.
+// MLPCOLS2 manifest at -o plus its one MLPCOLS1 column file beside it
+// (-o.seg0000), the column file first and the manifest last.
+// -warmup instructions train the annotator, then -n post-warmup
+// instructions are captured in one pass. The files are byte-identical
+// to the spill the trace cache writes for the same window. cmd/mlpsim
+// replays annotated traces directly, memory-mapped, skipping its own
+// annotation and warm-up.
 //
 // Examples:
 //
 //	tracegen -workload database -n 10000000 -o db.trc
 //	tracegen -workload database -annotate -warmup 2000000 -n 8000000 -o db.acol
-//	tracegen -workload database -annotate -segment 1000000 -workers 4 -n 8000000 -o db.acol
 package main
 
 import (
@@ -44,20 +38,18 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generation seed")
 		n        = flag.Int64("n", 10_000_000, "instructions to generate (post-warmup when -annotate)")
 		out      = flag.String("o", "", "output file (required)")
-		annotful = flag.Bool("annotate", false, "write an annotated trace (manifest plus segment files), which cmd/mlpsim memory-maps")
+		annotful = flag.Bool("annotate", false, "write an annotated trace (manifest plus segment file), which cmd/mlpsim memory-maps")
 		warmup   = flag.Int64("warmup", 2_000_000, "annotator warm-up instructions (only with -annotate)")
-		segment  = flag.Int64("segment", 0, "with -annotate: instructions per segment (0 = one segment)")
-		workers  = flag.Int("workers", 0, "with -annotate: parallel capture workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-	if err := validateFlags(*out, *n, *warmup, *segment, *workers, *annotful); err != nil {
+	if err := validateFlags(*out, *n, *warmup); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(2)
 	}
 	cfg, err := workload.ByName(*name, *seed)
 	if err == nil {
 		if *annotful {
-			err = writeAnnotated(cfg, *out, *warmup, *n, *segment, *workers)
+			err = writeAnnotated(cfg, *out, *warmup, *n)
 		} else {
 			err = writeRaw(cfg, *out, *n)
 		}
@@ -70,7 +62,7 @@ func main() {
 
 // validateFlags rejects values that would write an empty trace or be
 // silently reinterpreted, with a clear error instead.
-func validateFlags(out string, n, warmup, segment int64, workers int, annotated bool) error {
+func validateFlags(out string, n, warmup int64) error {
 	switch {
 	case out == "":
 		return errors.New("-o output file is required")
@@ -78,12 +70,6 @@ func validateFlags(out string, n, warmup, segment int64, workers int, annotated 
 		return fmt.Errorf("-n %d: must be > 0", n)
 	case warmup < 0:
 		return fmt.Errorf("-warmup %d: must be >= 0", warmup)
-	case segment < 0:
-		return fmt.Errorf("-segment %d: must be >= 0 (0 = one segment)", segment)
-	case workers < 0:
-		return fmt.Errorf("-workers %d: must be >= 0 (0 = GOMAXPROCS)", workers)
-	case segment > 0 && !annotated:
-		return errors.New("-segment requires -annotate")
 	}
 	return nil
 }
@@ -121,45 +107,27 @@ func writeRaw(cfg workload.Config, out string, n int64) error {
 	return nil
 }
 
-// writeAnnotated runs the pipelined capture, printing each segment as it
-// is published so the time-to-first-replay win is visible.
-func writeAnnotated(cfg workload.Config, out string, warmup, n, segment int64, workers int) error {
+// writeAnnotated captures the annotated window and publishes it at out
+// as a spill.
+func writeAnnotated(cfg workload.Config, out string, warmup, n int64) error {
 	start := time.Now()
-	p := atrace.CaptureSegmentedToFile(out, atrace.BuildSpec{
+	s, err := atrace.CaptureToFile(out, atrace.BuildSpec{
 		NewAnnotator: func() *annotate.Annotator {
 			return annotate.New(workload.MustNew(cfg), annotate.Config{})
 		},
-		Warmup:       warmup,
-		Measure:      n,
-		SegmentInsts: segment,
-		Workers:      workers,
+		Warmup:  warmup,
+		Measure: n,
 	})
-	for k := 0; k < p.Segments(); k++ {
-		s, err := p.Segment(k)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("segment %04d: %d instructions published after %.2fs\n",
-			k, s.Len(), time.Since(start).Seconds())
-	}
-	ss, err := p.Wait()
-	if err == nil {
-		err = p.PublishErr()
-	}
 	if err != nil {
 		return err
 	}
-	paths := []string{out}
-	for k := 0; k < ss.Segments(); k++ {
-		paths = append(paths, fmt.Sprintf("%s.seg%04d", out, k))
-	}
 	var bytes int64
-	for _, path := range paths {
-		if fi, serr := os.Stat(path); serr == nil {
+	for _, path := range []string{out, out + ".seg0000"} {
+		if fi, err := os.Stat(path); err == nil {
 			bytes += fi.Size()
 		}
 	}
-	fmt.Printf("wrote %d annotated instructions to %s (%d segments, %d bytes, %.2f bytes/inst, warmup %d, %.2fs)\n",
-		ss.Len(), out, ss.Segments(), bytes, float64(bytes)/float64(ss.Len()), ss.FirstIndex(), time.Since(start).Seconds())
+	fmt.Printf("wrote %d annotated instructions to %s (%d bytes, %.2f bytes/inst, warmup %d, %.2fs)\n",
+		s.Len(), out, bytes, float64(bytes)/float64(s.Len()), s.FirstIndex(), time.Since(start).Seconds())
 	return nil
 }

@@ -56,25 +56,19 @@ func runCLI(t *testing.T, want int, bin string, args ...string) string {
 
 func TestValidateFlags(t *testing.T) {
 	for _, c := range []struct {
-		name               string
-		out                string
-		n, warmup, segment int64
-		workers            int
-		annotated          bool
-		wantErr            string
+		name      string
+		out       string
+		n, warmup int64
+		wantErr   string
 	}{
-		{"raw", "x", 10, 0, 0, 0, false, ""},
-		{"annotated-segmented", "x", 10, 5, 3, 2, true, ""},
-		{"no-output", "", 10, 0, 0, 0, false, "-o"},
-		{"negative-n", "x", -5, 0, 0, 0, false, "-n -5"},
-		{"zero-n", "x", 0, 0, 0, 0, false, "-n 0"},
-		{"negative-warmup", "x", 10, -50, 0, 0, true, "-warmup -50"},
-		{"negative-segment", "x", 10, 0, -7, 0, true, "-segment -7"},
-		{"negative-workers", "x", 10, 0, 0, -3, true, "-workers -3"},
-		{"segment-without-annotate", "x", 10, 0, 5, 0, false, "-segment requires -annotate"},
+		{"raw", "x", 10, 0, ""},
+		{"no-output", "", 10, 0, "-o"},
+		{"negative-n", "x", -5, 0, "-n -5"},
+		{"zero-n", "x", 0, 0, "-n 0"},
+		{"negative-warmup", "x", 10, -50, "-warmup -50"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.out, c.n, c.warmup, c.segment, c.workers, c.annotated)
+			err := validateFlags(c.out, c.n, c.warmup)
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -89,27 +83,18 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestAnnotatedTraceMatchesWorkload: an annotated trace written by
-// tracegen, with one segment or with several built by two workers,
-// replays through mlpsim -trace to exactly the result lines of the
-// matching mlpsim -workload run.
+// tracegen replays through mlpsim -trace to exactly the result lines of
+// the matching mlpsim -workload run.
 func TestAnnotatedTraceMatchesWorkload(t *testing.T) {
 	bin := buildCLIs(t, "tracegen", "mlpsim")
 	const warmup, n = 20_000, 60_000
 	want := runCLI(t, 0, filepath.Join(bin, "mlpsim"), "-workload", "database",
 		"-warmup", strconv.Itoa(warmup), "-measure", strconv.Itoa(n))
-	for name, extra := range map[string][]string{
-		"one-segment":    nil,
-		"three-segments": {"-segment", strconv.Itoa(n / 3), "-workers", "2"},
-	} {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "db.acol")
-			args := append([]string{"-workload", "database", "-annotate",
-				"-warmup", strconv.Itoa(warmup), "-n", strconv.Itoa(n), "-o", path}, extra...)
-			runCLI(t, 0, filepath.Join(bin, "tracegen"), args...)
-			if got := runCLI(t, 0, filepath.Join(bin, "mlpsim"), "-trace", path); got != want {
-				t.Errorf("mlpsim -trace output differs from the -workload run\ngot:\n%s\nwant:\n%s", got, want)
-			}
-		})
+	path := filepath.Join(t.TempDir(), "db.acol")
+	runCLI(t, 0, filepath.Join(bin, "tracegen"), "-workload", "database", "-annotate",
+		"-warmup", strconv.Itoa(warmup), "-n", strconv.Itoa(n), "-o", path)
+	if got := runCLI(t, 0, filepath.Join(bin, "mlpsim"), "-trace", path); got != want {
+		t.Errorf("mlpsim -trace output differs from the -workload run\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -121,10 +106,7 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "-5"},
 		{"-n", "0"},
-		{"-annotate", "-segment", "-7", "-workers", "-3"},
-		{"-annotate", "-workers", "-3"},
 		{"-annotate", "-warmup", "-50", "-n", "10"},
-		{"-segment", "5", "-n", "10"},
 	} {
 		out := filepath.Join(dir, "x")
 		runCLI(t, 2, filepath.Join(bin, "tracegen"), append(args, "-o", out)...)

@@ -248,7 +248,7 @@ func TestCacheSingleflight(t *testing.T) {
 		return newAnn()
 	}
 	const goroutines = 8
-	streams := make([]Trace, goroutines)
+	streams := make([]*Stream, goroutines)
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
@@ -358,7 +358,6 @@ func TestBuildLeavesNoLockOrLease(t *testing.T) {
 	w := workload.Presets(6)[1]
 	c := NewCache()
 	c.SetDir(dir)
-	c.SetSegments(testMeasure/3, 2)
 	for i := 0; i < 2; i++ {
 		key := Key{Workload: w, Annot: fmt.Sprintf("litter%d", i), Warmup: testWarmup, Measure: testMeasure}
 		c.GetTrace(key, testSpec(w))

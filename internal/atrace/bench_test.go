@@ -1,6 +1,7 @@
 package atrace
 
 import (
+	"runtime"
 	"testing"
 
 	"mlpsim/internal/annotate"
@@ -98,5 +99,25 @@ func TestReplayAllocFree(t *testing.T) {
 	})
 	if allocs > 0.01 {
 		t.Errorf("replay allocates %.2f objects per instruction, want 0", allocs)
+	}
+}
+
+// TestCaptureAllocsPerInst pins the capture fast path's steady state:
+// annotation plus columnar encoding allocate nothing per instruction, so
+// a whole capture pays only for its construction and column growth.
+func TestCaptureAllocsPerInst(t *testing.T) {
+	const n = 200_000
+	w := workload.Presets(1)[0]
+	a := annotate.New(workload.MustNew(w), annotate.Config{})
+	a.Warm(100_000)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	s := Capture(a, n)
+	runtime.ReadMemStats(&m1)
+	if s.Len() != n {
+		t.Fatalf("captured %d instructions, want %d", s.Len(), n)
+	}
+	if per := float64(m1.Mallocs-m0.Mallocs) / n; per >= 0.01 {
+		t.Errorf("capture allocates %.4f objects per instruction (%d over %d), want < 0.01", per, m1.Mallocs-m0.Mallocs, n)
 	}
 }

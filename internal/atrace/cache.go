@@ -19,18 +19,17 @@ const DefaultCapBytes = 8 << 30
 // byte footprint; evicted traces stay valid for replays already in
 // flight (they are immutable), the cache merely drops its reference.
 //
-// Every build is a segmented capture (see BuildSpec): one segment unless
-// SetSegments asks for more, whose workers capture the measured window
-// in parallel. With Dir set, the directory becomes a cache shared across
-// processes and hosts: misses memory-map the spilled trace (an MLPCOLS2
-// manifest plus one MLPCOLS1 file per segment) when one exists, so
-// replay reads pages from the OS page cache rather than resident heap,
-// and builders coordinate through per-key lease files so N concurrent
-// processes perform exactly one annotation pass per key. Publication is
-// atomic (temp file + rename, manifest last), corrupt or truncated
-// spills are quarantined and rebuilt, and an on-disk index drives
-// byte-cap LRU eviction of the directory. See diskCache for the layout
-// and protocol.
+// Every build is one sequential annotation pass (see BuildSpec), run in
+// the goroutine of the GetTrace call that missed. With Dir set, the
+// directory becomes a cache shared across processes and hosts: misses
+// memory-map the spilled trace (an MLPCOLS2 manifest plus one MLPCOLS1
+// column file) when one exists, so replay reads pages from the OS page
+// cache rather than resident heap, and builders coordinate through
+// per-key lease files so N concurrent processes perform exactly one
+// annotation pass per key. Publication is atomic (temp file + rename,
+// manifest last), corrupt or truncated spills are quarantined and
+// rebuilt, and an on-disk index drives byte-cap LRU eviction of the
+// directory. See diskCache for the layout and protocol.
 type Cache struct {
 	mu         sync.Mutex
 	capBytes   int64
@@ -38,8 +37,6 @@ type Cache struct {
 	disk       *diskCache
 	entries    map[Key]*entry
 	order      *list.List // front = most recently used
-	segInsts   int64
-	segWorkers int
 	leaseOwner string
 	leaseTTL   time.Duration
 
@@ -52,7 +49,7 @@ type Cache struct {
 type entry struct {
 	key   Key
 	ready chan struct{} // closed when trace (or panic) is set
-	trace Trace
+	trace *Stream
 	pval  any // panic value propagated to waiters
 	elem  *list.Element
 	bytes int64
@@ -128,16 +125,6 @@ func (c *Cache) SetDiskCapBytes(n int64) {
 	}
 }
 
-// SetSegments configures how GetTrace builds split the measured window:
-// segments of insts instructions captured by up to workers parallel
-// workers (0 = GOMAXPROCS). insts <= 0 captures a single segment.
-func (c *Cache) SetSegments(insts int64, workers int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.segInsts = insts
-	c.segWorkers = workers
-}
-
 // Stats reports cache effectiveness counters.
 type CacheStats struct {
 	Hits          uint64 // GetTrace calls served from memory (or by joining a build)
@@ -147,8 +134,6 @@ type CacheStats struct {
 	Quarantined   uint64 // corrupt spill files moved aside
 	DiskEvictions uint64 // spill files evicted for directory capacity
 	Swept         uint64 // litter files reclaimed by the directory sweep
-	SegEvictions  uint64 // individual segments evicted under the byte cap
-	SegRebuilds   uint64 // evicted segments rebuilt on demand
 	LeasesTaken   uint64 // build leases acquired
 	LeasesStolen  uint64 // expired leases reclaimed from dead owners
 	Bytes         int64  // current in-memory footprint
@@ -167,8 +152,6 @@ func (c *Cache) Stats() CacheStats {
 		st.Quarantined = c.disk.quarantined.Load()
 		st.DiskEvictions = c.disk.evictions.Load()
 		st.Swept = c.disk.swept.Load()
-		st.SegEvictions = c.disk.segEvictions.Load()
-		st.SegRebuilds = c.disk.segRebuilds.Load()
 		st.LeasesTaken = c.disk.leasesAcquired.Load()
 		st.LeasesStolen = c.disk.leasesStolen.Load()
 	}
@@ -178,10 +161,10 @@ func (c *Cache) Stats() CacheStats {
 // GetTrace returns the trace for key, building it from spec on a miss
 // exactly once per key no matter how many goroutines ask concurrently —
 // and, with a cache directory set, exactly once across processes too.
-// The cache's SetSegments configuration replaces spec.SegmentInsts and
-// spec.Workers. A panic in the build is propagated to every waiter and
-// the entry is removed so a later call can retry.
-func (c *Cache) GetTrace(key Key, spec BuildSpec) Trace {
+// The build runs in the calling goroutine. A panic in the build is
+// propagated to every waiter and the entry is removed so a later call
+// can retry.
+func (c *Cache) GetTrace(key Key, spec BuildSpec) *Stream {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
@@ -199,10 +182,9 @@ func (c *Cache) GetTrace(key Key, spec BuildSpec) Trace {
 	c.entries[key] = e
 	c.misses++
 	disk := c.disk
-	spec.SegmentInsts, spec.Workers = c.segInsts, c.segWorkers
 	c.mu.Unlock()
 
-	var t Trace
+	var t *Stream
 	var fromDisk bool
 	func() {
 		defer func() {
@@ -216,7 +198,7 @@ func (c *Cache) GetTrace(key Key, spec BuildSpec) Trace {
 			}
 		}()
 		if disk == nil {
-			t = mustCapture(spec)
+			t = capture(spec)
 		} else {
 			t, fromDisk = disk.loadOrBuild(key, spec)
 		}

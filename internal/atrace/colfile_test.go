@@ -56,7 +56,7 @@ func writeColumnarFile(t *testing.T, path string, s *Stream) {
 }
 
 // assertSameReplay drains both streams and fails on the first difference.
-func assertSameReplay(t *testing.T, want, got Trace) {
+func assertSameReplay(t *testing.T, want, got *Stream) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("stream length %d, want %d", got.Len(), want.Len())

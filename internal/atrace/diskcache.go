@@ -27,6 +27,11 @@ const (
 	indexTmpPrefix = ".index-tmp-"
 	corruptMark    = ".corrupt."
 
+	// evictSidecarExt names the "<hash>.acol.evict" sidecar that older
+	// builds kept beside a partially evicted spill. Nothing reads one
+	// now; the sweep reaps it like an abandoned temp file.
+	evictSidecarExt = ".evict"
+
 	// sweepTmpMaxAge bounds how long abandoned temp files (and orphaned
 	// segment files whose manifest never landed) survive: long enough that
 	// no live builder's in-flight file is ever reclaimed, short enough
@@ -81,8 +86,7 @@ func writeAtomic(dir, tmpPattern, dst string, write func(*os.File) error) (int64
 //
 //	<hash>.acol          MLPCOLS2 manifest (hash = sha256 of the canonical
 //	                     key), written last: its presence publishes the key
-//	<hash>.acol.segNNNN  one MLPCOLS1 file per segment
-//	<hash>.acol.evict    names segments evicted under the byte cap (segevict.go)
+//	<hash>.acol.seg0000  the MLPCOLS1 column file
 //	<hash>.lease         per-key build lease (lease.go); cross-process singleflight
 //	index.json           hash -> {key, bytes, last_used}; LRU eviction state
 //	index.lock           flock guarding every index.json read-modify-write
@@ -91,19 +95,20 @@ func writeAtomic(dir, tmpPattern, dst string, write func(*os.File) error) (int64
 // Protocol: readers open the manifest directly (no lease) and touch the
 // index on success. A miss takes <hash>.lease, re-checks the spill
 // (another process may have published while we waited), builds if still
-// absent, publishes each segment file as it completes (temp file +
-// rename, atomic on POSIX) and the manifest last, then updates the index
-// and evicts over-capacity entries — all before releasing the lease. So
+// absent, publishes the column file and then the manifest (each a temp
+// file + rename, atomic on POSIX), then updates the index and evicts
+// over-capacity entries — all before releasing the lease. So
 // cross-process visibility is all-or-nothing. Corrupt or truncated
 // spills, and files in any other format at a key's path, are renamed
 // aside, never trusted.
 //
 // Lifecycle of litter: every publish also sweeps the directory (under the
-// index lock). Abandoned temp files and manifest-less segment files older
-// than tmpMaxAge are removed; quarantined *.corrupt.* files are kept for
-// corruptMaxAge (their bytes counting against capBytes) and then removed;
-// expired leases — left by a builder that died holding one — are removed
-// on sight, since any claimer may steal them anyway.
+// index lock). Abandoned temp files, manifest-less segment files and
+// eviction sidecars left by older builds are removed once older than
+// tmpMaxAge; quarantined *.corrupt.* files are kept for corruptMaxAge
+// (their bytes counting against capBytes) and then removed; expired
+// leases — left by a builder that died holding one — are removed on
+// sight, since any claimer may steal them anyway.
 type diskCache struct {
 	dir      string
 	capBytes int64
@@ -126,8 +131,6 @@ type diskCache struct {
 	quarantined    atomic.Uint64
 	evictions      atomic.Uint64
 	swept          atomic.Uint64
-	segEvictions   atomic.Uint64
-	segRebuilds    atomic.Uint64
 	leasesAcquired atomic.Uint64
 	leasesStolen   atomic.Uint64
 }
@@ -155,7 +158,7 @@ func keyHash(key Key) string {
 func (d *diskCache) spillPath(hash string) string { return filepath.Join(d.dir, hash+spillExt) }
 
 // spillFiles lists the files making up one key's spill: the manifest
-// plus any segment files.
+// plus every segment file beside it.
 func (d *diskCache) spillFiles(hash string) []string {
 	base := d.spillPath(hash)
 	files := []string{base}
@@ -182,18 +185,11 @@ func (d *diskCache) spillBytes(hash string) int64 {
 
 // load opens the spill for key if present and valid. Corrupt files are
 // quarantined so the caller rebuilds instead of crashing; the error then
-// wraps ErrCorruptSpill. One exception: a segmented spill whose only
-// defect is missing segments all named by the eviction sidecar is a
-// rebuildable hole, reported as *SegmentsEvictedError without touching
-// the (still perfectly good) remaining files.
-func (d *diskCache) load(hash string) (Trace, error) {
-	path := d.spillPath(hash)
-	t, err := OpenSpill(path)
+// wraps ErrCorruptSpill.
+func (d *diskCache) load(hash string) (*Stream, error) {
+	t, err := OpenSpill(d.spillPath(hash))
 	if err != nil {
 		if errors.Is(err, ErrCorruptSpill) {
-			if missing, ok := d.evictedHole(path); ok {
-				return nil, &SegmentsEvictedError{Missing: missing}
-			}
 			d.quarantine(hash)
 		}
 		return nil, err
@@ -203,9 +199,9 @@ func (d *diskCache) load(hash string) (Trace, error) {
 }
 
 // loadOrBuild resolves one cache miss: a disk load when possible,
-// otherwise a build under the key's lease that publishes each segment as
-// it completes and the manifest last. fromDisk reports a load.
-func (d *diskCache) loadOrBuild(key Key, spec BuildSpec) (t Trace, fromDisk bool) {
+// otherwise a build under the key's lease that publishes the column
+// file and then the manifest. fromDisk reports a load.
+func (d *diskCache) loadOrBuild(key Key, spec BuildSpec) (t *Stream, fromDisk bool) {
 	hash := keyHash(key)
 	if loaded, err := d.load(hash); err == nil {
 		return loaded, true
@@ -214,36 +210,20 @@ func (d *diskCache) loadOrBuild(key Key, spec BuildSpec) (t Trace, fromDisk bool
 	if err != nil {
 		// Lease machinery unavailable (read-only dir, ...): degrade to an
 		// uncoordinated heap build.
-		return mustCapture(spec), false
+		return capture(spec), false
 	}
 	defer unlock()
 	// Another process may have published while we waited for the lease.
-	loaded, lerr := d.load(hash)
-	if lerr == nil {
+	if loaded, err := d.load(hash); err == nil {
 		return loaded, true
 	}
-	var see *SegmentsEvictedError
-	if errors.As(lerr, &see) {
-		// Rebuild only the evicted segments in place; counted as a build
-		// (annotation work ran), with SegRebuilds recording how little.
-		if t, rerr := d.rebuildSegments(hash, key, spec, see.Missing); rerr == nil {
-			return t, false
-		}
-		// The holes cannot be filled (spec drifted from the manifest,
-		// disk trouble): fall back to a clean full rebuild.
-		d.quarantine(hash)
-	}
-	p := CaptureSegmentedToFile(d.spillPath(hash), spec)
-	ss, err := p.Wait()
-	if err != nil {
-		panic(err)
-	}
+	t, err = CaptureToFile(d.spillPath(hash), spec)
 	// A publish failure (disk full, ...) leaves no manifest behind; the
 	// heap-backed trace is still good, it just is not shared on disk.
-	if p.PublishErr() == nil {
+	if err == nil {
 		d.recordPublished(hash, key, d.spillBytes(hash))
 	}
-	return ss, false
+	return t, false
 }
 
 // quarantine moves a failed spill — manifest and any segment files —
@@ -264,7 +244,6 @@ func (d *diskCache) quarantine(hash string) {
 			moved = true
 		}
 	}
-	os.Remove(d.spillPath(hash) + evictStateSuffix)
 	if moved {
 		d.quarantined.Add(1)
 	}
@@ -304,10 +283,7 @@ func (d *diskCache) touch(hash string) {
 
 // evictIndexed removes least-recently-used spills until the directory —
 // including litterBytes of unindexed litter (young quarantined files) —
-// fits capBytes, never evicting keep (the entry just published). When
-// the remaining overage is smaller than a victim, only tail segments of
-// that victim are evicted (a rebuildable hole, see segevict.go) instead
-// of the whole key — the margin costs a partial rebuild, not a full one.
+// fits capBytes, never evicting keep (the entry just published).
 func (d *diskCache) evictIndexed(idx *indexFile, keep string, litterBytes int64) {
 	if d.capBytes <= 0 {
 		return
@@ -328,31 +304,22 @@ func (d *diskCache) evictIndexed(idx *indexFile, keep string, litterBytes int64)
 		if h == keep {
 			continue
 		}
-		if over := total - d.capBytes; over < idx.Entries[h].Bytes {
-			total -= d.evictSegments(idx, h, over)
-			if total <= d.capBytes {
-				break
-			}
-			// Partial trim could not free enough (nothing evictable left
-			// but segment 0, or not a segmented spill): fall through to
-			// whole-key eviction with the entry's remaining bytes.
-		}
 		total -= idx.Entries[h].Bytes
 		delete(idx.Entries, h)
 		for _, p := range d.spillFiles(h) {
 			os.Remove(p)
 		}
-		os.Remove(d.spillPath(h) + evictStateSuffix)
 		d.evictions.Add(1)
 	}
 }
 
 // sweepLocked reclaims directory litter; the caller holds the index
-// lock. Removed: temp files and orphaned segment files (no manifest)
-// older than tmpMaxAge, quarantined *.corrupt.* files older than
-// corruptMaxAge, and expired leases. Returns the byte total of litter
-// that was kept (young corrupt and temp files, live leases), so eviction
-// can charge it against the capacity.
+// lock. Removed: temp files, orphaned segment files (no manifest) and
+// older builds' eviction sidecars older than tmpMaxAge, quarantined
+// *.corrupt.* files older than corruptMaxAge, and expired leases.
+// Returns the byte total of litter that was kept (young corrupt and
+// temp files, live leases), so eviction can charge it against the
+// capacity.
 func (d *diskCache) sweepLocked(idx *indexFile) (litterBytes int64) {
 	ents, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -384,16 +351,11 @@ func (d *diskCache) sweepLocked(idx *indexFile) (litterBytes int64) {
 			continue
 		}
 		switch {
-		case strings.HasPrefix(name, tmpPrefix) || strings.HasPrefix(name, indexTmpPrefix):
+		case strings.HasPrefix(name, tmpPrefix) || strings.HasPrefix(name, indexTmpPrefix),
+			strings.HasSuffix(name, spillExt+evictSidecarExt):
 			reap(de, d.tmpMaxAge)
 		case strings.Contains(name, corruptMark):
 			reap(de, d.corruptMaxAge)
-		case strings.HasSuffix(name, evictStateSuffix):
-			// Eviction sidecar whose manifest is gone (whole key evicted or
-			// quarantined between the two removals): plain litter.
-			if !manifests[strings.TrimSuffix(name, evictStateSuffix)] {
-				reap(de, d.tmpMaxAge)
-			}
 		case strings.HasSuffix(name, leaseExt):
 			// A lease names an in-flight claim. Expired ones are reclaimable
 			// by definition (any claimer may steal them), so reap on sight;

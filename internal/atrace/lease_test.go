@@ -144,7 +144,6 @@ func TestLeaseSkewedClockPublishSafety(t *testing.T) {
 
 	cA := NewCache()
 	cA.SetDir(dir)
-	cA.SetSegments(testMeasure/3, 1)
 	cA.SetLease("a", 100*time.Millisecond)
 	unlockA, err := cA.disk.acquireLease(hash) // A claims and stalls mid-build
 	if err != nil {
@@ -153,7 +152,6 @@ func TestLeaseSkewedClockPublishSafety(t *testing.T) {
 
 	cB := NewCache()
 	cB.SetDir(dir)
-	cB.SetSegments(testMeasure/3, 1)
 	cB.SetLease("b", 100*time.Millisecond)
 	cB.disk.leasePoll = time.Millisecond
 	cB.disk.now = func() time.Time { return time.Now().Add(10 * time.Minute) } // fast clock
@@ -165,14 +163,7 @@ func TestLeaseSkewedClockPublishSafety(t *testing.T) {
 	}
 
 	// A, still believing it holds the lease, finishes and publishes too.
-	p := CaptureSegmentedToFile(cA.disk.spillPath(hash), BuildSpec{
-		NewAnnotator: newAnn, Warmup: testWarmup, Measure: testMeasure,
-		SegmentInsts: testMeasure / 3, Workers: 1,
-	})
-	if _, err := p.Wait(); err != nil {
-		t.Fatalf("A's duplicate build: %v", err)
-	}
-	if err := p.PublishErr(); err != nil {
+	if _, err := CaptureToFile(cA.disk.spillPath(hash), spec); err != nil {
 		t.Fatalf("A's duplicate publish: %v", err)
 	}
 	cA.disk.recordPublished(hash, key, cA.disk.spillBytes(hash))
@@ -211,10 +202,10 @@ func leaseHelperKey() (Key, workload.Config) {
 }
 
 // TestLeaseBuildHelper is the subprocess body for the lease
-// crash-recovery test: one segmented GetTrace in lease mode. With the
-// crash env set it dies between the second publish temp write and its
-// rename — the lease is written and segment 0 landed, segment 1 and the
-// manifest never do: SIGKILL between lease write and segment publish.
+// crash-recovery test: one GetTrace in lease mode. With the crash env
+// set it dies between the second publish temp write and its rename —
+// the lease is written and segment 0 landed, the manifest never does:
+// SIGKILL between lease write and full publication.
 func TestLeaseBuildHelper(t *testing.T) {
 	dir := os.Getenv(leaseHelperEnvDir)
 	if dir == "" {
@@ -230,7 +221,6 @@ func TestLeaseBuildHelper(t *testing.T) {
 	}
 	c := NewCache()
 	c.SetDir(dir)
-	c.SetSegments(testMeasure/3, 1)
 	c.SetLease(os.Getenv(leaseHelperEnvOwner), time.Second)
 	key, w := leaseHelperKey()
 	s := c.GetTrace(key, testSpec(w))

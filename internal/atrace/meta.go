@@ -9,7 +9,7 @@ import (
 )
 
 // The meta blob carries a stream's geometry and captured-window
-// statistics in every segment file and manifest header (colfile.go,
+// statistics in every column file and manifest header (colfile.go,
 // segment.go): 22 uvarints led by the version number 2 — geometry,
 // annotator stats, then the hardware-prefetcher statistics captured
 // with the stream.
@@ -19,13 +19,6 @@ const (
 )
 
 func encodeMeta(s *Stream) []byte {
-	return encodeMetaInfo(metaInfo{
-		lineShift: s.lineShift, firstIndex: s.firstIndex, n: s.n, stats: s.stats,
-		ipfStats: s.ipfStats, dpfStats: s.dpfStats, hasIPF: s.hasIPF, hasDPF: s.hasDPF,
-	})
-}
-
-func encodeMetaInfo(m metaInfo) []byte {
 	var b []byte
 	put := func(v uint64) { b = binary.AppendUvarint(b, v) }
 	putBool := func(v bool) {
@@ -36,10 +29,10 @@ func encodeMetaInfo(m metaInfo) []byte {
 		}
 	}
 	put(metaVersion)
-	put(uint64(m.lineShift))
-	put(uint64(m.firstIndex))
-	put(uint64(m.n))
-	st := m.stats
+	put(uint64(s.lineShift))
+	put(uint64(s.firstIndex))
+	put(uint64(s.n))
+	st := s.stats
 	for _, v := range []uint64{
 		st.Instructions, st.DMisses, st.PMisses, st.IMisses, st.SMisses,
 		st.Branches, st.Mispredicts, st.Prefetches, st.PrefetchUsed,
@@ -47,12 +40,12 @@ func encodeMetaInfo(m metaInfo) []byte {
 	} {
 		put(v)
 	}
-	putBool(m.hasIPF)
-	put(m.ipfStats.Issued)
-	put(m.ipfStats.Useful)
-	putBool(m.hasDPF)
-	put(m.dpfStats.Issued)
-	put(m.dpfStats.Useful)
+	putBool(s.hasIPF)
+	put(s.ipfStats.Issued)
+	put(s.ipfStats.Useful)
+	putBool(s.hasDPF)
+	put(s.dpfStats.Issued)
+	put(s.dpfStats.Useful)
 	return b
 }
 

@@ -113,10 +113,10 @@ const (
 )
 
 // TestSegmentedBuildHelper is the subprocess body for the crash-recovery
-// test: one segmented GetTrace against the shared directory. With the
-// crash env set it installs the writeAtomic hook and dies (os.Exit)
-// between writing the second publish temp file and renaming it — after
-// segment 0 landed, before segment 1 and the manifest.
+// test: one GetTrace against the shared directory. With the crash env
+// set it installs the writeAtomic hook and dies (os.Exit) between
+// writing the second publish temp file and renaming it — after segment
+// 0 landed, before the manifest.
 func TestSegmentedBuildHelper(t *testing.T) {
 	dir := os.Getenv(segHelperEnvDir)
 	if dir == "" {
@@ -132,7 +132,6 @@ func TestSegmentedBuildHelper(t *testing.T) {
 	}
 	c := NewCache()
 	c.SetDir(dir)
-	c.SetSegments(testMeasure/3, 1)
 	key, w := helperKey()
 	s := c.GetTrace(key, testSpec(w))
 	if os.Getenv(segHelperEnvCrash) != "" {
@@ -176,7 +175,7 @@ func TestCrashDuringPublishRecovery(t *testing.T) {
 		t.Fatalf("manifest visible after a mid-publish crash: %v", err)
 	}
 	// The crash left exactly the litter the sweep is for: segment 0
-	// published as an orphan, and segment 1's abandoned temp file.
+	// published as an orphan, and the manifest's abandoned temp file.
 	if _, err := os.Stat(segmentPath(manifest, 0)); err != nil {
 		t.Fatalf("expected orphan segment 0 from the crashed builder: %v", err)
 	}

@@ -11,26 +11,20 @@ import (
 	"mlpsim/internal/workload"
 )
 
-// buildSegmentedSpill captures a tiny segmented trace (manifest plus
-// segment files) at path and returns the manifest bytes and every
-// segment file's bytes.
+// buildSegmentedSpill captures a tiny trace and publishes it at path
+// (manifest plus its one segment file), returning the manifest bytes
+// and every segment file's bytes.
 func buildSegmentedSpill(tb testing.TB, path string) (manifest []byte, segs [][]byte) {
 	tb.Helper()
 	w := workload.Presets(17)[0]
-	p := CaptureSegmentedToFile(path, BuildSpec{
+	if _, err := CaptureToFile(path, BuildSpec{
 		NewAnnotator: func() *annotate.Annotator {
 			return annotate.New(workload.MustNew(w), annotate.Config{})
 		},
-		Warmup:       2_000,
-		Measure:      3_000,
-		SegmentInsts: 1_000,
-		Workers:      2,
-	})
-	if _, err := p.Wait(); err != nil {
-		tb.Fatalf("segmented capture: %v", err)
-	}
-	if err := p.PublishErr(); err != nil {
-		tb.Fatalf("segmented publish: %v", err)
+		Warmup:  2_000,
+		Measure: 3_000,
+	}); err != nil {
+		tb.Fatalf("publish: %v", err)
 	}
 	manifest, err := os.ReadFile(path)
 	if err != nil {
@@ -47,8 +41,8 @@ func buildSegmentedSpill(tb testing.TB, path string) (manifest []byte, segs [][]
 }
 
 // FuzzOpenSegmentManifest feeds arbitrary bytes to the MLPCOLS2
-// manifest parser through the full disk-cache load path, with real
-// segment files sitting beside the manifest. The contract under fuzz:
+// manifest parser through the full disk-cache load path, with the real
+// segment file sitting beside the manifest. The contract under fuzz:
 // never panic; either the spill opens and replays, or the load fails
 // with the manifest quarantined (moved aside) so the key rebuilds —
 // a corrupt or truncated manifest must never wedge the cache.

@@ -1,119 +1,94 @@
 package atrace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"mlpsim/internal/annotate"
-	"mlpsim/internal/mem"
-	"mlpsim/internal/prefetch"
 	"mlpsim/internal/storeset"
-	"mlpsim/internal/vpred"
 	"mlpsim/internal/workload"
 )
 
-// segSpecFor builds a BuildSpec over the standard test window. acfg must
-// be reconstructible per call (workers each get a fresh annotator).
-func segSpecFor(w workload.Config, acfg func() annotate.Config, segInsts int64, workers int) BuildSpec {
-	return BuildSpec{
-		NewAnnotator: func() *annotate.Annotator {
-			return annotate.New(workload.MustNew(w), acfg())
-		},
-		Warmup:       testWarmup,
-		Measure:      testMeasure,
-		SegmentInsts: segInsts,
-		Workers:      workers,
-	}
-}
-
-// TestSegmentedMatchesMonolithic is the bit-identity check of the
-// tentpole: a multi-worker segmented capture must replay the exact
-// instruction sequence of one monolithic pass and report identical
-// aggregate annotator and prefetcher statistics — including a last
-// segment shorter than the nominal size.
-func TestSegmentedMatchesMonolithic(t *testing.T) {
-	w := workload.Presets(21)[0]
-	acfg := func() annotate.Config {
-		return annotate.Config{
-			IPrefetch: prefetch.NewSequential(4, mem.IFetch),
-			DPrefetch: prefetch.NewStride(1024, 4),
-			Value:     vpred.NewLastValue(vpred.DefaultEntries),
+// writeOldSpill writes w's test window at base in the layout older
+// builds used for a k-segment capture: k column files captured by one
+// annotator whose statistics restart at every segment boundary, under a
+// manifest that carries the whole window's meta blob and k records.
+func writeOldSpill(t *testing.T, base string, w workload.Config, k int) {
+	t.Helper()
+	a := annotate.New(workload.MustNew(w), annotate.Config{})
+	a.Warm(testWarmup)
+	segInsts := int64(testMeasure / k)
+	var recs []byte
+	for i := 0; i < k; i++ {
+		if i > 0 {
+			a.ResetStats()
 		}
+		s := Capture(a, segInsts)
+		writeColumnarFile(t, segmentPath(base, i), s)
+		fi, err := os.Stat(segmentPath(base, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = binary.LittleEndian.AppendUint64(recs, uint64(s.Len()))
+		recs = binary.LittleEndian.AppendUint64(recs, uint64(fi.Size()))
 	}
-	mono := captureStream(t, w, acfg())
-
-	// 120000 / 50000 -> segments of 50k, 50k, 20k across 3 workers.
-	p := CaptureSegmented(segSpecFor(w, acfg, 50_000, 3))
-	ss, err := p.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
+	var buf bytes.Buffer
+	if err := writeManifest(&buf, captureStream(t, w, annotate.Config{}), 0); err != nil {
+		t.Fatal(err)
 	}
-	if ss.Segments() != 3 {
-		t.Fatalf("segments %d, want 3", ss.Segments())
+	m := append(buf.Bytes()[:buf.Len()-16], recs...)
+	binary.LittleEndian.PutUint32(m[8:], uint32(len(m)))
+	binary.LittleEndian.PutUint32(m[20:], uint32(k))
+	binary.LittleEndian.PutUint64(m[40:], uint64(segInsts))
+	binary.LittleEndian.PutUint32(m[12:], crc32.Checksum(m[16:], crcTable))
+	if err := os.WriteFile(base, m, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if ss.Len() != mono.Len() || ss.FirstIndex() != mono.FirstIndex() {
-		t.Fatalf("geometry (n=%d first=%d), want (n=%d first=%d)",
-			ss.Len(), ss.FirstIndex(), mono.Len(), mono.FirstIndex())
-	}
-	if got, want := ss.Stats(), mono.Stats(); got != want {
-		t.Errorf("aggregate stats %+v, want %+v", got, want)
-	}
-	ipf, ok := ss.IPrefetchStats()
-	mipf, _ := mono.IPrefetchStats()
-	if !ok || ipf != mipf {
-		t.Errorf("iprefetch stats %+v (ok=%v), want %+v", ipf, ok, mipf)
-	}
-	dpf, ok := ss.DPrefetchStats()
-	mdpf, _ := mono.DPrefetchStats()
-	if !ok || dpf != mdpf {
-		t.Errorf("dprefetch stats %+v (ok=%v), want %+v", dpf, ok, mdpf)
-	}
-	assertSameReplay(t, mono, ss)
 }
 
-// TestSegmentedFileRoundTrip: the spill written by the pipelined writer
-// reopens memory-mapped and replays every annotate.Inst field exactly as
-// the in-memory single pass captured it, for one segment and for K. The
-// StoreHeavy store-set cases pin the dependence outcome (Inst.Dep): it
-// must survive the spill.
+// TestSegmentedFileRoundTrip: the spill a build publishes reopens
+// memory-mapped and replays every annotate.Inst field exactly as an
+// independent in-memory pass captured it. The StoreHeavy store-set case
+// pins the dependence outcome (Inst.Dep): it must survive the spill.
 func TestSegmentedFileRoundTrip(t *testing.T) {
 	plain := func() annotate.Config { return annotate.Config{} }
 	storeSets := func() annotate.Config {
 		return annotate.Config{StoreSets: storeset.New(storeset.DefaultConfig())}
 	}
 	for _, tc := range []struct {
-		name     string
-		w        workload.Config
-		acfg     func() annotate.Config
-		segInsts int64
-		workers  int
-		wantDep  bool
+		name    string
+		w       workload.Config
+		acfg    func() annotate.Config
+		wantDep bool
 	}{
-		{"default", workload.Presets(22)[1], plain, 40_000, 2, false},
-		{"storesets-1seg", workload.StoreHeavy(1), storeSets, 0, 1, true},
-		{"storesets-Kseg", workload.StoreHeavy(1), storeSets, 40_000, 2, true},
+		{"default", workload.Presets(22)[1], plain, false},
+		{"storesets-1seg", workload.StoreHeavy(1), storeSets, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mono := captureStream(t, tc.w, tc.acfg())
 			base := filepath.Join(t.TempDir(), "trace"+spillExt)
-			p := CaptureSegmentedToFile(base, segSpecFor(tc.w, tc.acfg, tc.segInsts, tc.workers))
-			built, err := p.Wait()
+			built, err := CaptureToFile(base, BuildSpec{
+				NewAnnotator: func() *annotate.Annotator {
+					return annotate.New(workload.MustNew(tc.w), tc.acfg())
+				},
+				Warmup:  testWarmup,
+				Measure: testMeasure,
+			})
 			if err != nil {
-				t.Fatalf("Wait: %v", err)
-			}
-			if err := p.PublishErr(); err != nil {
-				t.Fatalf("PublishErr: %v", err)
+				t.Fatalf("CaptureToFile: %v", err)
 			}
 			if !built.Mapped() {
-				t.Error("builder's own segments not memory-mapped after publication")
+				t.Error("builder's own trace not memory-mapped after publication")
 			}
-			for k := 0; k < built.Segments(); k++ {
-				if _, err := os.Stat(segmentPath(base, k)); err != nil {
-					t.Fatalf("segment %d missing: %v", k, err)
-				}
+			if segs := segmentFiles(base); len(segs) != 1 {
+				t.Fatalf("published segment files %v, want exactly seg0000", segs)
 			}
 
 			ss, err := OpenSpill(base)
@@ -121,13 +96,7 @@ func TestSegmentedFileRoundTrip(t *testing.T) {
 				t.Fatalf("OpenSpill: %v", err)
 			}
 			if !ss.Mapped() {
-				t.Error("reopened segments not memory-mapped")
-			}
-			if ss.Segments() != built.Segments() {
-				t.Errorf("reopened %d segments, built %d", ss.Segments(), built.Segments())
-			}
-			if got, want := ss.Stats(), mono.Stats(); got != want {
-				t.Errorf("reopened stats %+v, want %+v", got, want)
+				t.Error("reopened trace not memory-mapped")
 			}
 			assertSameReplay(t, mono, ss)
 
@@ -148,162 +117,98 @@ func TestSegmentedFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentStreaming proves the pipeline property: a consumer drains
-// segment 0 while the final segment is still unpublished.
-func TestSegmentStreaming(t *testing.T) {
-	w := workload.Presets(23)[2]
-	spec := segSpecFor(w, func() annotate.Config { return annotate.Config{} }, 40_000, 1)
-	gate := make(chan struct{})
-	segs := int((testMeasure + 40_000 - 1) / 40_000)
-	spec.publish = func(k int, s *Stream) (*Stream, error) {
-		if k == segs-1 {
-			<-gate // hold the last segment back until the consumer is done with segment 0
-		}
-		return nil, nil
-	}
-
-	p := CaptureSegmented(spec)
-	src := p.Source()
-	var inst annotate.Inst
-	for i := int64(0); i < 40_000; i++ {
-		if !src.NextInto(&inst) {
-			t.Fatalf("stream ended at %d, before segment 0 was drained", i)
-		}
-	}
-	select {
-	case <-p.ready[segs-1]:
-		t.Fatal("final segment published before the gate opened")
-	default:
-	}
-	close(gate)
-	n := int64(40_000)
-	for src.NextInto(&inst) {
-		n++
-	}
-	if n != testMeasure {
-		t.Fatalf("streamed %d instructions, want %d", n, testMeasure)
-	}
-	if _, err := p.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-}
-
-// TestSegmentedDiskCache: a cache configured for several segments spills
-// them under one manifest; a second cache loads it from disk (no
-// rebuild), memory-mapped and bit-identical; a corrupted segment
-// quarantines the whole key and a third cache rebuilds cleanly.
+// TestSegmentedDiskCache: a key whose spill an older build split into
+// three segments opens as corrupt. The first cache quarantines the
+// manifest and all three segment files together and builds once; a
+// second cache then gets a plain disk hit on the republished
+// one-segment spill, memory-mapped and bit-identical.
 func TestSegmentedDiskCache(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(24)[0]
 	key := Key{Workload: w, Annot: "seg", Warmup: testWarmup, Measure: testMeasure}
 	mono := captureStream(t, w, annotate.Config{})
+	manifest := filepath.Join(dir, keyHash(key)+spillExt)
+	writeOldSpill(t, manifest, w, 3)
+	if _, err := OpenSpill(manifest); !errors.Is(err, ErrCorruptSpill) {
+		t.Fatalf("open of a 3-segment spill: err %v, want ErrCorruptSpill", err)
+	}
 
 	c1 := NewCache()
 	c1.SetDir(dir)
-	c1.SetSegments(50_000, 2)
-	t1 := c1.GetTrace(key, testSpec(w))
-	if st := c1.Stats(); st.Builds != 1 {
-		t.Fatalf("first cache: %d builds, want 1", st.Builds)
+	assertSameReplay(t, mono, c1.GetTrace(key, testSpec(w)))
+	if st := c1.Stats(); st.Quarantined != 1 || st.Builds != 1 || st.DiskHits != 0 {
+		t.Fatalf("first cache stats %+v, want 1 quarantine and 1 build", st)
 	}
-	manifest := filepath.Join(dir, keyHash(key)+spillExt)
-	if ss, err := OpenSpill(manifest); err != nil || ss.Segments() != 3 {
-		t.Fatalf("spill did not reopen as 3 segments (err %v)", err)
+	if moved, _ := filepath.Glob(filepath.Join(dir, "*"+corruptMark+"*")); len(moved) != 4 {
+		t.Errorf("quarantined files %v, want the manifest and its three segments", moved)
 	}
-	assertSameReplay(t, mono, t1)
+	if segs := segmentFiles(manifest); len(segs) != 1 {
+		t.Errorf("republished spill has segment files %v, want exactly seg0000", segs)
+	}
 
 	c2 := NewCache()
 	c2.SetDir(dir)
-	c2.SetSegments(50_000, 2)
 	t2 := c2.GetTrace(key, testSpec(w))
-	if st := c2.Stats(); st.DiskHits != 1 || st.Builds != 0 {
-		t.Fatalf("second cache stats %+v, want 1 disk hit and 0 builds", st)
+	if st := c2.Stats(); st.Quarantined != 0 || st.Builds != 0 || st.DiskHits != 1 {
+		t.Fatalf("second cache stats %+v, want a plain disk hit", st)
 	}
 	if !t2.Mapped() {
-		t.Error("disk-loaded segmented trace not memory-mapped")
+		t.Error("disk-loaded trace not memory-mapped")
 	}
 	assertSameReplay(t, mono, t2)
-
-	// Flip one byte inside segment 1: the whole key must quarantine
-	// (manifest + all segments moved aside) and rebuild.
-	seg1 := segmentPath(manifest, 1)
-	data, err := os.ReadFile(seg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(seg1, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c3 := NewCache()
-	c3.SetDir(dir)
-	c3.SetSegments(50_000, 2)
-	t3 := c3.GetTrace(key, testSpec(w))
-	if st := c3.Stats(); st.Quarantined != 1 || st.Builds != 1 {
-		t.Fatalf("third cache stats %+v, want 1 quarantine and 1 rebuild", st)
-	}
-	assertSameReplay(t, mono, t3)
-	quarantined, _ := filepath.Glob(filepath.Join(dir, "*"+corruptMark+"*"))
-	if len(quarantined) < 2 {
-		t.Errorf("quarantine moved %d files aside, want manifest plus segments (%v)", len(quarantined), quarantined)
-	}
-	if _, err := OpenSpill(manifest); err != nil {
-		t.Errorf("rebuild did not republish the spill: %v", err)
-	}
 }
 
-// TestSegmentedDiskEviction pins byte-cap eviction's two regimes for
-// segmented spills: a margin overage trims only tail segments of the
-// LRU victim (leaving a sidecar-named rebuildable hole, segment 0
-// live), while a deep overage still removes the whole key — manifest,
-// every segment file AND the eviction sidecar.
+// TestSegmentedDiskEviction: a spill an older build had partially
+// evicted under the byte cap (four segments, the last two removed and
+// named by a "<hash>.acol.evict" sidecar) opens as corrupt like any
+// other multi-segment spill. The first cache quarantines it and builds
+// once, a second cache hits the republished spill, and the sweep reaps
+// the sidecar once it is older than tmpMaxAge.
 func TestSegmentedDiskEviction(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(25)[0]
-	key1 := Key{Workload: w, Annot: "evict1", Warmup: testWarmup, Measure: testMeasure}
-	key2 := Key{Workload: w, Annot: "evict2", Warmup: testWarmup, Measure: testMeasure}
-	key3 := Key{Workload: w, Annot: "evict3", Warmup: testWarmup, Measure: testMeasure}
-
-	c := NewCache()
-	c.SetDir(dir)
-	c.SetSegments(50_000, 2)
-	c.GetTrace(key1, testSpec(w))
-	size := newDiskCache(dir).spillBytes(keyHash(key1))
-	if size <= 0 {
-		t.Fatal("first spill reports no bytes")
-	}
-	// Room for ~1.5 spills: publishing key2 overshoots by ~half a spill,
-	// which partial eviction covers by trimming key1's tail.
-	c.SetDiskCapBytes(size + size/2)
-	c.GetTrace(key2, testSpec(w))
-	if st := c.Stats(); st.DiskEvictions != 0 || st.SegEvictions == 0 {
-		t.Fatalf("stats %+v, want 0 whole-key evictions and > 0 segment evictions", st)
-	}
-	h1 := keyHash(key1)
-	manifest1 := filepath.Join(dir, h1+spillExt)
-	if _, err := os.Stat(manifest1); err != nil {
-		t.Errorf("trimmed spill lost its manifest: %v", err)
-	}
-	if _, err := os.Stat(segmentPath(manifest1, 0)); err != nil {
-		t.Errorf("segment 0 must stay live after a partial trim: %v", err)
-	}
-	if missing, ok := newDiskCache(dir).evictedHole(manifest1); !ok || len(missing) == 0 {
-		t.Errorf("trimmed spill's hole (%v, named=%v) not rebuildable", missing, ok)
-	}
-
-	// Deep overage: a cap far below the victims' sizes removes whole
-	// keys — key1's remains (sidecar included) and then key2.
-	c.SetDiskCapBytes(size / 2)
-	c.GetTrace(key3, testSpec(w))
-	if st := c.Stats(); st.DiskEvictions != 2 {
-		t.Fatalf("stats %+v, want 2 whole-key evictions", st)
-	}
-	for _, h := range []string{h1, keyHash(key2)} {
-		if left, _ := filepath.Glob(filepath.Join(dir, h+"*")); len(left) != 0 {
-			t.Errorf("evicted spill left %v behind", left)
+	key := Key{Workload: w, Annot: "evicted-hole", Warmup: testWarmup, Measure: testMeasure}
+	mono := captureStream(t, w, annotate.Config{})
+	manifest := filepath.Join(dir, keyHash(key)+spillExt)
+	writeOldSpill(t, manifest, w, 4)
+	for k := 2; k < 4; k++ {
+		if err := os.Remove(segmentPath(manifest, k)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := OpenSpill(filepath.Join(dir, keyHash(key3)+spillExt)); err != nil {
-		t.Errorf("surviving spill unreadable: %v", err)
+	sidecar := manifest + evictSidecarExt
+	if err := os.WriteFile(sidecar, []byte(`{"evicted":[2,3]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c1 := NewCache()
+	c1.SetDir(dir)
+	assertSameReplay(t, mono, c1.GetTrace(key, testSpec(w)))
+	if st := c1.Stats(); st.Quarantined != 1 || st.Builds != 1 || st.DiskHits != 0 {
+		t.Fatalf("first cache stats %+v, want 1 quarantine and 1 build", st)
+	}
+	if moved, _ := filepath.Glob(filepath.Join(dir, "*"+corruptMark+"*")); len(moved) != 3 {
+		t.Errorf("quarantined files %v, want the manifest and its two live segments", moved)
+	}
+	c2 := NewCache()
+	c2.SetDir(dir)
+	assertSameReplay(t, mono, c2.GetTrace(key, testSpec(w)))
+	if st := c2.Stats(); st.Quarantined != 0 || st.Builds != 0 || st.DiskHits != 1 {
+		t.Fatalf("second cache stats %+v, want a plain disk hit", st)
+	}
+
+	// The rebuild's own sweep kept the young sidecar; one sweep past
+	// tmpMaxAge reaps it and leaves the republished spill alone.
+	if _, err := os.Stat(sidecar); err != nil {
+		t.Fatalf("young sidecar reaped early: %v", err)
+	}
+	d := newDiskCache(dir)
+	sweepAt(d, time.Now().Add(d.tmpMaxAge+time.Minute))
+	if left, _ := filepath.Glob(filepath.Join(dir, "*"+evictSidecarExt)); len(left) != 0 {
+		t.Errorf("eviction sidecars left after an aged sweep: %v", left)
+	}
+	if _, err := OpenSpill(manifest); err != nil {
+		t.Errorf("aged sweep damaged the republished spill: %v", err)
 	}
 }
 

@@ -37,23 +37,6 @@ type Source interface {
 	NextInto(*annotate.Inst) bool
 }
 
-// Trace is a replayable annotated instruction window: either one
-// captured Stream (as Capture returns) or a SegStream chaining fixed-size
-// segments (what the cache builds and spill files hold). Every
-// implementation is immutable and safe for concurrent use once built;
-// Source returns an independent cursor per call.
-type Trace interface {
-	Len() int64
-	FirstIndex() int64
-	LineShift() uint8
-	Stats() annotate.Stats
-	IPrefetchStats() (prefetch.Stats, bool)
-	DPrefetchStats() (prefetch.Stats, bool)
-	MemBytes() int64
-	Mapped() bool
-	Source() Source
-}
-
 // Stream is an immutable struct-of-arrays encoding of an annotated
 // instruction window. All replays decode the same columns; a Stream is
 // safe for concurrent use once built.
@@ -398,7 +381,7 @@ type Replay struct {
 // instruction.
 func (s *Stream) Replay() *Replay { return &Replay{s: s} }
 
-// Source returns a fresh replay cursor, satisfying the Trace interface.
+// Source returns a fresh replay cursor as a Source.
 func (s *Stream) Source() Source { return s.Replay() }
 
 // Next returns the next annotated instruction in the stream.

@@ -218,9 +218,10 @@ type GangRunStats struct {
 type gangMember struct {
 	soa *soaEngine
 	eng *Engine
-	cur *gangCursor // non-nil iff eng is (the scalar engines read via cursors)
-	// soloSrc marks the degenerate single-scalar gang that runs straight
+	// cur is a scalar engine's cursor into the ring. It is nil for SoA
+	// members and for the single-scalar gang, whose engine reads straight
 	// off the source with no ring.
+	cur  *gangCursor
 	done bool
 }
 

@@ -11,18 +11,17 @@ import (
 // WriteCSV renders an exhibit's typed rows as CSV. It accepts any struct
 // with exactly one exported slice-of-structs field (Rows, Cells or
 // Series); the column headers come from the row struct's exported field
-// names. Nested slices are flattened with a semicolon separator.
+// names. Nested slices are flattened with a semicolon separator. A
+// failed write to w is returned, including one at the final flush.
 func WriteCSV(w io.Writer, exhibit interface{}) error {
 	rows, err := rowsOf(exhibit)
 	if err != nil {
 		return err
 	}
-	cw := csv.NewWriter(w)
-	defer cw.Flush()
-
 	if rows.Len() == 0 {
 		return nil
 	}
+	cw := csv.NewWriter(w)
 	rowType := rows.Index(0).Type()
 	var header []string
 	for i := 0; i < rowType.NumField(); i++ {
@@ -47,7 +46,8 @@ func WriteCSV(w io.Writer, exhibit interface{}) error {
 			return err
 		}
 	}
-	return nil
+	cw.Flush()
+	return cw.Error()
 }
 
 // rowsOf locates the exhibit's row slice.

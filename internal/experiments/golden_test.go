@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlpsim/internal/annotate"
+	"mlpsim/internal/atrace"
 	"mlpsim/internal/core"
 	"mlpsim/internal/cyclesim"
 	"mlpsim/internal/prefetch"
@@ -69,13 +70,19 @@ func TestCachedPathMatchesDirect(t *testing.T) {
 }
 
 // TestSegmentedCacheMatchesDirect re-runs the golden determinism check
-// with segmented parallel capture enabled: sharding the annotation pass
-// across workers and replaying across segment boundaries must stay
-// bit-identical to the direct annotate-per-run path.
+// through the disk cache: one cache publishes every trace as a spill (a
+// manifest plus its segment file), and a second cache over the same
+// directory replays each trace memory-mapped from those files. Its
+// results must stay bit-identical to the direct annotate-per-run path.
 func TestSegmentedCacheMatchesDirect(t *testing.T) {
 	cached, direct := goldenSetups(1)
-	// 500k / 150k -> 4 segments (the last one short) built by 2 workers.
-	cached.Cache.SetSegments(150_000, 2)
+	dir := t.TempDir()
+	cached.Cache.SetDir(dir)
+	for _, w := range cached.Workloads {
+		cached.AnnotateStats(w, annotate.Config{})
+	}
+	cached.Cache = atrace.NewCache()
+	cached.Cache.SetDir(dir)
 
 	cfgs := []core.Config{
 		core.Default(),
@@ -88,18 +95,18 @@ func TestSegmentedCacheMatchesDirect(t *testing.T) {
 				got := cached.RunMLPsim(w, cfg, annotate.Config{})
 				want := direct.RunMLPsim(w, cfg, annotate.Config{})
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("segmented cached result differs from direct\ncached: %+v\ndirect: %+v", got, want)
+					t.Errorf("mapped cached result differs from direct\ncached: %+v\ndirect: %+v", got, want)
 				}
 			}
 			got := cached.RunCycleSim(w, cyclesim.Default(400), annotate.Config{})
 			want := direct.RunCycleSim(w, cyclesim.Default(400), annotate.Config{})
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("segmented cached cyclesim result differs from direct\ncached: %+v\ndirect: %+v", got, want)
+				t.Errorf("mapped cached cyclesim result differs from direct\ncached: %+v\ndirect: %+v", got, want)
 			}
 		})
 	}
-	if st := cached.Cache.Stats(); st.Builds != uint64(len(cached.Workloads)) {
-		t.Errorf("segmented cache performed %d builds for %d workloads", st.Builds, len(cached.Workloads))
+	if st := cached.Cache.Stats(); st.Builds != 0 || st.DiskHits != uint64(len(cached.Workloads)) {
+		t.Errorf("second cache stats %+v, want every trace loaded from disk and none built", st)
 	}
 }
 

@@ -165,10 +165,8 @@ func (s Setup) directAnnotator(w workload.Config, acfg annotate.Config) *annotat
 }
 
 // cachedStream returns the shared annotated trace for (w, acfg) when the
-// configuration is cacheable, annotating at most once per key. The cache
-// decides how many segments the capture splits into (Cache.SetSegments);
-// every split yields a bit-identical trace.
-func (s Setup) cachedStream(w workload.Config, acfg annotate.Config) (atrace.Trace, bool) {
+// configuration is cacheable, annotating at most once per key.
+func (s Setup) cachedStream(w workload.Config, acfg annotate.Config) (*atrace.Stream, bool) {
 	if s.Cache == nil {
 		return nil, false
 	}

@@ -146,8 +146,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "mlpsim_trace_cache_disk_hits_total %d\n", st.DiskHits)
 		fmt.Fprintf(w, "mlpsim_trace_cache_quarantined_total %d\n", st.Quarantined)
 		fmt.Fprintf(w, "mlpsim_trace_cache_disk_evictions_total %d\n", st.DiskEvictions)
-		fmt.Fprintf(w, "mlpsim_trace_cache_seg_evictions_total %d\n", st.SegEvictions)
-		fmt.Fprintf(w, "mlpsim_trace_cache_seg_rebuilds_total %d\n", st.SegRebuilds)
 		fmt.Fprintf(w, "mlpsim_trace_cache_leases_taken_total %d\n", st.LeasesTaken)
 		fmt.Fprintf(w, "mlpsim_trace_cache_leases_stolen_total %d\n", st.LeasesStolen)
 		fmt.Fprintf(w, "mlpsim_trace_cache_bytes %d\n", st.Bytes)
