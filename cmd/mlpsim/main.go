@@ -61,6 +61,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mlpsim:", err)
 		os.Exit(2)
 	}
+	cfg, err := buildConfig(engineFlags{
+		window: *window, rob: *rob, fetchBuf: *fetchBuf, maxRunahead: *maxRunahead,
+		mshrs: *mshrs, storeBuf: *storeBuf, issue: *issue, inorder: *inorder,
+		runahead: *runahead, vp: *vp, perfVP: *perfVP, perfBP: *perfBP, perfI: *perfI,
+		measure: *measure,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mlpsim:", err)
+		os.Exit(2)
+	}
 
 	// An annotated trace replays directly: annotation and warm-up
 	// already happened at tracegen time, so the annotation flags (-l2,
@@ -99,39 +109,6 @@ func main() {
 		engineSrc = ann
 	}
 
-	cfg := core.Default()
-	cfg.IssueWindow = *window
-	cfg.ROB = *rob
-	if cfg.ROB == 0 {
-		cfg.ROB = *window
-	}
-	cfg.FetchBuffer = *fetchBuf
-	ic, err := core.ParseIssueConfig(*issue)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlpsim:", err)
-		os.Exit(1)
-	}
-	cfg.Issue = ic
-	switch *inorder {
-	case "":
-	case "miss":
-		cfg.Mode = core.InOrderStallOnMiss
-	case "use":
-		cfg.Mode = core.InOrderStallOnUse
-	default:
-		fmt.Fprintf(os.Stderr, "mlpsim: unknown -inorder mode %q\n", *inorder)
-		os.Exit(1)
-	}
-	cfg.Runahead = *runahead
-	cfg.MaxRunahead = *maxRunahead
-	cfg.MSHRs = *mshrs
-	cfg.StoreBuffer = *storeBuf
-	cfg.ValuePredict = *vp
-	cfg.PerfectVP = *perfVP
-	cfg.PerfectBP = *perfBP
-	cfg.PerfectIFetch = *perfI
-	cfg.MaxInstructions = *measure
-
 	if *epochs {
 		n := 0
 		cfg.OnEpoch = func(ep core.Epoch) {
@@ -152,11 +129,6 @@ func main() {
 			}
 		}
 	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "mlpsim:", err)
-		os.Exit(1)
-	}
-
 	res := core.NewEngine(engineSrc, cfg).Run()
 	if *timeline {
 		fmt.Println(tl.String())
@@ -195,6 +167,62 @@ func validateFlags(traceFile string, warmup, measure int64) error {
 		return errors.New("-measure 0 needs -trace: a generated workload never ends")
 	}
 	return nil
+}
+
+// engineFlags are the flag values that shape the engine configuration.
+type engineFlags struct {
+	window, rob, fetchBuf, maxRunahead, mshrs, storeBuf int
+	issue, inorder                                      string
+	runahead, vp, perfVP, perfBP, perfI                 bool
+	measure                                             int64
+}
+
+// buildConfig assembles and validates the engine configuration, naming
+// the offending flag in any error, so a bad flag fails before the
+// workload is generated and warmed.
+func buildConfig(f engineFlags) (core.Config, error) {
+	cfg := core.Default()
+	ic, err := core.ParseIssueConfig(f.issue)
+	if err != nil {
+		return cfg, fmt.Errorf("-issue %q: must be one of A-E", f.issue)
+	}
+	cfg.Issue = ic
+	switch f.inorder {
+	case "":
+	case "miss":
+		cfg.Mode = core.InOrderStallOnMiss
+	case "use":
+		cfg.Mode = core.InOrderStallOnUse
+	default:
+		return cfg, fmt.Errorf("-inorder %q: must be miss or use", f.inorder)
+	}
+	cfg.IssueWindow, cfg.ROB = f.window, f.rob
+	if cfg.ROB == 0 {
+		cfg.ROB = f.window
+	}
+	cfg.FetchBuffer = f.fetchBuf
+	cfg.Runahead, cfg.MaxRunahead = f.runahead, f.maxRunahead
+	cfg.MSHRs, cfg.StoreBuffer = f.mshrs, f.storeBuf
+	cfg.ValuePredict, cfg.PerfectVP = f.vp, f.perfVP
+	cfg.PerfectBP, cfg.PerfectIFetch = f.perfBP, f.perfI
+	cfg.MaxInstructions = f.measure
+
+	ooo := cfg.Mode == core.OutOfOrder
+	switch {
+	case ooo && f.window <= 0:
+		return cfg, fmt.Errorf("-window %d: must be positive", f.window)
+	case ooo && f.rob != 0 && f.rob < f.window:
+		return cfg, fmt.Errorf("-rob %d: must be 0 (same as -window) or at least -window %d", f.rob, f.window)
+	case f.fetchBuf < 0:
+		return cfg, fmt.Errorf("-fetchbuf %d: must be >= 0", f.fetchBuf)
+	case f.runahead && f.maxRunahead <= 0:
+		return cfg, fmt.Errorf("-max-runahead %d: must be positive with -runahead", f.maxRunahead)
+	case f.mshrs < 0:
+		return cfg, fmt.Errorf("-mshrs %d: must be >= 0 (0 = unlimited)", f.mshrs)
+	case f.storeBuf < 0:
+		return cfg, fmt.Errorf("-storebuf %d: must be >= 0 (0 = infinite)", f.storeBuf)
+	}
+	return cfg, cfg.Validate()
 }
 
 // openSource returns the instruction source: an annotated trace (pre),

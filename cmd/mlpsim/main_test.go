@@ -84,6 +84,42 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
+func TestBuildConfig(t *testing.T) {
+	ok := engineFlags{window: 64, fetchBuf: 32, maxRunahead: 2048, issue: "C", measure: 10}
+	for _, c := range []struct {
+		name    string
+		edit    func(*engineFlags)
+		wantErr string
+	}{
+		{"default", func(*engineFlags) {}, ""},
+		{"inorder-ignores-window", func(f *engineFlags) { f.inorder, f.window = "use", 0 }, ""},
+		{"runahead", func(f *engineFlags) { f.runahead, f.issue = true, "d" }, ""},
+		{"bad-issue", func(f *engineFlags) { f.issue = "Z" }, "-issue"},
+		{"bad-inorder", func(f *engineFlags) { f.inorder = "sideways" }, "-inorder"},
+		{"zero-window", func(f *engineFlags) { f.window = 0 }, "-window 0"},
+		{"small-rob", func(f *engineFlags) { f.rob = 8 }, "-rob 8"},
+		{"negative-fetchbuf", func(f *engineFlags) { f.fetchBuf = -1 }, "-fetchbuf -1"},
+		{"zero-max-runahead", func(f *engineFlags) { f.runahead, f.maxRunahead = true, 0 }, "-max-runahead 0"},
+		{"negative-mshrs", func(f *engineFlags) { f.mshrs = -1 }, "-mshrs -1"},
+		{"negative-storebuf", func(f *engineFlags) { f.storeBuf = -2 }, "-storebuf -2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := ok
+			c.edit(&f)
+			_, err := buildConfig(f)
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("error %v, want one naming %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
 // TestRawTraceMatchesWorkload: a raw tracegen trace, annotated by
 // mlpsim at replay time, gives the result lines of the matching
 // -workload run.
@@ -99,8 +135,9 @@ func TestRawTraceMatchesWorkload(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsBadFlags: a negative window, or a generated run with no
-// end, makes the real command exit 2 instead of running forever.
+// TestCLIRejectsBadFlags: a negative window, a generated run with no
+// end, or an engine flag that makes no valid configuration makes the
+// real command exit 2, before it generates or warms the workload.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	bin := buildCLIs(t, "mlpsim")
 	junk := filepath.Join(t.TempDir(), "junk")
@@ -112,6 +149,12 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		{"-measure", "0"},
 		{"-warmup", "-5"},
 		{"-trace", junk, "-measure", "-1"},
+		{"-issue", "Z"},
+		{"-inorder", "sideways"},
+		{"-window", "0"},
+		{"-window", "64", "-rob", "8"},
+		{"-mshrs", "-1"},
+		{"-runahead", "-max-runahead", "0"},
 	} {
 		runCLI(t, 2, filepath.Join(bin, "mlpsim"), args...)
 	}
