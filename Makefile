@@ -98,6 +98,9 @@ fuzz:
 	$(GO) test ./internal/atrace -fuzz FuzzOpenSegmentManifest -fuzztime 30s
 	$(GO) test ./internal/storeset -fuzz FuzzStoreSetUpdate -fuzztime 30s
 	$(GO) test ./internal/server -fuzz FuzzParsePoints -fuzztime 30s
+	# Each gang input runs several engines, so the default 60s minimization
+	# of a new input would take the whole run; 5s keeps the mutation going.
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGangMatchesEngine$$' -fuzztime 30s -fuzzminimizetime 5s
 
 # serve-smoke boots the real daemon binary on an ephemeral port, diffs
 # one exhibit's CSV against the plain CLI's output and asserts a clean

@@ -261,6 +261,37 @@ func BenchmarkGangSweepSoA(b *testing.B) {
 	}
 }
 
+// BenchmarkGangSweepDivergent measures a gang of ext-mshr's 12 configs
+// (64C and runahead, each with 1, 2, 4, 8, 16 and unlimited MSHRs) over
+// one captured Database trace, with gang construction off the clock.
+// These are the finite-MSHR and runahead configs that join the SoA fast
+// path beside BenchmarkGangSweepSoA's plain ones. One op is one
+// config·instruction.
+func BenchmarkGangSweepDivergent(b *testing.B) {
+	a := annotate.New(workload.MustNew(workload.Database(1)), annotate.Config{})
+	a.Warm(150_000)
+	s := atrace.Capture(a, 400_000)
+	var base []core.Config
+	for _, p := range experiments.Find("ext-mshr").Points(benchSetup()) {
+		base = append(base, p.Config)
+	}
+	k := int64(len(base))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for remaining := int64(b.N); remaining > 0; {
+		n := min((remaining+k-1)/k, s.Len())
+		b.StopTimer()
+		cfgs := append([]core.Config(nil), base...)
+		for i := range cfgs {
+			cfgs[i].MaxInstructions = n
+		}
+		g := core.NewGang(s.Replay(), cfgs)
+		b.StartTimer()
+		g.Run()
+		remaining -= k * n
+	}
+}
+
 // BenchmarkCycleSim measures the cycle-level simulator alone: one op is
 // one instruction replayed from a trace captured off the clock, so
 // annotation is not in the number.

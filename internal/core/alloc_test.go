@@ -114,9 +114,11 @@ func TestEngineRunZeroAllocSteadyState(t *testing.T) {
 // TestRunGangZeroAllocSteadyState extends the guarantee to the gang
 // path: once NewGang has built the ring and engines, Run allocates
 // nothing, by allocs/op and by the heap profile (ring growth aside,
-// which the min-position schedule avoids on miss-bearing streams). The config vectors cover K=1 (the BENCH_5
-// residual), the pure SoA fast path, the pure scalar fallback, and a
-// mixed gang where both ride one ring.
+// which the min-position schedule avoids on miss-bearing streams). The
+// config vectors cover K=1 (the BENCH_5 residual), the pure SoA fast
+// path for plain configs and for runahead, finite MSHR files, perfect
+// value prediction and finite store buffers, the pure scalar fallback,
+// and a mixed gang where both ride one ring.
 func TestRunGangZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -124,6 +126,21 @@ func TestRunGangZeroAllocSteadyState(t *testing.T) {
 	st := replayStream(200_000)
 	inorder := Default()
 	inorder.Mode = InOrderStallOnUse
+	runahead := Default().WithIssue(ConfigD).WithRunahead()
+	runaheadMSHR := runahead
+	runaheadMSHR.MSHRs = 4
+	mshr := Default()
+	mshr.MSHRs = 2
+	perfVP := Default().WithIssue(ConfigD).WithROB(256)
+	perfVP.PerfectVP = true
+	storeBuf := Default().WithIssue(ConfigB)
+	storeBuf.StoreBuffer = 2
+	widened := []Config{runahead, runaheadMSHR, mshr, perfVP, storeBuf}
+	for _, cfg := range widened {
+		if !SoAEligible(cfg) {
+			t.Fatalf("%s is not SoA-eligible", cfg.Name())
+		}
+	}
 	vectors := map[string][]Config{
 		"k1-soa":    {Default()},
 		"k1-scalar": {inorder},
@@ -132,6 +149,7 @@ func TestRunGangZeroAllocSteadyState(t *testing.T) {
 			Default().WithWindow(32),
 			Default().WithWindow(128).WithIssue(ConfigA),
 		},
+		"soa-widened": widened,
 		"mixed": {
 			Default(),
 			inorder,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"mlpsim/internal/annotate"
@@ -77,6 +78,23 @@ func runEpochs(t *testing.T, s AnnotatedSource, cfg Config) ([]Epoch, Result) {
 	var epochs []Epoch
 	cfg.OnEpoch = func(ep Epoch) { epochs = append(epochs, ep) }
 	res := NewEngine(s, cfg).Run()
+	return epochs, res
+}
+
+// runBoth runs cfg on both engines over mk's stream: the scalar engine
+// with an epoch observer (runEpochs), and a gang of one, which takes the
+// SoA fast path. It fails on any difference between their results and
+// returns the scalar run's epochs and result.
+func runBoth(t *testing.T, mk func() *aiSource, cfg Config) ([]Epoch, Result) {
+	t.Helper()
+	if !SoAEligible(cfg) {
+		t.Fatalf("%s is not SoA-eligible", cfg.Name())
+	}
+	epochs, res := runEpochs(t, mk(), cfg)
+	res.Config.OnEpoch = nil
+	if soa := RunGang(mk(), []Config{cfg})[0]; !reflect.DeepEqual(soa, res) {
+		t.Fatalf("%s: SoA gang result differs from the engine\nSoA:    %+v\nengine: %+v", cfg.Name(), soa, res)
+	}
 	return epochs, res
 }
 
@@ -318,10 +336,10 @@ func TestRunaheadIgnoresWindowAndSerialization(t *testing.T) {
 		)
 	}
 	cfg := cfgWindow(4, ConfigD)
-	_, conv := runEpochs(t, mk(), cfg)
+	_, conv := runBoth(t, mk, cfg)
 
 	raeCfg := cfg.WithRunahead()
-	epochs, rae := runEpochs(t, mk(), raeCfg)
+	epochs, rae := runBoth(t, mk, raeCfg)
 	if rae.MLP() <= conv.MLP() {
 		t.Fatalf("runahead MLP %.3f not above conventional %.3f", rae.MLP(), conv.MLP())
 	}
@@ -339,7 +357,7 @@ func TestRunaheadDistanceLimit(t *testing.T) {
 	insts = append(insts, ld(5, 1, true))
 	cfg := cfgWindow(4, ConfigD).WithRunahead()
 	cfg.MaxRunahead = 8
-	epochs, _ := runEpochs(t, src(insts...), cfg)
+	epochs, _ := runBoth(t, func() *aiSource { return src(insts...) }, cfg)
 	wantAccesses(t, epochs, [][]int64{{0}, {11}})
 	if epochs[0].Limiter != LimRunahead {
 		t.Fatalf("limiter = %v, want Runahead limit", epochs[0].Limiter)
@@ -388,12 +406,12 @@ func TestPerfectVPCutsDependences(t *testing.T) {
 			ld(4, 3, true), // chain
 		)
 	}
-	epochs, _ := runEpochs(t, mk(), cfgWindow(64, ConfigC))
+	epochs, _ := runBoth(t, mk, cfgWindow(64, ConfigC))
 	wantAccesses(t, epochs, [][]int64{{0}, {1}, {2}})
 
 	cfg := cfgWindow(64, ConfigC)
 	cfg.PerfectVP = true
-	epochs, res := runEpochs(t, mk(), cfg)
+	epochs, res := runBoth(t, mk, cfg)
 	wantAccesses(t, epochs, [][]int64{{0, 1, 2}})
 	if res.MLP() != 3 {
 		t.Fatalf("perfect VP MLP = %v, want 3", res.MLP())

@@ -25,7 +25,7 @@ func TestMSHRCapsEpochAccesses(t *testing.T) {
 		)
 	}
 	// Unlimited: all four overlap.
-	epochs, res := runEpochs(t, mk(), cfgWindow(64, ConfigC))
+	epochs, res := runBoth(t, mk, cfgWindow(64, ConfigC))
 	wantAccesses(t, epochs, [][]int64{{0, 1, 2, 3}})
 	if res.MLP() != 4 {
 		t.Fatalf("unlimited MLP = %v", res.MLP())
@@ -33,7 +33,7 @@ func TestMSHRCapsEpochAccesses(t *testing.T) {
 	// Two MSHRs: two accesses per epoch.
 	cfg := cfgWindow(64, ConfigC)
 	cfg.MSHRs = 2
-	epochs, res = runEpochs(t, mk(), cfg)
+	epochs, res = runBoth(t, mk, cfg)
 	wantAccesses(t, epochs, [][]int64{{0, 1}, {2, 3}})
 	if res.MLP() != 2 {
 		t.Fatalf("2-MSHR MLP = %v", res.MLP())
@@ -43,7 +43,7 @@ func TestMSHRCapsEpochAccesses(t *testing.T) {
 	}
 	// One MSHR: fully serialized.
 	cfg.MSHRs = 1
-	_, res = runEpochs(t, mk(), cfg)
+	_, res = runBoth(t, mk, cfg)
 	if res.MLP() != 1 {
 		t.Fatalf("1-MSHR MLP = %v", res.MLP())
 	}
@@ -60,21 +60,23 @@ func TestMSHRAppliesToRunahead(t *testing.T) {
 	}
 	cfg := cfgWindow(4, ConfigD).WithRunahead()
 	cfg.MSHRs = 2
-	_, res := runEpochs(t, mk(), cfg)
+	_, res := runBoth(t, mk, cfg)
 	if res.MLP() != 2 {
 		t.Fatalf("runahead with 2 MSHRs MLP = %v, want 2", res.MLP())
 	}
 }
 
 func TestMSHRGatesImiss(t *testing.T) {
-	s := src(
-		ld(2, 1, true),
-		imiss(add(4, 9, 9)),
-		ld(5, 1, true),
-	)
+	mk := func() *aiSource {
+		return src(
+			ld(2, 1, true),
+			imiss(add(4, 9, 9)),
+			ld(5, 1, true),
+		)
+	}
 	cfg := cfgWindow(64, ConfigC)
 	cfg.MSHRs = 1
-	epochs, res := runEpochs(t, s, cfg)
+	epochs, res := runBoth(t, mk, cfg)
 	// Each access gets its own epoch: load, then the I-fetch, then load.
 	if res.Epochs != 3 || res.MLP() != 1 {
 		t.Fatalf("epochs=%d MLP=%v, want 3 serialized epochs", res.Epochs, res.MLP())
@@ -130,7 +132,7 @@ func TestFiniteStoreBufferBlocksWindow(t *testing.T) {
 	}
 	// Infinite store buffer: stores are invisible; the load's epoch is
 	// the only one.
-	_, res := runEpochs(t, mk(), cfgWindow(64, ConfigC))
+	_, res := runBoth(t, mk, cfgWindow(64, ConfigC))
 	if res.Epochs != 1 || res.StoreEpochs != 1 || res.SAccesses != 3 {
 		t.Fatalf("baseline store run: %+v", res)
 	}
@@ -139,7 +141,7 @@ func TestFiniteStoreBufferBlocksWindow(t *testing.T) {
 	// (loads are not blocked by the store buffer).
 	cfg := cfgWindow(64, ConfigC)
 	cfg.StoreBuffer = 1
-	_, res = runEpochs(t, mk(), cfg)
+	_, res = runBoth(t, mk, cfg)
 	if res.StoreEpochs != 3 || res.SAccesses != 3 {
 		t.Fatalf("1-entry SB: StoreEpochs=%d SAccesses=%d, want 3/3", res.StoreEpochs, res.SAccesses)
 	}
@@ -152,15 +154,17 @@ func TestFiniteStoreBufferBlocksWindow(t *testing.T) {
 }
 
 func TestStoreBufferIgnoredInRunahead(t *testing.T) {
-	s := src(
-		ld(2, 1, true), // trigger
-		smiss(1, 16, 0x1000),
-		smiss(1, 17, 0x2000),
-		ld(3, 1, true),
-	)
+	mk := func() *aiSource {
+		return src(
+			ld(2, 1, true), // trigger
+			smiss(1, 16, 0x1000),
+			smiss(1, 17, 0x2000),
+			ld(3, 1, true),
+		)
+	}
 	cfg := cfgWindow(64, ConfigD).WithRunahead()
 	cfg.StoreBuffer = 1
-	_, res := runEpochs(t, s, cfg)
+	_, res := runBoth(t, mk, cfg)
 	// Runahead stores do not update state: both loads overlap regardless
 	// of the store buffer.
 	if res.MLP() != 2 {

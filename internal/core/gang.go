@@ -188,18 +188,16 @@ func (c *gangCursor) Next() (annotate.Inst, bool) {
 }
 
 // SoAEligible reports whether cfg can run on the gang's structure-of-
-// arrays fast path. The fast path implements the uniform window-
-// termination structure every out-of-order configuration shares; configs
-// whose flags diverge from it — in-order disciplines, runahead, value
-// prediction, non-oracle memory disambiguation, finite MSHR files or
-// store buffers, or an epoch observer — fall back to the scalar
+// arrays fast path. The fast path implements the out-of-order epoch
+// model, runahead, finite MSHR files and store buffers and perfect value
+// prediction included; configs that diverge from it — in-order
+// disciplines, realistic value prediction, non-oracle memory
+// disambiguation, or an epoch observer — fall back to the scalar
 // slotState engine inside the same gang.
 func SoAEligible(cfg Config) bool {
 	return cfg.Mode == OutOfOrder &&
-		!cfg.Runahead &&
-		!cfg.ValuePredict && !cfg.PerfectVP &&
+		!cfg.ValuePredict &&
 		cfg.Disamb == DisambOracle &&
-		cfg.MSHRs == 0 && cfg.StoreBuffer == 0 &&
 		cfg.OnEpoch == nil
 }
 
@@ -291,18 +289,19 @@ func NewGang(src AnnotatedSource, cfgs []Config) *Gang {
 		return g
 	}
 	wantAI := false
-	maxROB := 0
+	maxWin := 0
 	for _, cfg := range cfgs {
 		if !SoAEligible(cfg) {
 			wantAI = true
-		} else if cfg.ROB > maxROB {
-			maxROB = cfg.ROB
+		} else if n := ringSize(cfg); n > maxWin {
+			maxWin = n
 		}
 	}
 	// SoA engines hold ring entries down to their retire frontier, so the
-	// ring must span at least the largest SoA window plus scheduling
-	// spread; starting there avoids growth doubling during the run.
-	ring := newGangRing(src, wantAI, 2*(maxROB+1))
+	// ring must span at least the largest SoA window (ROB, or MaxRunahead
+	// in runahead) plus scheduling spread; starting there avoids growth
+	// doubling during the run.
+	ring := newGangRing(src, wantAI, 2*maxWin)
 	g.ring = ring
 	for i, cfg := range cfgs {
 		if SoAEligible(cfg) {

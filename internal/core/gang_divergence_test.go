@@ -10,10 +10,11 @@ import (
 
 // divergentGangs enumerates config vectors that deliberately mix the SoA
 // fast path with every scalar-fallback trigger: in-order disciplines,
-// runahead, value prediction, finite MSHR files and store buffers, and
-// epoch observers. Each vector is checked to actually split both ways,
-// so the property test below always exercises SoA engines and scalar
-// engines sharing one ring.
+// value prediction, non-oracle disambiguation and epoch observers. Each
+// vector also carries the features both paths implement (runahead,
+// finite MSHR files and store buffers) and is checked to actually split
+// both ways, so the property test below always exercises SoA engines
+// and scalar engines sharing one ring.
 func divergentGangs(onEpoch func(Epoch)) [][]Config {
 	ooo := func(win int, is IssueConfig) Config {
 		return Default().WithWindow(win).WithIssue(is)
@@ -25,6 +26,11 @@ func divergentGangs(onEpoch func(Epoch)) [][]Config {
 	}
 	mshr := func(n int) Config {
 		c := Default().WithWindow(64)
+		c.MSHRs = n
+		return c
+	}
+	inorderMSHR := func(n int) Config {
+		c := inorder(InOrderStallOnUse)
 		c.MSHRs = n
 		return c
 	}
@@ -53,8 +59,9 @@ func divergentGangs(onEpoch func(Epoch)) [][]Config {
 	return [][]Config{
 		// Mixed execution disciplines.
 		{ooo(64, ConfigE), inorder(InOrderStallOnUse), ooo(128, ConfigA), inorder(InOrderStallOnMiss)},
-		// Mixed MSHR limits: unlimited rides SoA, finite falls back.
-		{mshr(0), mshr(1), mshr(4), ooo(256, ConfigC)},
+		// Mixed MSHR limits: out of order they ride SoA, in order the
+		// scalar engine.
+		{mshr(0), mshr(1), mshr(4), ooo(256, ConfigC), inorderMSHR(2)},
 		// Speculation mix: runahead and value prediction against plain OoO.
 		{runahead(), ooo(64, ConfigD), vp(), ooo(32, ConfigE)},
 		// Store-buffer limits plus an epoch observer.

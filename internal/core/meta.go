@@ -10,9 +10,9 @@ import (
 // loops test. The gang ring computes it once per dynamic instruction at
 // bind time; the SoA stepper then runs entirely on meta words and links,
 // never touching the 100-odd-byte annotate.Inst again. Per-engine
-// perfect-feature rewrites (PerfectIFetch, PerfectBP) become a single
-// and-not with the engine's metaClear mask, so the ring can stay
-// read-only and shared.
+// rewrites (PerfectIFetch, PerfectBP, runahead) become a single and-not
+// with the engine's metaClear mask, so the ring can stay read-only and
+// shared.
 type metaWord uint32
 
 const (
@@ -71,8 +71,11 @@ func packMeta(ai *annotate.Inst) metaWord {
 	return m
 }
 
-// metaClearFor returns the per-engine mask of flag bits a configuration's
-// perfect features erase from every fetched instruction.
+// metaClearFor returns the per-engine mask of bits a configuration
+// erases from every fetched instruction: the flags its perfect features
+// remove, and under runahead the serializing and load-like class bits,
+// whose every policy (pipeline drains, store forwarding, load ordering)
+// runahead lifts.
 func metaClearFor(cfg Config) metaWord {
 	var clear metaWord
 	if cfg.PerfectIFetch {
@@ -80,6 +83,9 @@ func metaClearFor(cfg Config) metaWord {
 	}
 	if cfg.PerfectBP {
 		clear |= metaMispred
+	}
+	if cfg.Runahead {
+		clear |= metaSerializing | metaLoadLike
 	}
 	return clear
 }

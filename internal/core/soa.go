@@ -6,10 +6,17 @@ import (
 	"math/bits"
 )
 
-// soaEngine is the gang's structure-of-arrays stepper: the epoch model
-// specialized to the uniform out-of-order window-termination structure
-// (SoAEligible configs) and transposed so the hot per-slot state lives in
-// parallel arrays instead of the scalar engine's 80-byte slotState ring.
+// notExecuted is the readyAt sentinel for a slot that has not executed.
+// Folding the executed flag into readyAt makes the three hottest
+// predicates (resultReady, producerExecuted, advanceRetire's commit
+// check) a single load and compare each.
+const notExecuted = math.MaxInt64
+
+// soaEngine is the gang's structure-of-arrays stepper: the out-of-order
+// epoch model (SoAEligible configs, runahead, finite MSHR files and store
+// buffers and perfect value prediction included) transposed so the hot
+// per-slot state lives in parallel arrays instead of the scalar engine's
+// 80-byte slotState ring.
 //
 // The transposition is driven by access pattern:
 //
@@ -18,26 +25,20 @@ import (
 //     over pointer-rich structs every epoch — collapses to a
 //     trailing-zeros scan over a handful of complement words that visits
 //     only the genuinely unexecuted slots;
-//   - avail and complete collapse into one readyAt epoch per slot: in
-//     the eligible subset they are always equal (a missing load's value
-//     and its reorder-buffer entry both arrive one epoch after issue,
-//     and value prediction — the only thing that splits them — is a
-//     divergent flag handled by the scalar fallback);
-//   - counted, countedS, imissDone and the vp* flags vanish entirely:
-//     with unlimited MSHRs an I-miss is always recorded at fetch (never
-//     deferred and revisited), execute runs at most once per slot, and
-//     the vp flags are scalar-fallback territory.
+//   - avail and complete collapse into one readyAt epoch per slot, the
+//     retire epoch: they differ only for a value-predicted missing load,
+//     and under PerfectVP every executed value is consumable at once, so
+//     consumers test readyAt against readyBy (one epoch ahead of the
+//     retire test); realistic value prediction is scalar-fallback
+//     territory;
+//   - counted and countedS vanish (execute runs at most once per slot),
+//     as do the vp flags; imissDone survives only as the imissPend
+//     bitmask, set for the rare fetch a full MSHR file deferred.
 //
 // Decoded instructions are never copied: the stepper reads the gang
 // ring's meta words and links in place, holding entries down to its
 // retire frontier via the ringConsumer claim. Per-engine perfect-feature
-// rewrites are a single and-not with metaClear at each read.
-// notExecuted is the readyAt sentinel for a slot that has not executed.
-// Folding the executed flag into readyAt makes the three hottest
-// predicates (resultReady, producerExecuted, advanceRetire's commit
-// check) a single load and compare each.
-const notExecuted = math.MaxInt64
-
+// and runahead rewrites are a single and-not with metaClear at each read.
 type soaEngine struct {
 	cfg  Config
 	ring *gangRing
@@ -52,15 +53,18 @@ type soaEngine struct {
 	rhead int64
 
 	// Per-slot SoA state, indexed by absolute instruction index & mask.
-	// The capacity pow2ceil(ROB+1) is exact: phase 2 terminates the
-	// window before fetch whenever fetchEnd-retire would reach ROB, so
-	// unlike the scalar ring this one never grows. readyAt is the epoch a
-	// slot's result becomes consumable (notExecuted until the slot
-	// executes); execBits mirrors "executed" as a packed bitmask for the
-	// phase-1 complement scan only.
-	execBits []uint64
-	readyAt  []int64
-	mask     int64
+	// The capacity ringSize(cfg) is exact: phase 2 terminates the window
+	// before fetch whenever fetchEnd-retire would reach the window bound
+	// (ROB, or MaxRunahead in runahead), so unlike the scalar ring this
+	// one never grows. readyAt is the epoch a slot can retire (notExecuted
+	// until the slot executes); execBits mirrors "executed" as a packed
+	// bitmask for the phase-1 complement scan only; imissPend marks
+	// fetched slots whose I-miss a full MSHR file deferred (the scalar
+	// imissDone == false), which must issue that fetch before they run.
+	execBits  []uint64
+	imissPend []uint64
+	readyAt   []int64
+	mask      int64
 
 	// sat lists pending instructions beyond fetchEnd whose I-miss was
 	// already issued by a fetch-buffer scan ("fetch satisfied; arrives
@@ -81,19 +85,31 @@ type soaEngine struct {
 	done  bool
 
 	epoch int64
-	ep    epochState
-	res   Result
+	// readyBy is the latest readyAt a consumer accepts this epoch: the
+	// epoch itself, or the next one under PerfectVP (vpSlack 1), where a
+	// missing load's value is consumable in the epoch it issues.
+	readyBy int64
+	vpSlack int64
+	ep      epochState
+	res     Result
 
-	// Hoisted configuration: the issue-policy booleans and window bounds
-	// the per-instruction loop tests.
+	// Hoisted configuration: the issue-policy booleans, window bounds and
+	// resource caps the per-instruction loop tests. gateMask collects the
+	// meta bits that send a slot through gate: serializing instructions
+	// when they drain the pipeline, and the misses a finite MSHR file or
+	// store buffer can hold back.
 	metaClear          metaWord
+	gateMask           metaWord
 	serializing        bool
 	branchesInOrder    bool
 	loadsInOrder       bool
 	loadsWaitStoreAddr bool
+	runahead           bool
 	rob                int64
 	issueWindow        int64
 	fetchBuffer        int64
+	mshrs              int
+	storeBuffer        int
 }
 
 // lowWater / finished implement ringConsumer: the engine reads ring
@@ -109,15 +125,16 @@ func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 	if !SoAEligible(cfg) {
 		panic(fmt.Sprintf("core: config %s is not SoA-eligible", cfg.Name()))
 	}
-	n := int64(pow2ceil(cfg.ROB + 1))
+	n := int64(ringSize(cfg))
 	e := &soaEngine{
-		cfg:      cfg,
-		ring:     ring,
-		execBits: make([]uint64, (n+63)/64),
-		readyAt:  make([]int64, n),
-		mask:     n - 1,
-		sat:      make([]int64, 0, cfg.FetchBuffer),
-		limit:    math.MaxInt64,
+		cfg:       cfg,
+		ring:      ring,
+		execBits:  make([]uint64, (n+63)/64),
+		imissPend: make([]uint64, (n+63)/64),
+		readyAt:   make([]int64, n),
+		mask:      n - 1,
+		sat:       make([]int64, 0, cfg.FetchBuffer),
+		limit:     math.MaxInt64,
 
 		metaClear:          metaClearFor(cfg),
 		serializing:        cfg.Issue.Serializing(),
@@ -127,6 +144,31 @@ func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 		rob:                int64(cfg.ROB),
 		issueWindow:        int64(cfg.IssueWindow),
 		fetchBuffer:        int64(cfg.FetchBuffer),
+		mshrs:              cfg.MSHRs,
+		storeBuffer:        cfg.StoreBuffer,
+	}
+	if cfg.Runahead {
+		// Runahead speculates MaxRunahead past the retire frontier with no
+		// issue-window bound, and its stores bypass the store buffer. It
+		// also lifts serialization, store forwarding and the load-ordering
+		// policies: metaClearFor erases the class bits those key on, so
+		// only the branch order needs lifting here.
+		e.runahead = true
+		e.rob, e.issueWindow = int64(cfg.MaxRunahead), math.MaxInt64
+		e.storeBuffer = 0
+		e.branchesInOrder = false
+	}
+	if cfg.PerfectVP {
+		e.vpSlack = 1
+	}
+	if e.serializing {
+		e.gateMask |= metaSerializing
+	}
+	if e.mshrs > 0 {
+		e.gateMask |= metaIMiss | metaMiss
+	}
+	if e.storeBuffer > 0 {
+		e.gateMask |= metaSMiss
 	}
 	if cfg.MaxInstructions > 0 {
 		e.limit = cfg.MaxInstructions
@@ -174,7 +216,7 @@ func (e *soaEngine) resultReady(p int64) bool {
 	if p < e.retire { // covers p < 0: retire is never negative
 		return true
 	}
-	return e.readyAt[p&e.mask] <= e.epoch
+	return e.readyAt[p&e.mask] <= e.readyBy
 }
 
 // producerExecuted reports whether slot p has executed (issued).
@@ -196,8 +238,8 @@ func (e *soaEngine) advanceRetire() {
 
 // execute marks slot j executed in the current epoch, counting its
 // off-chip access if it has one (scalar execute, specialized: counted
-// and countedS are implied by the at-most-once execution, and avail ==
-// complete == readyAt).
+// and countedS are implied by the at-most-once execution, and readyAt is
+// the scalar complete).
 func (e *soaEngine) execute(j int64, m metaWord, ep *epochState) {
 	s := j & e.mask
 	e.execBits[s>>6] |= 1 << (uint64(s) & 63)
@@ -220,19 +262,50 @@ func (e *soaEngine) execute(j int64, m metaWord, ep *epochState) {
 	e.readyAt[s] = ready
 }
 
-// tryExecute attempts to execute slot j in the current epoch (scalar
-// tryExecute restricted to the SoA-eligible subset: no runahead, no
-// deferred I-miss revisit, no MSHR/store-buffer caps, no value
-// prediction — so the only outcomes are execOK and execBlocked).
-func (e *soaEngine) tryExecute(j int64, m metaWord, ep *epochState) execResult {
-	// Serializing instructions drain the pipeline in configurations A–D.
+// gate applies scalar tryExecute's rare leading checks to a slot whose
+// meta word hits gateMask, in the scalar order: a deferred I-fetch
+// issues first, a draining serializing instruction waits for the commit
+// frontier, and a full MSHR file or store buffer holds a new miss back.
+// done reports that the attempt ends here with result r.
+func (e *soaEngine) gate(j int64, m metaWord, ep *epochState) (r execResult, done bool) {
+	s := j & e.mask
+	if m&metaIMiss != 0 && e.imissPend[s>>6]&(1<<(uint64(s)&63)) != 0 {
+		if ep.accesses >= e.mshrs {
+			ep.block(j, LimMSHR)
+			return execBlocked, true
+		}
+		e.imissPend[s>>6] &^= 1 << (uint64(s) & 63)
+		ep.record(j, accI, false)
+		return execBlocked, true
+	}
 	if e.serializing && m&metaSerializing != 0 {
 		e.advanceRetire()
 		if e.retire != j {
-			return execBlocked
+			return execBlocked, true
 		}
 		e.execute(j, m, ep)
-		return execOK
+		return execOK, true
+	}
+	if e.mshrs > 0 && m&metaMiss != 0 && ep.accesses >= e.mshrs {
+		ep.block(j, LimMSHR)
+		return execBlocked, true
+	}
+	if e.storeBuffer > 0 && m&metaSMiss != 0 && ep.sAccesses >= e.storeBuffer {
+		ep.block(j, LimStoreBuf)
+		return execBlocked, true
+	}
+	return execBlocked, false
+}
+
+// tryExecute attempts to execute slot j in the current epoch (scalar
+// tryExecute restricted to the SoA-eligible subset: no value prediction
+// and oracle disambiguation, so the only outcomes are execOK and
+// execBlocked).
+func (e *soaEngine) tryExecute(j int64, m metaWord, ep *epochState) execResult {
+	if m&e.gateMask != 0 {
+		if r, done := e.gate(j, m, ep); done {
+			return r
+		}
 	}
 
 	ln := &e.rlnk[j&e.rmask]
@@ -363,6 +436,9 @@ func (e *soaEngine) fetchBufferScan(ep *epochState) {
 			return
 		}
 		if m&metaIMiss != 0 && !e.satisfied(jj) {
+			if e.mshrs > 0 && ep.accesses >= e.mshrs {
+				return
+			}
 			ep.record(jj, accI, false)
 			e.sat = append(e.sat, jj)
 			return
@@ -379,9 +455,8 @@ func (e *soaEngine) satisfied(jj int64) bool {
 	return false
 }
 
-// runEpoch runs phases 1 and 2 of one out-of-order epoch (scalar
-// runEpochOoO, specialized: rae is false, MSHRs and the store buffer are
-// unlimited, and a fetched I-miss is never deferred).
+// runEpoch runs phases 1 and 2 of one out-of-order or runahead epoch
+// (scalar runEpochOoO).
 func (e *soaEngine) runEpoch(ep *epochState) {
 	e.advanceRetire()
 	e.revisit(ep)
@@ -417,10 +492,14 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 		metaMiss | metaSMiss | metaMemWrite | metaMispred
 	rmeta, rlnk, rmask := e.rmeta, e.rlnk, e.rmask
 	readyAt, execBits, mask := e.readyAt, e.execBits, e.mask
-	epoch, clear := e.epoch, e.metaClear
+	epoch, readyBy, clear := e.epoch, e.readyBy, e.metaClear
 	for {
 		j := e.fetchEnd
 		if j-e.retire >= e.rob || e.unexec >= e.issueWindow {
+			if e.runahead {
+				ep.terminate(j, LimRunahead)
+				return
+			}
 			ep.terminate(j, LimMaxwin)
 			e.fetchBufferScan(ep)
 			return
@@ -445,7 +524,7 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 
 		// A missing instruction fetch blocks the front end; the access
 		// itself overlaps with this epoch — unless a fetch-buffer scan
-		// already issued it.
+		// already issued it, or a full MSHR file defers it to a revisit.
 		if m&metaIMiss != 0 {
 			if len(e.sat) > 0 && e.consumeSat(j) {
 				m &^= metaIMiss
@@ -454,6 +533,11 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 				readyAt[s] = notExecuted
 				e.fetchEnd = j + 1
 				e.unexec++
+				if e.mshrs > 0 && ep.accesses >= e.mshrs {
+					e.imissPend[s>>6] |= bit
+					ep.terminate(j, LimMSHR)
+					return
+				}
 				lim := LimImissEnd
 				if ep.accesses == 0 {
 					lim = LimImissStart
@@ -468,8 +552,8 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 			e.fetchEnd = j + 1
 			ln := &rlnk[j&rmask]
 			p1, p2 := ln.prod1, ln.prod2
-			if (p1 < e.retire || readyAt[p1&mask] <= epoch) &&
-				(p2 < e.retire || readyAt[p2&mask] <= epoch) {
+			if (p1 < e.retire || readyAt[p1&mask] <= readyBy) &&
+				(p2 < e.retire || readyAt[p2&mask] <= readyBy) {
 				execBits[s>>6] |= bit
 				readyAt[s] = epoch
 				if e.retire == j {
@@ -516,6 +600,7 @@ func (e *soaEngine) step() bool {
 	// this engine's steps; re-anchor the cached columns once per epoch.
 	e.syncRing()
 	e.epoch++
+	e.readyBy = e.epoch + e.vpSlack
 	before := e.fetchEnd
 	unexecBefore := e.unexec
 	e.ep = epochState{firstUnresolvedStore: -1, blockIdx: -1}
