@@ -104,7 +104,6 @@ type soaEngine struct {
 	branchesInOrder    bool
 	loadsInOrder       bool
 	loadsWaitStoreAddr bool
-	runahead           bool
 	rob                int64
 	issueWindow        int64
 	fetchBuffer        int64
@@ -153,7 +152,6 @@ func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 		// also lifts serialization, store forwarding and the load-ordering
 		// policies: metaClearFor erases the class bits those key on, so
 		// only the branch order needs lifting here.
-		e.runahead = true
 		e.rob, e.issueWindow = int64(cfg.MaxRunahead), math.MaxInt64
 		e.storeBuffer = 0
 		e.branchesInOrder = false
@@ -496,7 +494,7 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 	for {
 		j := e.fetchEnd
 		if j-e.retire >= e.rob || e.unexec >= e.issueWindow {
-			if e.runahead {
+			if e.cfg.Runahead {
 				ep.terminate(j, LimRunahead)
 				return
 			}

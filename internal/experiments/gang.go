@@ -33,7 +33,8 @@ type GangStats struct {
 	Solo atomic.Uint64
 	// SoAInsts and ScalarInsts split the instructions processed inside
 	// multi-config gangs between the structure-of-arrays fast path and
-	// the scalar fallback engines (see core.SoAEligible) — the
+	// the scalar fallback engines (see core.SoAEligible: in-order,
+	// realistic value prediction, non-oracle disambiguation) — the
 	// divergence rate of the sweep's config mix.
 	SoAInsts    atomic.Uint64
 	ScalarInsts atomic.Uint64
