@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test cover race vet bench bench-full bench-compare bench-gate bench-baseline perfbench-test profile fuzz serve-smoke shard-smoke clean
+.PHONY: all build test cover race vet bench bench-full bench-compare bench-gate perfbench-test profile fuzz serve-smoke shard-smoke clean
 
 all: build test vet
 
@@ -9,9 +9,7 @@ build:
 
 # vet runs first so structural mistakes fail fast; the -race pass covers
 # the new cross-process / singleflight machinery in addition to the plain
-# test run. The bench gate fails the build when a micro-benchmark's ns/op
-# regresses more than 50% against the committed BENCH_BASELINE.json;
-# MLPSIM_BENCH_GATE=off demotes it to report-only.
+# test run. The bench gate runs last (see bench-gate).
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
@@ -33,14 +31,12 @@ test:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
+# bench-gate runs the gated micro-benchmarks of HEAD and of the working
+# tree in seven paired, alternating rounds on this host, and fails when a
+# benchmark's median working-tree/HEAD ns/op ratio exceeds 1.5 or its
+# allocs/op leave zero. It takes about a minute.
 bench-gate:
-	$(GO) run ./cmd/bench -scale quick -skip-sweep -skip-gang -skip-storesets -skip-smtsched \
-		-out /tmp/bench_gate.json -compare BENCH_BASELINE.json -gate-pct 50
-
-# bench-baseline refreshes the committed gate baseline. Run it on the
-# machine class the gate will run on, with the tree otherwise idle.
-bench-baseline:
-	$(GO) run ./cmd/bench -scale quick -skip-sweep -skip-gang -skip-storesets -skip-smtsched -out BENCH_BASELINE.json
+	$(GO) run ./cmd/bench -gate-base HEAD
 
 # cover prints per-package statement coverage and gates the scheduled-SMT
 # package (internal/smt) against the floor in scripts/cover.sh;
@@ -57,40 +53,35 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Performance report: micro-benchmarks (engine, gang dispatch at
-# K=1/4/16/32/64, the SMT policy scheduler), the sequential-vs-gang
-# Figure 4 sweep, the ext-storesets disambiguation and ext-smtsched
-# policy sweeps, the
-# uncached / in-heap-cached / memory-mapped Figure 4+5+6 sweeps, plus
-# the peer-mode shard sweep (figure4 through a 3-replica in-process
-# fleet, byte-compared against a solo daemon). `make bench` is the
-# quick loop; `make bench-full` writes the committed BENCH_10.json at
-# paper scale, and `make bench-compare` additionally prints deltas
-# against BENCH_9.json.
+# Performance report: the gated micro-benchmarks of bench_test.go
+# (annotation, replay, engine, gang dispatch at K=1/4/16/32/64, the
+# cycle-simulator gang, the SMT policy scheduler) and the uncached /
+# in-heap-cached / memory-mapped Figure 4+5+6 sweeps. `make bench` is
+# the quick loop; `make bench-full` writes the committed BENCH_11.json
+# at paper scale, and `make bench-compare` additionally prints deltas
+# against BENCH_10.json.
 bench:
 	$(GO) run ./cmd/bench -scale quick -out /tmp/bench_quick.json
 
 bench-full:
-	$(GO) run ./cmd/bench -scale default -out BENCH_10.json
+	$(GO) run ./cmd/bench -scale default -out BENCH_11.json
 
 bench-compare:
-	$(GO) run ./cmd/bench -scale default -out BENCH_10.json -compare BENCH_9.json
+	$(GO) run ./cmd/bench -scale default -out BENCH_11.json -compare BENCH_10.json
 
-# profile writes CPU and heap profiles for the engine hot loop, the gang
-# sweep end to end, and the SoA gang stepper in isolation (construction
-# off the clock) into profiles/. Inspect with e.g.
+# profile writes CPU and heap profiles for the engine hot loop, the SoA
+# gang stepper at K=16 and the annotation pass, each with construction
+# off the clock, into profiles/. Inspect with e.g.
 #   go tool pprof -http=:8080 profiles/gang-soa.cpu.prof   # flamegraph view
 profile:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkMLPsimEngine$$' -benchtime 5s \
 		-cpuprofile profiles/engine.cpu.prof -memprofile profiles/engine.mem.prof .
-	$(GO) test -run '^$$' -bench 'BenchmarkGangSweep$$' -benchtime 5s \
-		-cpuprofile profiles/gang.cpu.prof -memprofile profiles/gang.mem.prof .
-	$(GO) test -run '^$$' -bench 'BenchmarkGangSweepSoA$$' -benchtime 5s \
+	$(GO) test -run '^$$' -bench 'BenchmarkGangSweepK16$$' -benchtime 5s \
 		-cpuprofile profiles/gang-soa.cpu.prof -memprofile profiles/gang-soa.mem.prof .
 	$(GO) test -run '^$$' -bench 'BenchmarkAnnotateStream$$' -benchtime 5s \
-		-cpuprofile profiles/annotate.cpu.prof -memprofile profiles/annotate.mem.prof ./internal/atrace
-	rm -f mlpsim.test atrace.test
+		-cpuprofile profiles/annotate.cpu.prof -memprofile profiles/annotate.mem.prof .
+	rm -f mlpsim.test
 
 fuzz:
 	$(GO) test ./internal/trace -fuzz '^FuzzRoundTrip$$' -fuzztime 30s

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -99,10 +100,11 @@ func TestValidatePeerFlags(t *testing.T) {
 }
 
 // TestCLIRejectsNegativeFlags runs the real CLI (via the helper
-// subprocess) with each invalid flag and asserts exit status 2 plus a
-// message naming the flag. -list keeps a wrongly-accepted invocation
-// cheap: before the guards existed, "-gang -3 -list" printed the exhibit
-// list and exited 0.
+// subprocess) with each invalid flag, unknown exhibit or stray argument
+// and asserts exit status 2 plus a message naming the flag, before any
+// work such as creating a profile. -list keeps a wrongly-accepted
+// invocation cheap: before the guards existed, "-gang -3 -list" printed
+// the exhibit list and exited 0.
 func TestCLIRejectsNegativeFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -111,6 +113,7 @@ func TestCLIRejectsNegativeFlags(t *testing.T) {
 	if err != nil {
 		t.Fatalf("os.Executable: %v", err)
 	}
+	prof := filepath.Join(t.TempDir(), "p.prof")
 	cases := []struct{ args, wantMsg string }{
 		{"-gang -3 -list", "-gang -3"},
 		{"-measure 0 -list", "-measure 0"},
@@ -120,6 +123,8 @@ func TestCLIRejectsNegativeFlags(t *testing.T) {
 		{"-peers a=http://h1:1,b=http://h2:2 -list", "-peers requires -peer-id"},
 		{"-peer-id a -peers a=notaurl,b=http://h2:2 -serve 127.0.0.1:0 -list", "malformed URL"},
 		{"-peer-id a -peers a=http://h1:1,a=http://h2:2 -serve 127.0.0.1:0 -list", "duplicate id"},
+		{"-only bogus -cpuprofile " + prof, `-only "bogus"`},
+		{"-list stray", `unexpected argument "stray"`},
 	}
 	for _, c := range cases {
 		t.Run(strings.Fields(c.args)[0], func(t *testing.T) {
@@ -133,5 +138,8 @@ func TestCLIRejectsNegativeFlags(t *testing.T) {
 				t.Fatalf("CLI %q output does not name the offending flag %q:\n%s", c.args, c.wantMsg, out)
 			}
 		})
+	}
+	if _, err := os.Stat(prof); err == nil {
+		t.Errorf("a rejected command line still created %s", prof)
 	}
 }

@@ -50,7 +50,19 @@ func main() {
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q: every option is a flag (one exhibit is -only NAME)\n", flag.Arg(0))
+		os.Exit(2)
+	}
+	runners := experiments.All()
+	if *only != "" {
+		r := experiments.Find(*only)
+		if r == nil {
+			fmt.Fprintf(os.Stderr, "experiments: -only %q: unknown exhibit (use -list)\n", *only)
+			os.Exit(2)
+		}
+		runners = []experiments.Runner{*r}
+	}
 	if err := validateFlags(*warmup, *measure, *par, *gang, *cacheBytes, *cacheDir); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
@@ -124,16 +136,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-
-	runners := experiments.All()
-	if *only != "" {
-		r := experiments.Find(*only)
-		if r == nil {
-			fmt.Fprintf(os.Stderr, "experiments: unknown exhibit %q (use -list)\n", *only)
-			os.Exit(1)
-		}
-		runners = []experiments.Runner{*r}
 	}
 
 	for _, dir := range []string{*csvDir, *jsonDir} {

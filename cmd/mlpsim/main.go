@@ -57,8 +57,17 @@ func main() {
 		timeline     = flag.Bool("timeline", false, "print a Figure-1-style epoch timeline (first 32 epochs)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "mlpsim: unexpected argument %q: every option is a flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if err := validateFlags(*traceFile, *warmup, *measure); err != nil {
 		fmt.Fprintln(os.Stderr, "mlpsim:", err)
+		os.Exit(2)
+	}
+	w, err := workload.ByName(*workloadName, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mlpsim: -workload %q: unknown workload\n", *workloadName)
 		os.Exit(2)
 	}
 	cfg, err := buildConfig(engineFlags{
@@ -79,7 +88,7 @@ func main() {
 	// (-window, -issue, -runahead, -perf-* ...) apply as usual. Its column
 	// files are memory-mapped rather than decoded, so they stay in the OS
 	// page cache instead of the Go heap.
-	src, pre, err := openSource(*traceFile, *workloadName, *seed)
+	src, pre, err := openSource(*traceFile, w)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mlpsim:", err)
 		os.Exit(1)
@@ -227,14 +236,10 @@ func buildConfig(f engineFlags) (core.Config, error) {
 
 // openSource returns the instruction source: an annotated trace (pre),
 // or raw instructions (src) decoded from a raw trace file or generated
-// from a preset workload.
-func openSource(traceFile, name string, seed int64) (src trace.Source, pre *atrace.Stream, err error) {
+// from workload w.
+func openSource(traceFile string, w workload.Config) (src trace.Source, pre *atrace.Stream, err error) {
 	if traceFile == "" {
-		cfg, err := workload.ByName(name, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return workload.MustNew(cfg), nil, nil
+		return workload.MustNew(w), nil, nil
 	}
 	f, err := os.Open(traceFile)
 	if err != nil {

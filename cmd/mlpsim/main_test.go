@@ -136,8 +136,9 @@ func TestRawTraceMatchesWorkload(t *testing.T) {
 }
 
 // TestCLIRejectsBadFlags: a negative window, a generated run with no
-// end, or an engine flag that makes no valid configuration makes the
-// real command exit 2, before it generates or warms the workload.
+// end, an engine flag that makes no valid configuration, an unknown
+// workload or a stray argument makes the real command exit 2, before it
+// generates or warms the workload.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	bin := buildCLIs(t, "mlpsim")
 	junk := filepath.Join(t.TempDir(), "junk")
@@ -155,6 +156,8 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		{"-window", "64", "-rob", "8"},
 		{"-mshrs", "-1"},
 		{"-runahead", "-max-runahead", "0"},
+		{"-workload", "bogus"},
+		{"-measure", "1000", "extra-arg"},
 	} {
 		runCLI(t, 2, filepath.Join(bin, "mlpsim"), args...)
 	}

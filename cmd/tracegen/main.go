@@ -42,17 +42,23 @@ func main() {
 		warmup   = flag.Int64("warmup", 2_000_000, "annotator warm-up instructions (only with -annotate)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tracegen: unexpected argument %q: every option is a flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if err := validateFlags(*out, *n, *warmup); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(2)
 	}
 	cfg, err := workload.ByName(*name, *seed)
-	if err == nil {
-		if *annotful {
-			err = writeAnnotated(cfg, *out, *warmup, *n)
-		} else {
-			err = writeRaw(cfg, *out, *n)
-		}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: -workload %q: unknown workload\n", *name)
+		os.Exit(2)
+	}
+	if *annotful {
+		err = writeAnnotated(cfg, *out, *warmup, *n)
+	} else {
+		err = writeRaw(cfg, *out, *n)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)

@@ -100,8 +100,9 @@ func TestAnnotatedTraceMatchesWorkload(t *testing.T) {
 	})
 }
 
-// TestCLIRejectsBadFlags: every value validateFlags refuses makes the
-// real command exit 2 without writing a trace.
+// TestCLIRejectsBadFlags: every value validateFlags refuses, an unknown
+// workload and a stray argument make the real command exit 2 without
+// writing a trace.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	bin := buildCLIs(t, "tracegen")
 	dir := t.TempDir()
@@ -109,9 +110,11 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		{"-n", "-5"},
 		{"-n", "0"},
 		{"-annotate", "-warmup", "-50", "-n", "10"},
+		{"-workload", "bogus"},
+		{"-n", "10", "stray"},
 	} {
 		out := filepath.Join(dir, "x")
-		runCLI(t, 2, filepath.Join(bin, "tracegen"), append(args, "-o", out)...)
+		runCLI(t, 2, filepath.Join(bin, "tracegen"), append([]string{"-o", out}, args...)...)
 		if matches, _ := filepath.Glob(out + "*"); len(matches) != 0 {
 			t.Errorf("tracegen %v wrote %v", args, matches)
 		}

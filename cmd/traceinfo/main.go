@@ -34,6 +34,15 @@ func main() {
 		n            = flag.Int64("n", 4_000_000, "instructions to characterize")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "traceinfo: unexpected argument %q: pass a trace file with -trace\n", flag.Arg(0))
+		os.Exit(2)
+	}
+	wl, err := workload.ByName(*workloadName, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "traceinfo: -workload %q: unknown workload\n", *workloadName)
+		os.Exit(2)
+	}
 	if *warmup < 0 {
 		fmt.Fprintf(os.Stderr, "traceinfo: -warmup %d: must be >= 0\n", *warmup)
 		os.Exit(2)
@@ -43,7 +52,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	src, err := openSource(*traceFile, *workloadName, *seed)
+	src, err := openSource(*traceFile, wl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "traceinfo:", err)
 		os.Exit(1)
@@ -122,7 +131,7 @@ func main() {
 		hs.L1IMisses, hs.L1DMisses, hs.L2Misses, hs.TLBMisses)
 }
 
-func openSource(traceFile, name string, seed int64) (trace.Source, error) {
+func openSource(traceFile string, w workload.Config) (trace.Source, error) {
 	if traceFile != "" {
 		f, err := os.Open(traceFile)
 		if err != nil {
@@ -130,9 +139,5 @@ func openSource(traceFile, name string, seed int64) (trace.Source, error) {
 		}
 		return trace.NewReaderSource(f)
 	}
-	cfg, err := workload.ByName(name, seed)
-	if err != nil {
-		return nil, err
-	}
-	return workload.MustNew(cfg), nil
+	return workload.MustNew(w), nil
 }

@@ -68,13 +68,18 @@ func TestRawTraceMatchesWorkload(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsBadFlags: a negative warm-up or an empty window exits 2.
+// TestCLIRejectsBadFlags: a negative warm-up, an empty window, an
+// unknown workload or a stray argument exits 2. A trace path given
+// without -trace would otherwise stop flag parsing, and the default
+// workload would be characterized in its place.
 func TestCLIRejectsBadFlags(t *testing.T) {
 	bin := buildCLIs(t, "traceinfo")
 	for _, args := range [][]string{
 		{"-warmup", "-1"},
 		{"-n", "0"},
 		{"-n", "-5"},
+		{"-workload", "bogus"},
+		{"some.trc", "-warmup", "0"},
 	} {
 		runCLI(t, 2, filepath.Join(bin, "traceinfo"), args...)
 	}

@@ -8,22 +8,6 @@ import (
 	"mlpsim/internal/workload"
 )
 
-// BenchmarkAnnotateStream measures the full annotation pass (generator +
-// hierarchy + predictors) per instruction — the cost the cache pays once
-// per key.
-func BenchmarkAnnotateStream(b *testing.B) {
-	w := workload.Presets(1)[0]
-	a := annotate.New(workload.MustNew(w), annotate.Config{})
-	a.Warm(100_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := a.Next(); !ok {
-			b.Fatal("stream ended")
-		}
-	}
-}
-
 // BenchmarkCaptureStream measures annotation plus columnar capture — the
 // true per-key build cost.
 func BenchmarkCaptureStream(b *testing.B) {
@@ -63,24 +47,6 @@ func BenchmarkCaptureFused(b *testing.B) {
 		}
 		bu.AppendBlock(buf[:got])
 		left -= got
-	}
-}
-
-// BenchmarkReplayStream measures decoding a captured stream — the cost
-// every cached engine run pays per instruction. It must be allocation
-// free.
-func BenchmarkReplayStream(b *testing.B) {
-	w := workload.Presets(1)[0]
-	a := annotate.New(workload.MustNew(w), annotate.Config{})
-	a.Warm(100_000)
-	s := Capture(a, 1_000_000)
-	r := s.Replay()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := r.Next(); !ok {
-			r = s.Replay()
-		}
 	}
 }
 
