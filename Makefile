@@ -34,7 +34,7 @@ perfbench-test:
 # bench-gate runs the gated micro-benchmarks of HEAD and of the working
 # tree in seven paired, alternating rounds on this host, and fails when a
 # benchmark's median working-tree/HEAD ns/op ratio exceeds 1.5 or its
-# allocs/op leave zero. It takes about a minute.
+# allocs/op leave zero. It takes about a minute and a half.
 bench-gate:
 	$(GO) run ./cmd/bench -gate-base HEAD
 

@@ -4,8 +4,8 @@ package mlpsim_test
 // regenerates its table/figure on a reduced setup and reports the headline
 // number as a custom metric, so `go test -bench=.` both exercises every
 // experiment path end to end and prints the reproduced values. Engine
-// micro-benchmarks at the bottom measure simulator throughput; the ten
-// that cmd/bench records and gates come first among them.
+// micro-benchmarks at the bottom measure simulator throughput, ending
+// with the ten that cmd/bench records and gates.
 
 import (
 	"math/rand"
@@ -148,6 +148,107 @@ func BenchmarkFigure11(b *testing.B) {
 			}
 		}
 		b.ReportMetric(rae, "rae-gain-pct")
+	}
+}
+
+// --- simulator micro-benchmarks --------------------------------------------
+
+// BenchmarkGenerator measures raw trace generation throughput.
+func BenchmarkGenerator(b *testing.B) {
+	g := workload.MustNew(workload.Database(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := g.Next(); !ok {
+			b.Fatal("generator ended")
+		}
+	}
+}
+
+// BenchmarkMLPsimRunahead measures runahead-mode simulation.
+func BenchmarkMLPsimRunahead(b *testing.B) {
+	a := annotate.New(workload.MustNew(workload.Database(1)), annotate.Config{})
+	cfg := core.Default().WithIssue(core.ConfigD).WithRunahead()
+	cfg.MaxInstructions = int64(b.N)
+	b.ResetTimer()
+	res := core.NewEngine(a, cfg).Run()
+	if res.Instructions != int64(b.N) {
+		b.Fatalf("simulated %d of %d", res.Instructions, b.N)
+	}
+}
+
+// BenchmarkGangSweepDivergent measures a gang of ext-mshr's 12 configs
+// (64C and runahead, each with 1, 2, 4, 8, 16 and unlimited MSHRs) over
+// one captured Database trace, with gang construction off the clock.
+// These are the finite-MSHR and runahead configs that join the SoA fast
+// path beside BenchmarkGangSweepK16's plain ones. One op is one
+// config·instruction.
+func BenchmarkGangSweepDivergent(b *testing.B) {
+	a := annotate.New(workload.MustNew(workload.Database(1)), annotate.Config{})
+	a.Warm(150_000)
+	s := atrace.Capture(a, 400_000)
+	var base []core.Config
+	for _, p := range experiments.Find("ext-mshr").Points(benchSetup()) {
+		base = append(base, p.Config)
+	}
+	k := int64(len(base))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for remaining := int64(b.N); remaining > 0; {
+		n := min((remaining+k-1)/k, s.Len())
+		b.StopTimer()
+		cfgs := append([]core.Config(nil), base...)
+		for i := range cfgs {
+			cfgs[i].MaxInstructions = n
+		}
+		g := core.NewGang(s.Replay(), cfgs)
+		b.StartTimer()
+		g.Run()
+		remaining -= k * n
+	}
+}
+
+// BenchmarkCycleSim measures the cycle-level simulator alone: one op is
+// one instruction replayed from a trace captured off the clock, so
+// annotation is not in the number.
+func BenchmarkCycleSim(b *testing.B) {
+	a := annotate.New(workload.MustNew(workload.Database(1)), annotate.Config{})
+	a.Warm(150_000)
+	s := atrace.Capture(a, 400_000)
+	cfg := cyclesim.Default(1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for remaining := int64(b.N); remaining > 0; {
+		cfg.MaxInstructions = min(remaining, s.Len())
+		res := cyclesim.New(s.Replay(), cfg).Run()
+		remaining -= res.Instructions
+	}
+}
+
+// BenchmarkTraceEncode measures binary trace encoding.
+func BenchmarkTraceEncode(b *testing.B) {
+	insts := trace.Collect(trace.Limit(workload.MustNew(workload.Database(1)), 100_000), -1)
+	enc, err := trace.NewEncoder(discard{}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := enc.Encode(insts[i%len(insts)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+type discard struct{}
+
+func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkFacadeSimulate measures the public API end to end.
+func BenchmarkFacadeSimulate(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		res := mlpsim.Simulate(mlpsim.Database(1), mlpsim.DefaultProcessor(),
+			mlpsim.Options{Warmup: 100_000, Measure: 200_000})
+		b.ReportMetric(res.MLP(), "MLP")
 	}
 }
 
@@ -322,106 +423,5 @@ func BenchmarkSMTSchedule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sched.Schedule(traces, smt.PolicyMLPAware, 64, 512, 0.125)
-	}
-}
-
-// --- other simulator micro-benchmarks --------------------------------------
-
-// BenchmarkGenerator measures raw trace generation throughput.
-func BenchmarkGenerator(b *testing.B) {
-	g := workload.MustNew(workload.Database(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := g.Next(); !ok {
-			b.Fatal("generator ended")
-		}
-	}
-}
-
-// BenchmarkMLPsimRunahead measures runahead-mode simulation.
-func BenchmarkMLPsimRunahead(b *testing.B) {
-	a := annotate.New(workload.MustNew(workload.Database(1)), annotate.Config{})
-	cfg := core.Default().WithIssue(core.ConfigD).WithRunahead()
-	cfg.MaxInstructions = int64(b.N)
-	b.ResetTimer()
-	res := core.NewEngine(a, cfg).Run()
-	if res.Instructions != int64(b.N) {
-		b.Fatalf("simulated %d of %d", res.Instructions, b.N)
-	}
-}
-
-// BenchmarkGangSweepDivergent measures a gang of ext-mshr's 12 configs
-// (64C and runahead, each with 1, 2, 4, 8, 16 and unlimited MSHRs) over
-// one captured Database trace, with gang construction off the clock.
-// These are the finite-MSHR and runahead configs that join the SoA fast
-// path beside BenchmarkGangSweepK16's plain ones. One op is one
-// config·instruction.
-func BenchmarkGangSweepDivergent(b *testing.B) {
-	a := annotate.New(workload.MustNew(workload.Database(1)), annotate.Config{})
-	a.Warm(150_000)
-	s := atrace.Capture(a, 400_000)
-	var base []core.Config
-	for _, p := range experiments.Find("ext-mshr").Points(benchSetup()) {
-		base = append(base, p.Config)
-	}
-	k := int64(len(base))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for remaining := int64(b.N); remaining > 0; {
-		n := min((remaining+k-1)/k, s.Len())
-		b.StopTimer()
-		cfgs := append([]core.Config(nil), base...)
-		for i := range cfgs {
-			cfgs[i].MaxInstructions = n
-		}
-		g := core.NewGang(s.Replay(), cfgs)
-		b.StartTimer()
-		g.Run()
-		remaining -= k * n
-	}
-}
-
-// BenchmarkCycleSim measures the cycle-level simulator alone: one op is
-// one instruction replayed from a trace captured off the clock, so
-// annotation is not in the number.
-func BenchmarkCycleSim(b *testing.B) {
-	a := annotate.New(workload.MustNew(workload.Database(1)), annotate.Config{})
-	a.Warm(150_000)
-	s := atrace.Capture(a, 400_000)
-	cfg := cyclesim.Default(1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for remaining := int64(b.N); remaining > 0; {
-		cfg.MaxInstructions = min(remaining, s.Len())
-		res := cyclesim.New(s.Replay(), cfg).Run()
-		remaining -= res.Instructions
-	}
-}
-
-// BenchmarkTraceEncode measures binary trace encoding.
-func BenchmarkTraceEncode(b *testing.B) {
-	insts := trace.Collect(trace.Limit(workload.MustNew(workload.Database(1)), 100_000), -1)
-	enc, err := trace.NewEncoder(discard{}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(insts[i%len(insts)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// BenchmarkFacadeSimulate measures the public API end to end.
-func BenchmarkFacadeSimulate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := mlpsim.Simulate(mlpsim.Database(1), mlpsim.DefaultProcessor(),
-			mlpsim.Options{Warmup: 100_000, Measure: 200_000})
-		b.ReportMetric(res.MLP(), "MLP")
 	}
 }

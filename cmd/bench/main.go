@@ -51,13 +51,13 @@ var gated = []string{
 
 const (
 	// gateMaxRatio is the largest median working-tree/base ns/op ratio
-	// the gate passes. On a 2-CPU VM, gating a tree against itself read
-	// per-benchmark medians of 0.89-1.10 and single rounds of 0.68-1.47,
-	// while a 2x regression reads about 2.
+	// the gate passes. On a shared 2-CPU VM, gating a tree against
+	// itself read per-benchmark medians of 0.73-1.30, though single
+	// rounds ranged 0.37-2.82; a 2x slowdown reads about 2.
 	gateMaxRatio = 1.5
-	// gateRounds is the number of alternating base/working-tree rounds;
-	// the median of seven absorbs three bad rounds, and bursts of host
-	// load on a shared VM last long enough to spoil two in a row.
+	// gateRounds is the number of alternating base/working-tree rounds.
+	// The median of seven absorbs three bad rounds; with five, one
+	// unchanged benchmark's median reached 1.29 on that VM.
 	gateRounds = 7
 	// gateBenchtime is each gated benchmark's run length per round.
 	gateBenchtime = "0.2s"

@@ -6,7 +6,7 @@ import (
 )
 
 // syntheticTraces builds the same shape of per-thread epoch traces the
-// cmd/bench SMTSchedule micro-benchmark replays.
+// root package's BenchmarkSMTSchedule replays.
 func syntheticTraces(k, epochs int, seed int64) [][]EpochRec {
 	rng := rand.New(rand.NewSource(seed))
 	traces := make([][]EpochRec, k)
