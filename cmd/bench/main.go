@@ -233,7 +233,7 @@ func runGate(rev string) ([]string, error) {
 	// -trimpath keeps each tree's directory out of its build, so the
 	// packages the two trees share compile once and both link alike.
 	for _, argv := range [][]string{
-		{"git", "archive", "--format=tar", "--prefix=base/", "-o", tarball, rev},
+		{"git", "archive", "--format=tar", "--prefix=base/", "-o", tarball, "--end-of-options", rev},
 		{"tar", "-xf", tarball, "-C", tmp},
 		{"go", "-C", dirs[0], "test", "-c", "-trimpath", "-o", bins[0], "."},
 		{"go", "test", "-c", "-trimpath", "-o", bins[1], "."},
