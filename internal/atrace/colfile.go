@@ -266,7 +266,7 @@ func streamFromColumnar(data []byte) (*Stream, error) {
 	for i := 0; i < colSectionCnt; i++ {
 		off := int64(binary.LittleEndian.Uint64(data[tableOff+int64(i)*16:]))
 		length := int64(binary.LittleEndian.Uint64(data[tableOff+int64(i)*16+8:]))
-		if off != pos || length < 0 || off+length > fileSize {
+		if off != pos || length < 0 || length > fileSize-off {
 			return nil, corruptf("section %d out of bounds (off %d len %d)", i, off, length)
 		}
 		secs[i] = data[off : off+length : off+length]

@@ -1,7 +1,10 @@
 package atrace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -306,14 +309,24 @@ func TestDiskEviction(t *testing.T) {
 }
 
 // TestOpenColumnarRejectsGarbage covers the structural validations that
-// run before the checksum: bad magic and impossible header fields.
+// run before the checksum: bad magic and impossible header fields, and
+// a section length whose sum with its offset overflows int64.
 func TestOpenColumnarRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
+	var valid bytes.Buffer
+	if err := writeColumnar(&valid, Capture(annotate.New(workload.MustNew(workload.Presets(1)[0]), annotate.Config{}), 1000)); err != nil {
+		t.Fatal(err)
+	}
+	overflow := valid.Bytes()
+	sec0 := colHeaderMin + int(binary.LittleEndian.Uint32(overflow[44:]))
+	off := binary.LittleEndian.Uint64(overflow[sec0:])
+	binary.LittleEndian.PutUint64(overflow[sec0+8:], math.MaxInt64-off+1)
 	for name, blob := range map[string][]byte{
-		"empty":     {},
-		"short":     []byte("MLPCOLS1"),
-		"bad-magic": append([]byte("NOTMYFMT"), make([]byte, 256)...),
-		"zeros":     make([]byte, 512),
+		"empty":            {},
+		"short":            []byte("MLPCOLS1"),
+		"bad-magic":        append([]byte("NOTMYFMT"), make([]byte, 256)...),
+		"zeros":            make([]byte, 512),
+		"section-overflow": overflow,
 	} {
 		path := filepath.Join(dir, name+spillExt)
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
