@@ -13,7 +13,7 @@ build:
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCacheBuildPanic|TestCrossProcessSingleflight|TestCacheDiskSpill|TestBuildLeavesNoLockOrLease|TestMonolithicSpillQuarantined|TestCorruptSpillQuarantined|TestDiskEviction|TestSegmented|TestCrashDuringPublishRecovery|TestLease'
+	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCacheBuildPanic|TestCrossProcessSingleflight|TestCacheDiskSpill|TestBuildLeavesNoLockOrLease|TestMonolithicSpillQuarantined|TestCorruptSpillQuarantined|TestDiskEviction|TestSpillRoundTrip|TestTwoFileLayoutQuarantined|TestCrashDuringPublishRecovery|TestLease'
 	$(GO) test -race ./internal/server
 	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestCycleSimGangsMatchPointAtATime|TestExtStoreSets|Memo|PointKey|TestCancelledSweepStoresOnlyCompletedPoints|TestRunPoints|TestShard'
 	$(GO) test -race ./internal/core -run 'TestRunGangDivergentMatchesSequential|TestDisambMatchesBruteForceReferenceRandom'
@@ -86,7 +86,7 @@ profile:
 fuzz:
 	$(GO) test ./internal/trace -fuzz '^FuzzRoundTrip$$' -fuzztime 30s
 	$(GO) test ./internal/trace -fuzz '^FuzzDecoder$$' -fuzztime 30s
-	$(GO) test ./internal/atrace -fuzz FuzzOpenSegmentManifest -fuzztime 30s
+	$(GO) test ./internal/atrace -run '^$$' -fuzz '^FuzzOpenSpill$$' -fuzztime 30s
 	$(GO) test ./internal/storeset -fuzz FuzzStoreSetUpdate -fuzztime 30s
 	$(GO) test ./internal/server -fuzz FuzzParsePoints -fuzztime 30s
 	# Each gang input runs several engines, so the default 60s minimization

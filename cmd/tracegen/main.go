@@ -4,12 +4,11 @@
 //
 // With -annotate it instead runs the functional annotation pass (cache
 // hierarchy + branch predictor) over the workload and writes the
-// annotated trace in the spill format of the experiment trace cache: an
-// MLPCOLS2 manifest at -o plus its one MLPCOLS1 column file beside it
-// (-o.seg0000), the column file first and the manifest last.
+// annotated trace to -o in the spill format of the experiment trace
+// cache: one self-checking column file, published by an atomic rename.
 // -warmup instructions train the annotator, then -n post-warmup
-// instructions are captured in one pass. The files are byte-identical
-// to the spill the trace cache writes for the same window. cmd/mlpsim
+// instructions are captured in one pass. The file is byte-identical to
+// the spill the trace cache writes for the same window. cmd/mlpsim
 // replays annotated traces directly, memory-mapped, skipping its own
 // annotation and warm-up.
 //
@@ -38,7 +37,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generation seed")
 		n        = flag.Int64("n", 10_000_000, "instructions to generate (post-warmup when -annotate)")
 		out      = flag.String("o", "", "output file (required)")
-		annotful = flag.Bool("annotate", false, "write an annotated trace (manifest plus segment file), which cmd/mlpsim memory-maps")
+		annotful = flag.Bool("annotate", false, "write an annotated trace in the trace cache's spill format, which cmd/mlpsim memory-maps")
 		warmup   = flag.Int64("warmup", 2_000_000, "annotator warm-up instructions (only with -annotate)")
 	)
 	flag.Parse()
@@ -127,12 +126,11 @@ func writeAnnotated(cfg workload.Config, out string, warmup, n int64) error {
 	if err != nil {
 		return err
 	}
-	var bytes int64
-	for _, path := range []string{out, out + ".seg0000"} {
-		if fi, err := os.Stat(path); err == nil {
-			bytes += fi.Size()
-		}
+	fi, err := os.Stat(out)
+	if err != nil {
+		return err
 	}
+	bytes := fi.Size()
 	fmt.Printf("wrote %d annotated instructions to %s (%d bytes, %.2f bytes/inst, warmup %d, %.2fs)\n",
 		s.Len(), out, bytes, float64(bytes)/float64(s.Len()), s.FirstIndex(), time.Since(start).Seconds())
 	return nil

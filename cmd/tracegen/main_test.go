@@ -83,8 +83,8 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestAnnotatedTraceMatchesWorkload: an annotated trace written by
-// tracegen replays through mlpsim -trace to exactly the result lines of
-// the matching mlpsim -workload run.
+// tracegen is one file, and it replays through mlpsim -trace to exactly
+// the result lines of the matching mlpsim -workload run.
 func TestAnnotatedTraceMatchesWorkload(t *testing.T) {
 	bin := buildCLIs(t, "tracegen", "mlpsim")
 	const warmup, n = 20_000, 60_000
@@ -94,6 +94,9 @@ func TestAnnotatedTraceMatchesWorkload(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "db.acol")
 		runCLI(t, 0, filepath.Join(bin, "tracegen"), "-workload", "database", "-annotate",
 			"-warmup", strconv.Itoa(warmup), "-n", strconv.Itoa(n), "-o", path)
+		if files, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "*")); len(files) != 1 {
+			t.Errorf("tracegen -annotate wrote %v, want the one file %s", files, path)
+		}
 		if got := runCLI(t, 0, filepath.Join(bin, "mlpsim"), "-trace", path); got != want {
 			t.Errorf("mlpsim -trace output differs from the -workload run\ngot:\n%s\nwant:\n%s", got, want)
 		}

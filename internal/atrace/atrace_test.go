@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -351,8 +352,8 @@ func TestCacheDiskSpill(t *testing.T) {
 }
 
 // TestBuildLeavesNoLockOrLease: a build coordinates through its lease
-// alone, so once it returns the directory holds no per-key lock file
-// (index.lock is the only lock) and no lease.
+// alone, so once it returns the directory holds its spills and nothing
+// else: no lock file, no lease and no temp file.
 func TestBuildLeavesNoLockOrLease(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(6)[1]
@@ -365,27 +366,29 @@ func TestBuildLeavesNoLockOrLease(t *testing.T) {
 	if st := c.Stats(); st.Builds != 2 || st.LeasesTaken != 2 {
 		t.Fatalf("stats %+v, want 2 builds under 2 leases", st)
 	}
-	locks, _ := filepath.Glob(filepath.Join(dir, "*.lock"))
-	if len(locks) != 1 || filepath.Base(locks[0]) != indexLockName {
-		t.Errorf("lock files %v, want only %s", locks, indexLockName)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if leases, _ := filepath.Glob(filepath.Join(dir, "*"+leaseExt)); len(leases) != 0 {
-		t.Errorf("leases left after release: %v", leases)
+	for _, de := range ents {
+		if !strings.HasSuffix(de.Name(), spillExt) {
+			t.Errorf("%s left beside the spills", de.Name())
+		}
+	}
+	if len(ents) != 2 {
+		t.Errorf("%d files in the directory, want the 2 spills", len(ents))
 	}
 }
 
-// TestMonolithicSpillQuarantined: a spill in the retired single-file
-// layout (a bare MLPCOLS1 file at the key's path) is not a manifest, so
-// the first reader quarantines it and rebuilds exactly once; later
-// caches hit the republished spill.
+// TestMonolithicSpillQuarantined: a column file in the MLPCOLS1 format
+// of older builds, whose checksum covers only its sections, at the
+// key's path is foreign, so the first reader quarantines it and
+// rebuilds exactly once; later caches hit the republished spill.
 func TestMonolithicSpillQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(6)[2]
 	key := Key{Workload: w, Annot: "monolithic", Warmup: testWarmup, Measure: testMeasure}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	writeColumnarFile(t, filepath.Join(dir, keyHash(key)+spillExt), captureStream(t, w, annotate.Config{}))
+	copyFile(t, olderColumns, filepath.Join(dir, keyHash(key)+spillExt))
 
 	c1 := NewCache()
 	c1.SetDir(dir)
@@ -394,7 +397,7 @@ func TestMonolithicSpillQuarantined(t *testing.T) {
 		t.Fatalf("first cache stats %+v, want 1 quarantine and 1 build", st)
 	}
 	if moved, _ := filepath.Glob(filepath.Join(dir, "*"+corruptMark+"*")); len(moved) != 1 {
-		t.Errorf("quarantined files %v, want the one monolithic spill", moved)
+		t.Errorf("quarantined files %v, want the one older column file", moved)
 	}
 	c2 := NewCache()
 	c2.SetDir(dir)

@@ -22,14 +22,14 @@ const DefaultCapBytes = 8 << 30
 // Every build is one sequential annotation pass (see BuildSpec), run in
 // the goroutine of the GetTrace call that missed. With Dir set, the
 // directory becomes a cache shared across processes and hosts: misses
-// memory-map the spilled trace (an MLPCOLS2 manifest plus one MLPCOLS1
-// column file) when one exists, so replay reads pages from the OS page
-// cache rather than resident heap, and builders coordinate through
-// per-key lease files so N concurrent processes perform exactly one
-// annotation pass per key. Publication is atomic (temp file + rename,
-// manifest last), corrupt or truncated spills are quarantined and
-// rebuilt, and an on-disk index drives byte-cap LRU eviction of the
-// directory. See diskCache for the layout and protocol.
+// memory-map the spilled trace (one self-checking file per key) when
+// one exists, so replay reads pages from the OS page cache rather than
+// resident heap, and builders coordinate through per-key lease files so
+// N concurrent processes perform exactly one annotation pass per key.
+// Publication is atomic (temp file + rename), corrupt or truncated
+// spills are quarantined and rebuilt, and the directory listing, with
+// each spill's mtime as its last use, drives byte-cap LRU eviction.
+// See diskCache for the layout and protocol.
 type Cache struct {
 	mu         sync.Mutex
 	capBytes   int64

@@ -35,30 +35,21 @@ func capture(spec BuildSpec) *Stream {
 	return s
 }
 
-// CaptureToFile runs capture, then publishes the trace at base in the
-// spill format: the column file "<base>.seg0000" first, then the
-// MLPCOLS2 manifest at base, each through a temp file and an atomic
-// rename, so another process sees either no trace or a whole one. It
-// returns the trace reopened memory-mapped from the published column
-// file, keeping the builder's heap flat. If publishing fails it writes
-// no manifest and returns the heap copy with the error: the trace is
-// still good, it is just not shared on disk.
-func CaptureToFile(base string, spec BuildSpec) (*Stream, error) {
+// CaptureToFile runs capture, then publishes the trace at path in the
+// spill format through a temp file and an atomic rename, so another
+// process sees either no trace or a whole one. It returns the trace
+// reopened memory-mapped from the published file, keeping the builder's
+// heap flat. If publishing fails it returns the heap copy with the
+// error: the trace is still good, it is just not shared on disk.
+func CaptureToFile(path string, spec BuildSpec) (*Stream, error) {
 	s := capture(spec)
-	dir, seg := filepath.Dir(base), segmentPath(base, 0)
-	segBytes, err := writeAtomic(dir, tmpPrefix+"*", seg, func(f *os.File) error {
+	if err := writeAtomic(filepath.Dir(path), tmpPrefix+"*", path, func(f *os.File) error {
 		return writeColumnar(f, s)
-	})
-	if err != nil {
-		return s, err
-	}
-	ms, err := openColumnar(seg)
-	if err != nil {
-		return s, err
-	}
-	if _, err := writeAtomic(dir, tmpPrefix+"*", base, func(f *os.File) error {
-		return writeManifest(f, s, segBytes)
 	}); err != nil {
+		return s, err
+	}
+	ms, err := OpenSpill(path)
+	if err != nil {
 		return s, err
 	}
 	return ms, nil

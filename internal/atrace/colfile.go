@@ -12,21 +12,22 @@ import (
 	"unsafe"
 )
 
-// Columnar spill format ("MLPCOLS1"): the on-disk twin of Stream's
-// struct-of-arrays layout, designed so a reader can memory-map the file
-// and use the column sections in place — replay then reads pages straight
-// from the OS page cache instead of resident Go heap.
+// Spill format ("MLPCOLS3"): one file per trace, the on-disk twin of
+// Stream's struct-of-arrays layout, designed so a reader can memory-map
+// the file and use the column sections in place — replay then reads
+// pages straight from the OS page cache instead of resident Go heap.
 //
 // Layout (all integers little-endian):
 //
-//	0   8  magic "MLPCOLS1"
+//	0   8  magic "MLPCOLS3"
 //	8   4  uint32 header length H (payload start, 8-byte aligned)
 //	12  1  lineShift
 //	13  3  padding (zero)
 //	16  8  int64  firstIndex
 //	24  8  int64  n (instruction count)
 //	32  8  int64  total file size (truncation check)
-//	40  4  uint32 CRC-32C (Castagnoli) of file[H:] (corruption check)
+//	40  4  uint32 CRC-32C (Castagnoli) of every other byte of the file:
+//	       file[:40] then file[44:] (corruption check)
 //	44  4  uint32 meta blob length M
 //	48  M  meta blob (see meta.go)
 //	48+M   16 x (uint64 offset, uint64 length) section table
@@ -35,16 +36,21 @@ import (
 // Sections, in order: class, src1, src2, dst, vpo (n bytes each); the
 // seven packed event bitsets (ceil(n/64) uint64 words each, stored
 // little-endian); pc, ea, tgt, val (varint byte columns).
+//
+// Older builds wrote "MLPCOLS1" column files, whose checksum covered
+// only the sections, under "MLPCOLS2" manifests. Both fail the magic
+// check, so the disk cache quarantines them like any corrupt spill and
+// rebuilds the key once.
 const (
-	colMagic      = "MLPCOLS1"
+	colMagic      = "MLPCOLS3"
 	colHeaderMin  = 48
 	colSectionCnt = 16
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorruptSpill marks a columnar spill file that is structurally
-// invalid, truncated, or fails its checksum. The disk cache quarantines
+// ErrCorruptSpill marks a spill file that is structurally invalid,
+// truncated, in another format, or fails its checksum. The disk cache quarantines
 // such files and rebuilds instead of crashing.
 var ErrCorruptSpill = errors.New("atrace: corrupt columnar spill")
 
@@ -117,8 +123,23 @@ func writeColumnar(w io.Writer, s *Stream) error {
 	}
 	fileSize := off
 
+	hdr := make([]byte, colHeaderMin, headerLen)
+	copy(hdr, colMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(headerLen))
+	hdr[12] = s.lineShift
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(s.firstIndex))
+	binary.LittleEndian.PutUint64(hdr[24:], uint64(s.n))
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(fileSize))
+	binary.LittleEndian.PutUint32(hdr[44:], uint32(len(meta)))
+	hdr = append(hdr, meta...)
+	for _, te := range table {
+		hdr = binary.LittleEndian.AppendUint64(hdr, te[0])
+		hdr = binary.LittleEndian.AppendUint64(hdr, te[1])
+	}
+	hdr = append(hdr, make([]byte, headerLen-int64(len(hdr)))...)
+
 	var pad [8]byte
-	crc := uint32(0)
+	crc := crc32.Update(crc32.Checksum(hdr[:40], crcTable), crcTable, hdr[44:])
 	pos := headerLen
 	for _, sec := range secs {
 		crc = crc32.Update(crc, crcTable, sec)
@@ -128,22 +149,7 @@ func writeColumnar(w io.Writer, s *Stream) error {
 			pos += gap
 		}
 	}
-
-	hdr := make([]byte, colHeaderMin, headerLen)
-	copy(hdr, colMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(headerLen))
-	hdr[12] = s.lineShift
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(s.firstIndex))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(s.n))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(fileSize))
 	binary.LittleEndian.PutUint32(hdr[40:], crc)
-	binary.LittleEndian.PutUint32(hdr[44:], uint32(len(meta)))
-	hdr = append(hdr, meta...)
-	for _, te := range table {
-		hdr = binary.LittleEndian.AppendUint64(hdr, te[0])
-		hdr = binary.LittleEndian.AppendUint64(hdr, te[1])
-	}
-	hdr = append(hdr, make([]byte, headerLen-int64(len(hdr)))...)
 
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(hdr); err != nil {
@@ -176,12 +182,14 @@ func swapWords(b []byte) []byte {
 	return out
 }
 
-// openColumnar opens a columnar segment file, validating its size, structure
-// and checksum. On unix the column sections are views over a read-only
+// OpenSpill opens a spilled trace, validating its size, checksum and
+// structure. On unix the column sections are views over a read-only
 // memory mapping (released by a finalizer when the stream becomes
-// unreachable); elsewhere the file is read into the heap. Corruption or
-// truncation returns an error wrapping ErrCorruptSpill.
-func openColumnar(path string) (*Stream, error) {
+// unreachable); elsewhere the file is read into the heap. A truncated
+// or corrupt file, or one in any other format, returns an error
+// wrapping ErrCorruptSpill, so the disk cache quarantines it and
+// rebuilds; a missing file returns the plain not-exist error.
+func OpenSpill(path string) (*Stream, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -242,15 +250,15 @@ func streamFromColumnar(data []byte) (*Stream, error) {
 	if fileSize != int64(len(data)) {
 		return nil, corruptf("header promises %d bytes, file has %d (truncated?)", fileSize, len(data))
 	}
+	if got := crc32.Update(crc32.Checksum(data[:40], crcTable), crcTable, data[44:]); got != wantCRC {
+		return nil, corruptf("checksum mismatch (want %08x, got %08x)", wantCRC, got)
+	}
 	if n < 0 || lineShift > 63 {
 		return nil, corruptf("invalid geometry n=%d shift=%d", n, lineShift)
 	}
 	tableOff := colHeaderMin + metaLen
 	if metaLen < 0 || metaLen > 1<<20 || align8(tableOff+colSectionCnt*16) != headerLen || headerLen > fileSize {
 		return nil, corruptf("invalid header geometry (meta %d bytes, header %d)", metaLen, headerLen)
-	}
-	if got := crc32.Checksum(data[headerLen:], crcTable); got != wantCRC {
-		return nil, corruptf("checksum mismatch (want %08x, got %08x)", wantCRC, got)
 	}
 
 	meta, err := decodeMeta(data[colHeaderMin:tableOff])

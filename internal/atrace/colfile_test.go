@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/core"
@@ -43,7 +45,7 @@ func openColumnarHeap(t *testing.T, path string) *Stream {
 	return s
 }
 
-// writeColumnarFile writes s to path as one columnar segment file.
+// writeColumnarFile writes s to path as one spill file.
 func writeColumnarFile(t *testing.T, path string, s *Stream) {
 	t.Helper()
 	f, err := os.Create(path)
@@ -97,9 +99,9 @@ func TestColumnarRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s"+spillExt)
 	writeColumnarFile(t, path, s)
 
-	mapped, err := openColumnar(path)
+	mapped, err := OpenSpill(path)
 	if err != nil {
-		t.Fatalf("openColumnar: %v", err)
+		t.Fatalf("OpenSpill: %v", err)
 	}
 	assertSameReplay(t, s, mapped)
 	heap := openColumnarHeap(t, path)
@@ -146,7 +148,7 @@ func TestColumnarEngineGolden(t *testing.T) {
 			s := captureStream(t, w, annotate.Config{})
 			path := filepath.Join(t.TempDir(), "s"+spillExt)
 			writeColumnarFile(t, path, s)
-			mapped, err := openColumnar(path)
+			mapped, err := OpenSpill(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +170,7 @@ func TestColumnarEngineGolden(t *testing.T) {
 	}
 }
 
-// onlySpill returns the manifest path of the directory's single spill.
+// onlySpill returns the path of the directory's single spill.
 func onlySpill(t *testing.T, dir string) string {
 	t.Helper()
 	spills, err := filepath.Glob(filepath.Join(dir, "*"+spillExt))
@@ -178,21 +180,30 @@ func onlySpill(t *testing.T, dir string) string {
 	return spills[0]
 }
 
-// corruptOneSpill flips a byte in the column data (segment 0) of the
-// directory's single spill and returns the manifest path.
+// corruptOneSpill flips a byte in the column data of the directory's
+// single spill and returns its path.
 func corruptOneSpill(t *testing.T, dir string) string {
 	t.Helper()
-	manifest := onlySpill(t, dir)
-	seg := segmentPath(manifest, 0)
-	b, err := os.ReadFile(seg)
+	path := onlySpill(t, dir)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b[len(b)/2] ^= 0xFF
-	if err := os.WriteFile(seg, b, 0o644); err != nil {
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return manifest
+	return path
+}
+
+// fileBytes returns the size of the file at path.
+func fileBytes(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 // TestCorruptSpillQuarantined: a spill with a flipped byte fails its
@@ -223,8 +234,8 @@ func TestCorruptSpillQuarantined(t *testing.T) {
 		t.Errorf("stats %+v, want 1 quarantine and 1 rebuild", st)
 	}
 	moved, _ := filepath.Glob(filepath.Join(dir, "*.corrupt.*"))
-	if len(moved) != 2 {
-		t.Errorf("quarantine files %v, want the manifest and its one segment", moved)
+	if len(moved) != 1 {
+		t.Errorf("quarantine files %v, want the one spill", moved)
 	}
 	// The rebuild must have republished a valid spill.
 	c3 := NewCache()
@@ -235,7 +246,7 @@ func TestCorruptSpillQuarantined(t *testing.T) {
 	}
 }
 
-// TestTruncatedSpillQuarantined: a segment cut short (e.g. by a full disk
+// TestTruncatedSpillQuarantined: a spill cut short (e.g. by a full disk
 // or a killed writer that bypassed the atomic rename) is detected by the
 // recorded file size and quarantined.
 func TestTruncatedSpillQuarantined(t *testing.T) {
@@ -246,17 +257,12 @@ func TestTruncatedSpillQuarantined(t *testing.T) {
 	c1 := NewCache()
 	c1.SetDir(dir)
 	c1.GetTrace(key, testSpec(w))
-	manifest := onlySpill(t, dir)
-	seg := segmentPath(manifest, 0)
-	fi, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(seg, fi.Size()/2); err != nil {
+	path := onlySpill(t, dir)
+	if err := os.Truncate(path, fileBytes(t, path)/2); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := OpenSpill(manifest); !errors.Is(err, ErrCorruptSpill) {
+	if _, err := OpenSpill(path); !errors.Is(err, ErrCorruptSpill) {
 		t.Fatalf("open of truncated spill: err %v, want ErrCorruptSpill", err)
 	}
 	c2 := NewCache()
@@ -288,10 +294,7 @@ func TestDiskEviction(t *testing.T) {
 	c.SetDir(dir)
 	k0, spec0 := mk(0)
 	c.GetTrace(k0, spec0)
-	size := newDiskCache(dir).spillBytes(keyHash(k0))
-	if size <= 0 {
-		t.Fatal("first spill not published")
-	}
+	size := fileBytes(t, filepath.Join(dir, keyHash(k0)+spillExt))
 	// Cap fits ~1.5 spills: publishing the second must evict the first.
 	c.SetDiskCapBytes(size + size/2)
 	k1, spec1 := mk(1)
@@ -300,17 +303,70 @@ func TestDiskEviction(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, keyHash(k1)+spillExt)); err != nil {
 		t.Errorf("just-published spill evicted: %v", err)
 	}
-	if left, _ := filepath.Glob(filepath.Join(dir, keyHash(k0)+"*")); len(left) != 0 {
-		t.Errorf("LRU spill still present (%v), want evicted", left)
+	if _, err := os.Stat(filepath.Join(dir, keyHash(k0)+spillExt)); !os.IsNotExist(err) {
+		t.Errorf("LRU spill still present (%v), want evicted", err)
 	}
 	if st := c.Stats(); st.DiskEvictions != 1 {
 		t.Errorf("disk evictions %d, want 1", st.DiskEvictions)
 	}
 }
 
-// TestOpenColumnarRejectsGarbage covers the structural validations that
-// run before the checksum: bad magic and impossible header fields, and
-// a section length whose sum with its offset overflows int64.
+// TestDiskEvictionFollowsHits: eviction removes the least recently hit
+// spill, not the least recently published one. A and B are published in
+// that order, a fresh cache hits A on disk, and publishing C over a cap
+// that fits two spills evicts B and keeps A.
+func TestDiskEvictionFollowsHits(t *testing.T) {
+	dir := t.TempDir()
+	w := workload.Presets(4)[1]
+	spec := BuildSpec{
+		NewAnnotator: func() *annotate.Annotator {
+			return annotate.New(workload.MustNew(w), annotate.Config{})
+		},
+		Warmup:  1000,
+		Measure: 20_000,
+	}
+	key := func(name string) Key { return Key{Workload: w, Annot: name, Warmup: 1000, Measure: 20_000} }
+	path := func(name string) string { return filepath.Join(dir, keyHash(key(name))+spillExt) }
+	// Every cache reads one clock that advances a second per reading, so
+	// the stamps order strictly at any filesystem's mtime granularity.
+	var tick atomic.Int64
+	base := time.Now().Truncate(time.Second)
+	cache := func() *Cache {
+		c := NewCache()
+		c.SetDir(dir)
+		c.disk.now = func() time.Time { return base.Add(time.Duration(tick.Add(1)) * time.Second) }
+		return c
+	}
+
+	c1 := cache()
+	c1.GetTrace(key("A"), spec)
+	c1.GetTrace(key("B"), spec)
+	c2 := cache()
+	c2.GetTrace(key("A"), spec)
+	if st := c2.Stats(); st.DiskHits != 1 {
+		t.Fatalf("fresh cache stats %+v, want a disk hit on A", st)
+	}
+	c3 := cache()
+	size := fileBytes(t, path("A")) // the three keys share one window, so one size
+	c3.SetDiskCapBytes(2*size + size/2)
+	c3.GetTrace(key("C"), spec)
+
+	if _, err := os.Stat(path("B")); !os.IsNotExist(err) {
+		t.Errorf("least recently hit spill B still present (%v), want evicted", err)
+	}
+	for _, name := range []string{"A", "C"} {
+		if _, err := os.Stat(path(name)); err != nil {
+			t.Errorf("spill %s evicted: %v", name, err)
+		}
+	}
+	if st := c3.Stats(); st.DiskEvictions != 1 {
+		t.Errorf("disk evictions %d, want 1", st.DiskEvictions)
+	}
+}
+
+// TestOpenColumnarRejectsGarbage covers the structural validations:
+// bad magic, impossible header fields, and (behind a recomputed
+// checksum) a section length whose sum with its offset overflows int64.
 func TestOpenColumnarRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	var valid bytes.Buffer
@@ -321,9 +377,10 @@ func TestOpenColumnarRejectsGarbage(t *testing.T) {
 	sec0 := colHeaderMin + int(binary.LittleEndian.Uint32(overflow[44:]))
 	off := binary.LittleEndian.Uint64(overflow[sec0:])
 	binary.LittleEndian.PutUint64(overflow[sec0+8:], math.MaxInt64-off+1)
+	overflow = withCRC(overflow)
 	for name, blob := range map[string][]byte{
 		"empty":            {},
-		"short":            []byte("MLPCOLS1"),
+		"short":            []byte(colMagic),
 		"bad-magic":        append([]byte("NOTMYFMT"), make([]byte, 256)...),
 		"zeros":            make([]byte, 512),
 		"section-overflow": overflow,
@@ -332,7 +389,7 @@ func TestOpenColumnarRejectsGarbage(t *testing.T) {
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := openColumnar(path); !errors.Is(err, ErrCorruptSpill) {
+		if _, err := OpenSpill(path); !errors.Is(err, ErrCorruptSpill) {
 			t.Errorf("%s: err %v, want ErrCorruptSpill", name, err)
 		}
 	}

@@ -176,7 +176,7 @@ func (d *diskCache) renewLease(path string, stop <-chan struct{}, done chan<- st
 			// Atomic replace; if a stealer removed the file between our read
 			// and this rename we harmlessly re-assert the lease we believe we
 			// hold — the stealer's next probe sees it unexpired and waits.
-			if _, err := writeAtomic(d.dir, tmpPrefix+"*", path, func(f *os.File) error {
+			if err := writeAtomic(d.dir, tmpPrefix+"*", path, func(f *os.File) error {
 				_, werr := f.Write(append(renewed, '\n'))
 				return werr
 			}); err != nil {

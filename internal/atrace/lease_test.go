@@ -130,8 +130,8 @@ func TestLeaseRenewalPreventsSteal(t *testing.T) {
 // builds and publishes. A then completes its own build and publishes
 // over B's — a stale-but-unexpired lease holder. Determinism plus
 // atomic publication make the duplicate harmless: the spill stays
-// valid and bit-identical, nothing quarantines, and the byte-cap index
-// charges the key exactly once.
+// valid and bit-identical, nothing quarantines, and the directory holds
+// the key's one spill and nothing else.
 func TestLeaseSkewedClockPublishSafety(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(27)[0]
@@ -166,11 +166,10 @@ func TestLeaseSkewedClockPublishSafety(t *testing.T) {
 	if _, err := CaptureToFile(cA.disk.spillPath(hash), spec); err != nil {
 		t.Fatalf("A's duplicate publish: %v", err)
 	}
-	cA.disk.recordPublished(hash, key, cA.disk.spillBytes(hash))
+	cA.disk.afterPublish(hash)
 	unlockA()
 
-	// The spill is still whole, bit-identical, unquarantined, and
-	// charged exactly once.
+	// The spill is still whole, bit-identical, unquarantined, and alone.
 	tr, err := OpenSpill(cA.disk.spillPath(hash))
 	if err != nil {
 		t.Fatalf("spill after duplicate publish: %v", err)
@@ -179,15 +178,9 @@ func TestLeaseSkewedClockPublishSafety(t *testing.T) {
 	if got := cA.Stats().Quarantined + cB.Stats().Quarantined; got != 0 {
 		t.Errorf("%d quarantines after duplicate publish, want 0", got)
 	}
-	if marks, _ := filepath.Glob(filepath.Join(dir, "*"+corruptMark+"*")); len(marks) != 0 {
-		t.Errorf("corrupt-marked files after duplicate publish: %v", marks)
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 {
+		t.Errorf("files after duplicate publish %v, want the one spill", files)
 	}
-	want := cA.disk.spillBytes(hash)
-	cA.disk.withIndex(func(idx *indexFile) {
-		if e, ok := idx.Entries[hash]; !ok || e.Bytes != want {
-			t.Errorf("index entry %+v, want exactly %d bytes charged once", e, want)
-		}
-	})
 }
 
 const (
@@ -203,18 +196,17 @@ func leaseHelperKey() (Key, workload.Config) {
 
 // TestLeaseBuildHelper is the subprocess body for the lease
 // crash-recovery test: one GetTrace in lease mode. With the crash env
-// set it dies between the second publish temp write and its rename —
-// the lease is written and segment 0 landed, the manifest never does:
-// SIGKILL between lease write and full publication.
+// set it dies between writing the spill's publish temp file and its
+// rename — the lease is written, the spill never lands: SIGKILL between
+// lease write and publication.
 func TestLeaseBuildHelper(t *testing.T) {
 	dir := os.Getenv(leaseHelperEnvDir)
 	if dir == "" {
 		t.Skip("helper for TestLeaseCrashRecovery; set " + leaseHelperEnvDir + " to run")
 	}
 	if os.Getenv(leaseHelperEnvCrash) != "" {
-		writes := 0
-		testCrashBeforeRename = func() {
-			if writes++; writes == 2 {
+		testCrashBeforeRename = func(dst string) {
+			if strings.HasSuffix(dst, spillExt) {
 				os.Exit(42)
 			}
 		}
@@ -236,10 +228,9 @@ func TestLeaseBuildHelper(t *testing.T) {
 }
 
 // TestLeaseCrashRecovery kills a lease-holding builder between lease
-// write and full segment publication, then asserts a peer reclaims the
-// key after expiry: the stale lease is stolen (not waited on forever),
-// the in-flight segment is rebuilt in place, the trace publishes whole,
-// and nothing is quarantined or double-charged.
+// write and publication, then asserts a peer reclaims the key after
+// expiry: the stale lease is stolen (not waited on forever), the trace
+// is rebuilt and publishes whole, and nothing is quarantined.
 func TestLeaseCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -251,7 +242,7 @@ func TestLeaseCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	key, _ := leaseHelperKey()
 	hash := keyHash(key)
-	manifest := filepath.Join(dir, hash+spillExt)
+	path := filepath.Join(dir, hash+spillExt)
 
 	cmd := exec.Command(exe, "-test.run", "^TestLeaseBuildHelper$", "-test.v")
 	cmd.Env = append(os.Environ(), leaseHelperEnvDir+"="+dir,
@@ -262,17 +253,14 @@ func TestLeaseCrashRecovery(t *testing.T) {
 		t.Fatalf("crash helper exited with %v, want code 42\n%s", err, out)
 	}
 
-	// The dead builder's claim is visible: its lease file names it, no
-	// manifest landed, and segment 0 is an orphan.
+	// The dead builder's claim is visible: its lease file names it, and
+	// no spill landed.
 	leasePath := filepath.Join(dir, hash+leaseExt)
 	if li := readLease(t, leasePath); li.Owner != "dead" {
 		t.Fatalf("lease owner %q after crash, want dead", li.Owner)
 	}
-	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
-		t.Fatalf("manifest visible after mid-publish crash: %v", err)
-	}
-	if _, err := os.Stat(segmentPath(manifest, 0)); err != nil {
-		t.Fatalf("expected orphan segment 0 from the crashed builder: %v", err)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("spill visible after mid-publish crash: %v", err)
 	}
 
 	// A peer replica must reclaim the key: poll out the 1s lease,
@@ -290,10 +278,8 @@ func TestLeaseCrashRecovery(t *testing.T) {
 		t.Fatalf("peer reported %d stolen leases (ok=%v), want 1\n%s", n, ok, out)
 	}
 
-	// Recovery is complete: whole trace, no quarantine, lease released,
-	// and the byte-cap index charges exactly the bytes on disk (the
-	// orphan segment was overwritten in place, not double-counted).
-	tr, err := OpenSpill(manifest)
+	// Recovery is complete: whole trace, no quarantine, lease released.
+	tr, err := OpenSpill(path)
 	if err != nil {
 		t.Fatalf("reclaimed trace unreadable: %v", err)
 	}
@@ -306,13 +292,6 @@ func TestLeaseCrashRecovery(t *testing.T) {
 	if _, err := os.Stat(leasePath); !os.IsNotExist(err) {
 		t.Errorf("lease file not released after recovery: %v", err)
 	}
-	d := newDiskCache(dir)
-	want := d.spillBytes(hash)
-	d.withIndex(func(idx *indexFile) {
-		if e, ok := idx.Entries[hash]; !ok || e.Bytes != want {
-			t.Errorf("index entry %+v, want exactly %d bytes charged once", e, want)
-		}
-	})
 }
 
 func parseHelperInt(out, prefix string) (int, bool) {

@@ -9,10 +9,9 @@ import (
 )
 
 // The meta blob carries a stream's geometry and captured-window
-// statistics in every column file and manifest header (colfile.go,
-// segment.go): 22 uvarints led by the version number 2 — geometry,
-// annotator stats, then the hardware-prefetcher statistics captured
-// with the stream.
+// statistics in every spill header (colfile.go): 22 uvarints led by the
+// version number 2 — geometry, annotator stats, then the
+// hardware-prefetcher statistics captured with the stream.
 const (
 	metaVersion = 2
 	metaFields  = 22

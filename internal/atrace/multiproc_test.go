@@ -106,26 +106,24 @@ func TestCrossProcessSingleflight(t *testing.T) {
 }
 
 const (
-	// segHelperEnvDir points TestSegmentedBuildHelper at a shared cache
-	// directory; segHelperEnvCrash additionally makes it exit mid-publish.
-	segHelperEnvDir   = "MLPSIM_ATRACE_SEG_HELPER_DIR"
-	segHelperEnvCrash = "MLPSIM_ATRACE_SEG_HELPER_CRASH"
+	// buildHelperEnvDir points TestBuildHelper at a shared cache
+	// directory; buildHelperEnvCrash additionally makes it exit mid-publish.
+	buildHelperEnvDir   = "MLPSIM_ATRACE_BUILD_HELPER_DIR"
+	buildHelperEnvCrash = "MLPSIM_ATRACE_BUILD_HELPER_CRASH"
 )
 
-// TestSegmentedBuildHelper is the subprocess body for the crash-recovery
-// test: one GetTrace against the shared directory. With the crash env
-// set it installs the writeAtomic hook and dies (os.Exit) between
-// writing the second publish temp file and renaming it — after segment
-// 0 landed, before the manifest.
-func TestSegmentedBuildHelper(t *testing.T) {
-	dir := os.Getenv(segHelperEnvDir)
+// TestBuildHelper is the subprocess body for the crash-recovery test:
+// one GetTrace against the shared directory. With the crash env set it
+// installs the writeAtomic hook and dies (os.Exit) between writing the
+// spill's publish temp file and renaming it into place.
+func TestBuildHelper(t *testing.T) {
+	dir := os.Getenv(buildHelperEnvDir)
 	if dir == "" {
-		t.Skip("helper for TestCrashDuringPublishRecovery; set " + segHelperEnvDir + " to run")
+		t.Skip("helper for TestCrashDuringPublishRecovery; set " + buildHelperEnvDir + " to run")
 	}
-	if os.Getenv(segHelperEnvCrash) != "" {
-		writes := 0
-		testCrashBeforeRename = func() {
-			if writes++; writes == 2 {
+	if os.Getenv(buildHelperEnvCrash) != "" {
+		testCrashBeforeRename = func(dst string) {
+			if strings.HasSuffix(dst, spillExt) {
 				os.Exit(42)
 			}
 		}
@@ -134,7 +132,7 @@ func TestSegmentedBuildHelper(t *testing.T) {
 	c.SetDir(dir)
 	key, w := helperKey()
 	s := c.GetTrace(key, testSpec(w))
-	if os.Getenv(segHelperEnvCrash) != "" {
+	if os.Getenv(buildHelperEnvCrash) != "" {
 		t.Fatal("helper survived its crash point")
 	}
 	if s.Len() != testMeasure {
@@ -144,11 +142,11 @@ func TestSegmentedBuildHelper(t *testing.T) {
 }
 
 // TestCrashDuringPublishRecovery kills a builder process between writing
-// a publish temp file and its rename, then asserts the protocol's crash
-// guarantees: no partial trace is ever visible, the litter (published
-// orphan segment, abandoned temp file, and the dead builder's lease once
-// it expires) is reclaimed by the sweep, and the next process simply
-// rebuilds.
+// the spill's publish temp file and its rename, then asserts the
+// protocol's crash guarantees: no trace is visible, the only litter is
+// the abandoned temp file and the dead builder's lease, the sweep
+// reclaims both (the lease once it expires), and the next process
+// simply rebuilds.
 func TestCrashDuringPublishRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -159,58 +157,53 @@ func TestCrashDuringPublishRecovery(t *testing.T) {
 	}
 	dir := t.TempDir()
 	key, _ := helperKey()
-	manifest := filepath.Join(dir, keyHash(key)+spillExt)
+	path := filepath.Join(dir, keyHash(key)+spillExt)
 
-	cmd := exec.Command(exe, "-test.run", "^TestSegmentedBuildHelper$", "-test.v")
-	cmd.Env = append(os.Environ(), segHelperEnvDir+"="+dir, segHelperEnvCrash+"=1")
+	cmd := exec.Command(exe, "-test.run", "^TestBuildHelper$", "-test.v")
+	cmd.Env = append(os.Environ(), buildHelperEnvDir+"="+dir, buildHelperEnvCrash+"=1")
 	out, err := cmd.CombinedOutput()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 42 {
 		t.Fatalf("crash helper exited with %v, want code 42\n%s", err, out)
 	}
 
-	// No manifest may exist — the crash happened before it was written, so
-	// other processes must see "no trace at all".
-	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
-		t.Fatalf("manifest visible after a mid-publish crash: %v", err)
-	}
-	// The crash left exactly the litter the sweep is for: segment 0
-	// published as an orphan, and the manifest's abandoned temp file.
-	if _, err := os.Stat(segmentPath(manifest, 0)); err != nil {
-		t.Fatalf("expected orphan segment 0 from the crashed builder: %v", err)
+	// No spill may exist — the crash happened before its rename, so
+	// other processes must see "no trace at all". The directory holds
+	// the abandoned temp file and the dead builder's lease, which until
+	// it expires is a live claim, not litter.
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("spill visible after a mid-publish crash: %v", err)
 	}
 	tmps, _ := filepath.Glob(filepath.Join(dir, tmpPrefix+"*"))
 	if len(tmps) != 1 {
 		t.Fatalf("expected 1 abandoned temp file, found %v", tmps)
 	}
-
-	// The dead builder's lease is still in place; until it expires it is
-	// a live claim, not litter.
 	leasePath := filepath.Join(dir, keyHash(key)+leaseExt)
 	if _, err := os.Stat(leasePath); err != nil {
 		t.Fatalf("expected the crashed builder's lease: %v", err)
 	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 2 {
+		t.Fatalf("files after the crash %v, want the temp file and the lease", files)
+	}
 
-	// An aged sweep past the lease's expiry reclaims all three pieces of
-	// litter: the orphan segment, the abandoned temp file, and the dead
-	// builder's expired lease.
+	// An aged sweep past the lease's expiry reclaims both pieces of
+	// litter: the abandoned temp file and the dead builder's expired
+	// lease.
 	d := newDiskCache(dir)
 	d.tmpMaxAge = -1
-	expired := time.Now().Add(DefaultLeaseTTL + time.Second)
-	d.now = func() time.Time { return expired }
-	d.withIndex(func(idx *indexFile) { d.sweepLocked(idx) })
-	if got := d.swept.Load(); got != 3 {
-		t.Errorf("sweep reclaimed %d files, want 3 (orphan segment + temp + expired lease)", got)
+	sweepAt(d, time.Now().Add(DefaultLeaseTTL+time.Second))
+	if got := d.swept.Load(); got != 2 {
+		t.Errorf("sweep reclaimed %d files, want 2 (temp + expired lease)", got)
 	}
-	for _, p := range append([]string{segmentPath(manifest, 0), leasePath}, tmps...) {
+	for _, p := range append([]string{leasePath}, tmps...) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("sweep left %s behind", p)
 		}
 	}
 
 	// The next process rebuilds from scratch and publishes a full trace.
-	cmd = exec.Command(exe, "-test.run", "^TestSegmentedBuildHelper$", "-test.v")
-	cmd.Env = append(os.Environ(), segHelperEnvDir+"="+dir)
+	cmd = exec.Command(exe, "-test.run", "^TestBuildHelper$", "-test.v")
+	cmd.Env = append(os.Environ(), buildHelperEnvDir+"="+dir)
 	out, err = cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("rebuild helper failed: %v\n%s", err, out)
@@ -218,7 +211,7 @@ func TestCrashDuringPublishRecovery(t *testing.T) {
 	if n, ok := parseHelperBuilds(string(out)); !ok || n != 1 {
 		t.Fatalf("rebuild helper reported %d builds (ok=%v), want 1\n%s", n, ok, out)
 	}
-	if tr, err := OpenSpill(manifest); err != nil {
+	if tr, err := OpenSpill(path); err != nil {
 		t.Errorf("republished trace unreadable: %v", err)
 	} else if tr.Len() != testMeasure {
 		t.Errorf("republished trace holds %d instructions, want %d", tr.Len(), testMeasure)

@@ -418,28 +418,46 @@ func (r *Replay) NextInto(dst *annotate.Inst) bool {
 	out.Mispred = getBit(s.mispred, i)
 	out.Taken = getBit(s.taken, i)
 
-	d, n := binary.Uvarint(s.pc[r.pcOff:])
+	d, n := uvarint(s.pc[r.pcOff:])
 	r.pcOff += n
 	out.PC = uint64(int64(r.prevPC) + unzigzag(d))
 	r.prevPC = out.PC
 	out.ILine = out.PC >> s.lineShift
 
 	if out.Class.IsMem() {
-		d, n = binary.Uvarint(s.ea[r.eaOff:])
+		d, n = uvarint(s.ea[r.eaOff:])
 		r.eaOff += n
 		out.EA = uint64(int64(r.prevEA) + unzigzag(d))
 		r.prevEA = out.EA
 		out.Line = out.EA >> s.lineShift
 	}
 	if getBit(s.hasTgt, i) {
-		d, n = binary.Uvarint(s.tgt[r.tgtOff:])
+		d, n = uvarint(s.tgt[r.tgtOff:])
 		r.tgtOff += n
 		out.Target = uint64(int64(out.PC) + unzigzag(d))
 	}
 	if out.Class.IsMemRead() && out.Class != isa.Prefetch {
-		v, n := binary.Uvarint(s.val[r.valOff:])
+		v, n := uvarint(s.val[r.valOff:])
 		r.valOff += n
 		out.Value = v
 	}
 	return true
+}
+
+// uvarint decodes one uvarint from b as binary.Uvarint does, except that
+// it never reports an error: a varint running past 64 bits is consumed
+// whole, and a truncated one consumes the rest of b. A replay cursor
+// thus only ever moves forward within its column, whatever bytes a
+// corrupt spill that passed its checksum holds.
+func uvarint(b []byte) (uint64, int) {
+	var x uint64
+	var shift uint
+	for i, c := range b {
+		if c < 0x80 {
+			return x | uint64(c)<<shift, i + 1
+		}
+		x |= uint64(c&0x7f) << shift
+		shift += 7
+	}
+	return x, len(b)
 }

@@ -26,15 +26,16 @@ func litterFile(t *testing.T, dir, name string, size int, mtime time.Time) strin
 // returning the kept-litter byte total.
 func sweepAt(d *diskCache, now time.Time) (litterBytes int64) {
 	d.now = func() time.Time { return now }
-	d.withIndex(func(idx *indexFile) { litterBytes = d.sweepLocked(idx) })
+	litterBytes, _ = d.sweep()
 	return litterBytes
 }
 
 // TestSweepAgeBoundaryExact pins the reclamation rule at the exact
 // young/aged threshold: litter whose age equals the bound is still
 // young (kept, its bytes charged against the capacity); one nanosecond
-// older and it is reclaimed. Covered for both litter classes — temp
-// files (tmpMaxAge) and quarantined spills (corruptMaxAge).
+// older and it is reclaimed. Covered for each litter class — temp
+// files and older builds' leftovers (tmpMaxAge), and quarantined
+// spills (corruptMaxAge).
 func TestSweepAgeBoundaryExact(t *testing.T) {
 	base := time.Now().Truncate(time.Second) // whole seconds survive every filesystem's mtime granularity
 	cases := []struct {
@@ -44,6 +45,7 @@ func TestSweepAgeBoundaryExact(t *testing.T) {
 	}{
 		{"temp file", tmpPrefix + "boundary", func(d *diskCache) time.Duration { return d.tmpMaxAge }},
 		{"orphan segment", "feedbeef" + spillExt + ".seg0000", func(d *diskCache) time.Duration { return d.tmpMaxAge }},
+		{"eviction index", "index.json", func(d *diskCache) time.Duration { return d.tmpMaxAge }},
 		{"quarantined spill", "deadbeef" + spillExt + corruptMark + "1.2", func(d *diskCache) time.Duration { return d.corruptMaxAge }},
 	}
 	for _, tc := range cases {
@@ -83,9 +85,9 @@ func TestSweepAgeBoundaryExact(t *testing.T) {
 // twice (quarantine, rebuild, republish, corrupt again, quarantine)
 // must leave exactly one charge per corrupt byte on disk — each
 // quarantined generation is litter once, and none of those bytes may
-// also be charged through a stale index entry. A quarantine that finds
-// nothing left to move (the losing side of a reader race) must not
-// inflate the Quarantined counter either.
+// also be charged as a spill. A quarantine that finds nothing left to
+// move (the losing side of a reader race) must not inflate the
+// Quarantined counter either.
 func TestRepeatedQuarantineChargesBytesOnce(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(8)[2]
@@ -108,11 +110,11 @@ func TestRepeatedQuarantineChargesBytesOnce(t *testing.T) {
 		}
 	}
 
-	// Two generations of the same key (manifest and segment each) moved
-	// aside, under distinct names.
+	// Two generations of the same key's spill moved aside, under
+	// distinct names.
 	moved, err := filepath.Glob(filepath.Join(dir, "*"+corruptMark+"*"))
-	if err != nil || len(moved) != 4 {
-		t.Fatalf("quarantine files %v (err %v), want two manifests and two segments", moved, err)
+	if err != nil || len(moved) != 2 {
+		t.Fatalf("quarantine files %v (err %v), want two generations of the spill", moved, err)
 	}
 	var wantLitter int64
 	for _, p := range moved {
@@ -123,33 +125,24 @@ func TestRepeatedQuarantineChargesBytesOnce(t *testing.T) {
 		wantLitter += fi.Size()
 	}
 
-	// The sweep charges each quarantined byte exactly once.
+	// The sweep charges each quarantined byte exactly once, and charges
+	// as spills only the live republished one, sized to it: quarantined
+	// bytes charged twice would shrink the effective capacity on every
+	// corruption.
 	d := newDiskCache(dir)
-	if got := sweepAt(d, time.Now()); got != wantLitter {
-		t.Errorf("young quarantine litter charged %d bytes, want %d (each corrupt byte once)", got, wantLitter)
+	litter, spills := d.sweep()
+	if litter != wantLitter {
+		t.Errorf("young quarantine litter charged %d bytes, want %d (each corrupt byte once)", litter, wantLitter)
 	}
-	// The index must hold only the live republished spill, sized to it:
-	// quarantined bytes double-charged through a stale entry would shrink
-	// the effective capacity on every corruption.
-	spills, _ := filepath.Glob(filepath.Join(dir, "*"+spillExt))
-	if len(spills) != 1 {
-		t.Fatalf("live spills %v, want exactly one", spills)
-	}
-	liveBytes := d.spillBytes(keyHash(key))
-	var indexed int64
-	d.withIndex(func(idx *indexFile) {
-		for _, e := range idx.Entries {
-			indexed += e.Bytes
-		}
-	})
-	if indexed != liveBytes {
-		t.Errorf("index charges %d bytes, want %d (the live spill only)", indexed, liveBytes)
+	live := filepath.Join(dir, keyHash(key)+spillExt)
+	if len(spills) != 1 || spills[0].bytes != fileBytes(t, live) {
+		t.Fatalf("spills charged %+v, want the live spill of %d bytes only", spills, fileBytes(t, live))
 	}
 
 	// A quarantine with nothing left to move (reader-race loser) is not
 	// counted again.
 	before := d.quarantined.Load()
-	d.quarantine("0000000000000000000000000000dead")
+	d.quarantine(d.spillPath("0000000000000000000000000000dead"))
 	if got := d.quarantined.Load(); got != before {
 		t.Errorf("empty quarantine bumped the counter %d -> %d", before, got)
 	}
@@ -162,7 +155,7 @@ func TestRepeatedQuarantineChargesBytesOnce(t *testing.T) {
 	if left, _ := filepath.Glob(filepath.Join(dir, "*"+corruptMark+"*")); len(left) != 0 {
 		t.Errorf("aged quarantine files survived the sweep: %v", left)
 	}
-	if _, err := os.Stat(spills[0]); err != nil {
+	if _, err := os.Stat(live); err != nil {
 		t.Errorf("live spill reclaimed by the quarantine sweep: %v", err)
 	}
 }

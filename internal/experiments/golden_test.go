@@ -70,10 +70,10 @@ func TestCachedPathMatchesDirect(t *testing.T) {
 }
 
 // TestSegmentedCacheMatchesDirect re-runs the golden determinism check
-// through the disk cache: one cache publishes every trace as a spill (a
-// manifest plus its segment file), and a second cache over the same
-// directory replays each trace memory-mapped from those files. Its
-// results must stay bit-identical to the direct annotate-per-run path.
+// through the disk cache: one cache publishes every trace as a spill
+// file, and a second cache over the same directory replays each trace
+// memory-mapped from those files. Its results must stay bit-identical
+// to the direct annotate-per-run path.
 func TestSegmentedCacheMatchesDirect(t *testing.T) {
 	cached, direct := goldenSetups(1)
 	dir := t.TempDir()
