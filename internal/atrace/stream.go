@@ -91,9 +91,6 @@ func (s *Stream) Len() int64 { return s.n }
 // number of instructions consumed before capture, i.e. the warmup).
 func (s *Stream) FirstIndex() int64 { return s.firstIndex }
 
-// LineShift returns log2 of the L2 line size used to derive Line/ILine.
-func (s *Stream) LineShift() uint8 { return s.lineShift }
-
 // Stats returns the annotator statistics accumulated over exactly the
 // captured window (what a direct annotator would report after draining
 // the same instructions post-warmup).

@@ -68,9 +68,6 @@ func (h *Histogram) Total() uint64 { return h.total }
 // Count returns the count in bucket i (len(bounds) is the overflow bucket).
 func (h *Histogram) Count(i int) uint64 { return h.counts[i] }
 
-// Buckets returns the bucket upper bounds.
-func (h *Histogram) Buckets() []int64 { return h.bounds }
-
 // CDF returns, for each bound, the cumulative probability of an
 // observation at or below that bound.
 func (h *Histogram) CDF() []float64 {

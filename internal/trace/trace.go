@@ -68,21 +68,6 @@ func Limit(src Source, n int64) Source {
 	})
 }
 
-// Skip discards the next n instructions from src, returning the number
-// actually discarded (fewer if the stream ends early). It is used to
-// implement warm-up windows where caches and predictors train but no
-// statistics are collected by a downstream consumer.
-func Skip(src Source, n int64) int64 {
-	var discarded int64
-	for discarded < n {
-		if _, ok := src.Next(); !ok {
-			break
-		}
-		discarded++
-	}
-	return discarded
-}
-
 // Collect drains up to max instructions from src into a fresh slice.
 // max < 0 collects the entire stream.
 func Collect(src Source, max int64) []isa.Inst {
@@ -95,70 +80,6 @@ func Collect(src Source, max int64) []isa.Inst {
 		out = append(out, in)
 	}
 	return out
-}
-
-// ErrStop can be returned by a ForEach callback to halt iteration without
-// reporting an error to the caller.
-var ErrStop = errors.New("trace: stop iteration")
-
-// ForEach applies fn to every instruction in src. It stops early and
-// returns nil if fn returns ErrStop, or propagates any other error.
-func ForEach(src Source, fn func(isa.Inst) error) error {
-	for {
-		in, ok := src.Next()
-		if !ok {
-			return nil
-		}
-		if err := fn(in); err != nil {
-			if errors.Is(err, ErrStop) {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// Tee returns a Source that forwards src while appending every delivered
-// instruction to sink. It is used by tools that simulate and record
-// simultaneously.
-func Tee(src Source, sink *[]isa.Inst) Source {
-	return FuncSource(func() (isa.Inst, bool) {
-		in, ok := src.Next()
-		if ok {
-			*sink = append(*sink, in)
-		}
-		return in, ok
-	})
-}
-
-// Concat returns a Source that yields all instructions of each source in
-// turn.
-func Concat(srcs ...Source) Source {
-	idx := 0
-	return FuncSource(func() (isa.Inst, bool) {
-		for idx < len(srcs) {
-			if in, ok := srcs[idx].Next(); ok {
-				return in, true
-			}
-			idx++
-		}
-		return isa.Inst{}, false
-	})
-}
-
-// CountingSource wraps a Source and counts delivered instructions.
-type CountingSource struct {
-	Src Source
-	N   int64
-}
-
-// Next implements Source.
-func (c *CountingSource) Next() (isa.Inst, bool) {
-	in, ok := c.Src.Next()
-	if ok {
-		c.N++
-	}
-	return in, ok
 }
 
 // ReaderSource adapts an io.Reader of the binary trace format into a

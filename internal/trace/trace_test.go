@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"math/rand"
 	"testing"
@@ -87,74 +86,18 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestLimitAndSkip(t *testing.T) {
+func TestLimit(t *testing.T) {
 	insts := sampleInsts(100, 2)
-	src := NewSliceSource(insts)
-	if n := Skip(src, 30); n != 30 {
-		t.Fatalf("Skip = %d, want 30", n)
-	}
-	lim := Limit(src, 50)
-	got := Collect(lim, -1)
+	got := Collect(Limit(NewSliceSource(insts), 50), -1)
 	if len(got) != 50 {
 		t.Fatalf("collected %d, want 50", len(got))
 	}
-	if got[0] != insts[30] {
-		t.Fatalf("first after skip = %v, want %v", got[0], insts[30])
+	if got[49] != insts[49] {
+		t.Fatalf("last delivered = %v, want %v", got[49], insts[49])
 	}
-	// Skipping past the end reports the truncated count.
-	src2 := NewSliceSource(insts[:5])
-	if n := Skip(src2, 10); n != 5 {
-		t.Fatalf("Skip past end = %d, want 5", n)
-	}
-}
-
-func TestForEach(t *testing.T) {
-	insts := sampleInsts(20, 3)
-	var seen int
-	err := ForEach(NewSliceSource(insts), func(isa.Inst) error {
-		seen++
-		if seen == 7 {
-			return ErrStop
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ForEach returned %v", err)
-	}
-	if seen != 7 {
-		t.Fatalf("seen = %d, want 7 (ErrStop should halt)", seen)
-	}
-	boom := errors.New("boom")
-	err = ForEach(NewSliceSource(insts), func(isa.Inst) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("ForEach error = %v, want boom", err)
-	}
-}
-
-func TestTeeAndConcat(t *testing.T) {
-	a := sampleInsts(5, 4)
-	b := sampleInsts(7, 5)
-	var sink []isa.Inst
-	src := Tee(Concat(NewSliceSource(a), NewSliceSource(b)), &sink)
-	got := Collect(src, -1)
-	if len(got) != 12 || len(sink) != 12 {
-		t.Fatalf("got %d, sink %d, want 12 each", len(got), len(sink))
-	}
-	for i := range got {
-		if got[i] != sink[i] {
-			t.Fatalf("tee mismatch at %d", i)
-		}
-	}
-	if got[0] != a[0] || got[5] != b[0] {
-		t.Fatal("concat ordering wrong")
-	}
-}
-
-func TestCountingSource(t *testing.T) {
-	cs := &CountingSource{Src: NewSliceSource(sampleInsts(9, 6))}
-	Collect(cs, -1)
-	if cs.N != 9 {
-		t.Fatalf("counted %d, want 9", cs.N)
+	// A limit past the end delivers the whole stream.
+	if got := Collect(Limit(NewSliceSource(insts[:5]), 10), -1); len(got) != 5 {
+		t.Fatalf("limit past end collected %d, want 5", len(got))
 	}
 }
 
@@ -348,70 +291,5 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWindowBasic(t *testing.T) {
-	insts := sampleInsts(1000, 10)
-	w := NewWindow(NewSliceSource(insts))
-	for i := int64(0); i < 1000; i++ {
-		in, ok := w.At(i)
-		if !ok {
-			t.Fatalf("At(%d): unexpected end", i)
-		}
-		if *in != insts[i] {
-			t.Fatalf("At(%d) mismatch", i)
-		}
-	}
-	if _, ok := w.At(1000); ok {
-		t.Fatal("At past end should fail")
-	}
-	if !w.EOF() {
-		t.Fatal("EOF should be set after exhausting the source")
-	}
-	if w.End() != 1000 {
-		t.Fatalf("End = %d, want 1000", w.End())
-	}
-	// Random re-access within the retained window.
-	in, ok := w.At(123)
-	if !ok || *in != insts[123] {
-		t.Fatal("re-access failed")
-	}
-}
-
-func TestWindowRelease(t *testing.T) {
-	insts := sampleInsts(10000, 11)
-	w := NewWindow(NewSliceSource(insts))
-	if _, ok := w.At(9999); !ok {
-		t.Fatal("fetch to end failed")
-	}
-	before := w.Buffered()
-	w.Release(8000)
-	if w.Buffered() >= before {
-		t.Fatalf("Release did not compact: %d -> %d", before, w.Buffered())
-	}
-	if w.Base() != 8000 {
-		t.Fatalf("Base = %d, want 8000", w.Base())
-	}
-	in, ok := w.At(8000)
-	if !ok || *in != insts[8000] {
-		t.Fatal("access at new base failed")
-	}
-	// Access below the compacted base must panic: it is a caller bug.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("At below base did not panic")
-		}
-	}()
-	w.At(7999)
-}
-
-func TestWindowReleasePastEndClamps(t *testing.T) {
-	insts := sampleInsts(10, 12)
-	w := NewWindow(NewSliceSource(insts))
-	w.At(9)
-	w.Release(100) // beyond end: clamps, full drop
-	if w.Base() != 10 || w.Buffered() != 0 {
-		t.Fatalf("Base=%d Buffered=%d, want 10,0", w.Base(), w.Buffered())
 	}
 }

@@ -522,17 +522,6 @@ func (g *Generator) siteValue(s *site) uint64 {
 	}
 }
 
-// mix64 is splitmix64's finalizer: a cheap, high-quality 64-bit mixer used
-// for deterministic address hashing.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // sampleCount draws a non-negative integer with the given expectation:
 // floor(mean) plus a Bernoulli trial on the fraction.
 func sampleCount(rng *rand.Rand, mean float64) int {
