@@ -31,12 +31,17 @@ test:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
-# bench-gate runs the gated micro-benchmarks of HEAD and of the working
-# tree in seven paired, alternating rounds on this host, and fails when a
-# benchmark's median working-tree/HEAD ns/op ratio exceeds 1.5 or its
-# allocs/op leave zero. It takes about a minute and a half.
+# bench-gate runs the gated micro-benchmarks of a base revision and of
+# the working tree in seven paired, alternating rounds on this host, and
+# fails when a benchmark's median working-tree/base ns/op ratio exceeds
+# 1.5 or its allocs/op leave zero. The base is HEAD while the working
+# tree differs from it (changed or untracked files) and HEAD~1 when it is
+# clean, so a committed change is gated against its parent, not against
+# itself. It takes about a minute and a half.
 bench-gate:
-	$(GO) run ./cmd/bench -gate-base HEAD
+	@if [ -n "$$(git status --porcelain)" ]; then base=HEAD; else base=HEAD~1; fi; \
+	echo "bench-gate: gating the working tree against $$base ($$(git rev-parse --short $$base))"; \
+	$(GO) run ./cmd/bench -gate-base $$base
 
 # cover prints per-package statement coverage and gates the scheduled-SMT
 # package (internal/smt) against the floor in scripts/cover.sh;

@@ -5,9 +5,10 @@
 // test benchmarks named in gated, then the Figure 4+5+6 sweep three
 // ways: uncached, with the in-heap annotated-trace cache, and replaying
 // memory-mapped spills from a warm on-disk cache. It writes a JSON
-// report (BENCH_N.json) with ns/op, wall times, peak Go-heap occupancy
-// and headline MLP metrics; -compare prints deltas against an earlier
-// report.
+// report (BENCH_N.json) with the host it ran on, ns/op, wall times,
+// peak Go-heap occupancy and headline MLP metrics; -compare prints
+// deltas against an earlier report, first saying whether the two hosts
+// differ.
 //
 // With -gate-base REV it is a regression gate instead: it runs the
 // gated benchmarks of REV and of the working tree in paired, alternating
@@ -92,8 +93,58 @@ type sweepResult struct {
 	HeapDropRatio float64 `json:"heap_drop_ratio"`
 }
 
+// host records where a report was measured, so that -compare can tell
+// a change of host from a change of code.
+type host struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	CPUModel   string `json:"cpu_model,omitempty"`
+}
+
+// thisHost describes the running host. The CPU model comes from the
+// first "model name" line of /proc/cpuinfo, and is empty where that
+// file cannot be read.
+func thisHost() *host {
+	h := &host{
+		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion: runtime.Version(),
+	}
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
+}
+
+// hostDiff lists the fields in which host b differs from host a, as
+// "name a -> b".
+func hostDiff(a, b host) []string {
+	var diffs []string
+	add := func(name string, x, y any) {
+		if x != y {
+			diffs = append(diffs, fmt.Sprintf("%s %v -> %v", name, x, y))
+		}
+	}
+	add("goos", a.GOOS, b.GOOS)
+	add("goarch", a.GOARCH, b.GOARCH)
+	add("num_cpu", a.NumCPU, b.NumCPU)
+	add("gomaxprocs", a.GOMAXPROCS, b.GOMAXPROCS)
+	add("go_version", a.GoVersion, b.GoVersion)
+	add("cpu_model", strconv.Quote(a.CPUModel), strconv.Quote(b.CPUModel))
+	return diffs
+}
+
 type report struct {
 	Schema     string                 `json:"schema"`
+	Host       *host                  `json:"host,omitempty"`
 	Scale      string                 `json:"scale"`
 	Seed       int64                  `json:"seed"`
 	Warmup     int64                  `json:"warmup"`
@@ -386,9 +437,18 @@ func sweep(s experiments.Setup, mlp map[string]float64) (*sweepResult, error) {
 	}, nil
 }
 
-// printComparison prints headline deltas against a previous report.
+// printComparison prints headline deltas against a previous report. Its
+// first line says when the two reports were measured on different
+// hosts, or when the previous one does not record its host: the ns/op
+// and sweep deltas then measure the host as well as the code.
 func printComparison(w io.Writer, path string, old, cur report) {
-	fmt.Fprintf(w, "comparison vs %s (%s):\n", path, old.Schema)
+	fmt.Fprintf(w, "comparison vs %s (%s)", path, old.Schema)
+	if old.Host == nil || cur.Host == nil {
+		fmt.Fprint(w, "; a report records no host, so deltas may measure a change of host")
+	} else if diffs := hostDiff(*old.Host, *cur.Host); len(diffs) > 0 {
+		fmt.Fprintf(w, "; DIFFERENT HOST (%s), so deltas measure the host as well as the code", strings.Join(diffs, ", "))
+	}
+	fmt.Fprintln(w, ":")
 	for _, name := range gated {
 		o, c := old.Benchmarks[name], cur.Benchmarks[name]
 		if o.NsPerOp > 0 && c.NsPerOp > 0 {
@@ -483,7 +543,8 @@ func main() {
 	}
 
 	rep := report{
-		Schema:  "mlpsim-bench/11",
+		Schema:  "mlpsim-bench/12",
+		Host:    thisHost(),
 		Scale:   *scale,
 		Seed:    *seed,
 		Warmup:  s.Warmup,

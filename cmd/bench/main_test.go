@@ -173,6 +173,34 @@ func TestGateViolations(t *testing.T) {
 // helperEnv turns TestCLIHelper into the real command.
 const helperEnv = "MLPSIM_BENCH_CLI_HELPER"
 
+// TestComparisonFirstLineNamesHost: -compare's first line says when the
+// two reports come from different hosts, naming each differing field,
+// and when either report records no host at all.
+func TestComparisonFirstLineNamesHost(t *testing.T) {
+	oneCPU := host{GOOS: "linux", GOARCH: "amd64", NumCPU: 1, GOMAXPROCS: 1, GoVersion: "go1.24.0", CPUModel: "Xeon"}
+	twoCPU := oneCPU
+	twoCPU.NumCPU, twoCPU.GOMAXPROCS = 2, 2
+	for _, tc := range []struct {
+		name       string
+		old, cur   *host
+		want       string
+		wantAbsent string
+	}{
+		{"same", &oneCPU, &oneCPU, "comparison vs OLD.json (mlpsim-bench/11):", "host"},
+		{"different", &oneCPU, &twoCPU, "DIFFERENT HOST (num_cpu 1 -> 2, gomaxprocs 1 -> 2)", "go_version"},
+		{"unrecorded", nil, &twoCPU, "records no host", "DIFFERENT"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			printComparison(&out, "OLD.json", report{Schema: "mlpsim-bench/11", Host: tc.old}, report{Host: tc.cur})
+			first, _, _ := strings.Cut(out.String(), "\n")
+			if !strings.Contains(first, tc.want) || strings.Contains(first, tc.wantAbsent) {
+				t.Errorf("first line %q, want it to contain %q and not %q", first, tc.want, tc.wantAbsent)
+			}
+		})
+	}
+}
+
 func TestCLIHelper(t *testing.T) {
 	if os.Getenv(helperEnv) == "" {
 		t.Skip("runs the command for TestCLIRejectsBadFlags")
