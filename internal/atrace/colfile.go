@@ -50,8 +50,8 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorruptSpill marks a spill file that is structurally invalid,
-// truncated, in another format, or fails its checksum. The disk cache quarantines
-// such files and rebuilds instead of crashing.
+// truncated, in another format, or fails its checksum. The disk cache
+// quarantines such files and rebuilds instead of crashing.
 var ErrCorruptSpill = errors.New("atrace: corrupt columnar spill")
 
 func corruptf(format string, args ...interface{}) error {
