@@ -3,6 +3,7 @@ package atrace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -145,23 +146,76 @@ func TestSpillBytesMatchOlderColumnFile(t *testing.T) {
 	}
 }
 
-// TestTwoFileLayoutQuarantined: in a directory older builds wrote, the
-// MLPCOLS2 manifest at the key's path is foreign. The first cache
-// quarantines it and builds once, and a second cache gets a plain disk
-// hit on the republished spill. The older build's leftovers beside it —
-// the column file, an eviction sidecar, the eviction index with its
-// lock and a temp file — are young litter, charged against the cap,
-// until one sweep past tmpMaxAge reaps them all and leaves the spill.
-func TestTwoFileLayoutQuarantined(t *testing.T) {
+// writeOlderSpill writes the two-file layout older builds used at a
+// key's path: the MLPCOLS2 manifest there, and its column file beside it
+// as the path's .seg0000.
+func writeOlderSpill(t *testing.T, path string) {
+	t.Helper()
+	copyFile(t, olderManifest, path)
+	copyFile(t, olderColumns, path+".seg0000")
+}
+
+// TestSegmentedDiskCache: a key whose spill an older build wrote as a
+// manifest and a segment file opens as corrupt, since the manifest at the
+// key's path is foreign. The first cache quarantines the manifest alone
+// and builds once; a second cache then gets a plain disk hit on the
+// republished one-file spill, memory-mapped and bit-identical.
+func TestSegmentedDiskCache(t *testing.T) {
 	dir := t.TempDir()
 	w := workload.Presets(24)[0]
-	key := Key{Workload: w, Annot: "two-file", Warmup: testWarmup, Measure: testMeasure}
+	key := Key{Workload: w, Annot: "seg", Warmup: testWarmup, Measure: testMeasure}
 	path := filepath.Join(dir, keyHash(key)+spillExt)
-	copyFile(t, olderManifest, path)
+	writeOlderSpill(t, path)
+	if _, err := OpenSpill(path); !errors.Is(err, ErrCorruptSpill) {
+		t.Fatalf("open of an older manifest: err %v, want ErrCorruptSpill", err)
+	}
+
+	c1 := NewCache()
+	c1.SetDir(dir)
+	mono := captureStream(t, w, annotate.Config{})
+	assertSameReplay(t, mono, c1.GetTrace(key, testSpec(w)))
+	if st := c1.Stats(); st.Quarantined != 1 || st.Builds != 1 || st.DiskHits != 0 || st.Swept != 0 {
+		t.Fatalf("first cache stats %+v, want 1 quarantine, 1 build and nothing swept", st)
+	}
+	if moved, _ := filepath.Glob(filepath.Join(dir, "*"+corruptMark+"*")); len(moved) != 1 {
+		t.Errorf("quarantined files %v, want the manifest", moved)
+	}
+	if _, err := os.Stat(path + ".seg0000"); err != nil {
+		t.Errorf("young segment file gone before the temp age: %v", err)
+	}
+
+	c2 := NewCache()
+	c2.SetDir(dir)
+	t2 := c2.GetTrace(key, testSpec(w))
+	if st := c2.Stats(); st.Quarantined != 0 || st.Builds != 0 || st.DiskHits != 1 {
+		t.Fatalf("second cache stats %+v, want a plain disk hit", st)
+	}
+	if !t2.Mapped() {
+		t.Error("disk-loaded trace not memory-mapped")
+	}
+	assertSameReplay(t, mono, t2)
+}
+
+// TestSegmentedDiskEviction: a spill an older build had partially
+// evicted under the byte cap, with a "<hash>.acol.evict" sidecar beside
+// it and the eviction index with its lock and a temp file in the
+// directory, opens as corrupt like any older manifest. The first cache
+// quarantines it and builds once, and a second cache hits the
+// republished spill. The leftovers are young litter, charged against the
+// cap, until one sweep past tmpMaxAge reaps them all and leaves the
+// spill.
+func TestSegmentedDiskEviction(t *testing.T) {
+	dir := t.TempDir()
+	w := workload.Presets(25)[0]
+	key := Key{Workload: w, Annot: "evicted-hole", Warmup: testWarmup, Measure: testMeasure}
+	path := filepath.Join(dir, keyHash(key)+spillExt)
+	writeOlderSpill(t, path)
 	leftovers := []string{path + ".seg0000", path + ".evict", filepath.Join(dir, "index.json"),
 		filepath.Join(dir, "index.lock"), filepath.Join(dir, ".index-tmp-123")}
-	copyFile(t, olderColumns, leftovers[0])
-	for _, p := range leftovers[1:] {
+	if err := os.WriteFile(leftovers[1], []byte(`{"evicted":[1]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range leftovers[2:] {
 		if err := os.WriteFile(p, []byte("{}\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -180,14 +234,10 @@ func TestTwoFileLayoutQuarantined(t *testing.T) {
 	}
 	c2 := NewCache()
 	c2.SetDir(dir)
-	t2 := c2.GetTrace(key, testSpec(w))
+	assertSameReplay(t, mono, c2.GetTrace(key, testSpec(w)))
 	if st := c2.Stats(); st.Quarantined != 0 || st.Builds != 0 || st.DiskHits != 1 {
 		t.Fatalf("second cache stats %+v, want a plain disk hit", st)
 	}
-	if !t2.Mapped() {
-		t.Error("disk-loaded trace not memory-mapped")
-	}
-	assertSameReplay(t, mono, t2)
 
 	d := newDiskCache(dir)
 	quarantined := fileBytes(t, moved[0])
