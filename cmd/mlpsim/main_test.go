@@ -3,7 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -162,4 +166,59 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 		runCLI(t, 2, filepath.Join(bin, "mlpsim"), args...)
 	}
 	runCLI(t, 1, filepath.Join(bin, "mlpsim"), "-trace", junk)
+}
+
+var updateEpochDigests = flag.Bool("update", false, "rewrite testdata/epoch_digests.json from the current command")
+
+// TestEpochOutputDigests pins the epoch hook's one user-visible product:
+// the -epochs listing and -timeline chart. Each engine discipline runs
+// over the default workload at 20k warm-up and 50k measured
+// instructions, and the SHA-256 of its whole stdout must equal the
+// digest recorded in testdata/epoch_digests.json. A change that moves
+// this output regenerates the file with -update and says why.
+func TestEpochOutputDigests(t *testing.T) {
+	bin := buildCLIs(t, "mlpsim")
+	base := []string{"-warmup", "20000", "-measure", "50000", "-epochs", "-timeline"}
+	got := make(map[string]string)
+	for name, extra := range map[string][]string{
+		"default":      nil,
+		"inorder-use":  {"-inorder", "use"},
+		"inorder-miss": {"-inorder", "miss"},
+		"vp":           {"-vp"},
+		"runahead":     {"-runahead"},
+	} {
+		out := runCLI(t, 0, filepath.Join(bin, "mlpsim"), append(append([]string(nil), base...), extra...)...)
+		sum := sha256.Sum256([]byte(out))
+		got[name] = hex.EncodeToString(sum[:])
+	}
+
+	path := filepath.FromSlash("testdata/epoch_digests.json")
+	if *updateEpochDigests {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test -run TestEpochOutputDigests -update)", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	for name, sum := range got {
+		if want[name] != sum {
+			t.Errorf("%s: epoch output digest %s, %s pins %q", name, sum, path, want[name])
+		}
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s pins run %q, which the test no longer makes", path, name)
+		}
+	}
 }
