@@ -72,26 +72,24 @@ func pf(src1 isa.Reg, pmiss bool) annotate.Inst {
 	}
 }
 
-// runEpochs runs the engine, returning the per-epoch access-index sets.
-func runEpochs(t *testing.T, s AnnotatedSource, cfg Config) ([]Epoch, Result) {
+// runEpochs runs the engine with an epoch observer, checks its result
+// and epochs against the reference model, and returns them.
+func runEpochs(t *testing.T, s *aiSource, cfg Config) ([]Epoch, Result) {
 	t.Helper()
-	var epochs []Epoch
-	cfg.OnEpoch = func(ep Epoch) { epochs = append(epochs, ep) }
-	res := NewEngine(s, cfg).Run()
-	return epochs, res
+	return checkReference(t, "stream", s.insts, cfg)
 }
 
 // runBoth runs cfg on both engines over mk's stream: the scalar engine
-// with an epoch observer (runEpochs), and a gang of one, which takes the
-// SoA fast path. It fails on any difference between their results and
-// returns the scalar run's epochs and result.
+// with an epoch observer (runEpochs, checked against the reference), and
+// a gang of one, which takes the SoA fast path. It fails on any
+// difference between their results and returns the scalar run's epochs
+// and result.
 func runBoth(t *testing.T, mk func() *aiSource, cfg Config) ([]Epoch, Result) {
 	t.Helper()
 	if !SoAEligible(cfg) {
 		t.Fatalf("%s is not SoA-eligible", cfg.Name())
 	}
 	epochs, res := runEpochs(t, mk(), cfg)
-	res.Config.OnEpoch = nil
 	if soa := RunGang(mk(), []Config{cfg})[0]; !reflect.DeepEqual(soa, res) {
 		t.Fatalf("%s: SoA gang result differs from the engine\nSoA:    %+v\nengine: %+v", cfg.Name(), soa, res)
 	}

@@ -185,9 +185,9 @@ func decodeGangInput(data []byte) ([]Config, []annotate.Inst) {
 // for any stream and 1-4 configs across window/ROB sizes, issue
 // policies, runahead, finite MSHR files and store buffers, the perfect
 // features, MaxInstructions and the scalar-only modes, RunGang must equal
-// one NewEngine run per config, and neither may panic. The seeds are the
-// divergentGangs vectors, at most four configs each, over pseudo-random
-// streams.
+// one NewEngine run per config, which must equal the reference model,
+// and none may panic. The seeds are the divergentGangs vectors, at most
+// four configs each, over pseudo-random streams.
 func FuzzGangMatchesEngine(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for gi, gang := range divergentGangs(nil) {
@@ -215,6 +215,10 @@ func FuzzGangMatchesEngine(f *testing.F) {
 			if !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("config %d (%s, SoA %v) over %d instructions: gang result differs from the engine\ngang:   %+v\nengine: %+v",
 					i, cfg.Name(), SoAEligible(cfg), len(insts), got[i], want)
+			}
+			if ref, _, _ := refRun(insts, cfg); !reflect.DeepEqual(want, ref) {
+				t.Fatalf("config %d (%s) over %d instructions: engine result differs from the reference\nengine:    %+v\nreference: %+v",
+					i, cfg.Name(), len(insts), want, ref)
 			}
 		}
 	})
