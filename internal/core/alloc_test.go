@@ -10,11 +10,14 @@ import (
 )
 
 // replayStream builds an annotated-trace stream from a random
-// instruction mix so the engine runs against the real replay decoder
-// (the production fetch path).
+// instruction mix, with value-prediction and store-set outcomes, so the
+// engine runs against the real replay decoder (the production fetch
+// path).
 func replayStream(n int) *atrace.Stream {
 	rng := rand.New(rand.NewSource(1234))
 	insts := randomStream(rng, n, 0.05, 0.01, 0.04, 0.02)
+	sprinkleVP(rng, insts)
+	sprinkleDeps(rng, insts)
 	b := atrace.NewBuilder(6, int64(n))
 	for i := range insts {
 		b.Append(insts[i])
@@ -115,17 +118,22 @@ func TestEngineRunZeroAllocSteadyState(t *testing.T) {
 // path: once NewGang has built the ring and engines, Run allocates
 // nothing, by allocs/op and by the heap profile (ring growth aside,
 // which the min-position schedule avoids on miss-bearing streams). The
-// config vectors cover K=1 (the BENCH_5 residual), the pure SoA fast
-// path for plain configs and for runahead, finite MSHR files, perfect
-// value prediction and finite store buffers, the pure scalar fallback,
-// and a mixed gang where both ride one ring.
+// config vectors cover K=1, plain configs, every config kind the
+// stepper gates separately — runahead, finite MSHR files and store
+// buffers, perfect and realistic value prediction, both in-order
+// disciplines, store-set and conservative disambiguation — and a gang
+// mixing them. Only an epoch observer allocates: each epoch hands it
+// fresh index lists.
 func TestRunGangZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	st := replayStream(200_000)
-	inorder := Default()
-	inorder.Mode = InOrderStallOnUse
+	inorder := func(mode WindowMode) Config {
+		c := Default()
+		c.Mode = mode
+		return c
+	}
 	runahead := Default().WithIssue(ConfigD).WithRunahead()
 	runaheadMSHR := runahead
 	runaheadMSHR.MSHRs = 4
@@ -133,26 +141,33 @@ func TestRunGangZeroAllocSteadyState(t *testing.T) {
 	mshr.MSHRs = 2
 	perfVP := Default().WithIssue(ConfigD).WithROB(256)
 	perfVP.PerfectVP = true
+	vp := Default().WithWindow(128)
+	vp.ValuePredict = true
 	storeBuf := Default().WithIssue(ConfigB)
 	storeBuf.StoreBuffer = 2
-	widened := []Config{runahead, runaheadMSHR, mshr, perfVP, storeBuf}
-	for _, cfg := range widened {
-		if !SoAEligible(cfg) {
-			t.Fatalf("%s is not SoA-eligible", cfg.Name())
-		}
+	disamb := func(mode DisambMode) Config {
+		c := Default()
+		c.Disamb = mode
+		return c
 	}
 	vectors := map[string][]Config{
-		"k1-soa":    {Default()},
-		"k1-scalar": {inorder},
-		"soa": {
+		"k1":         {Default()},
+		"k1-inorder": {inorder(InOrderStallOnUse)},
+		"plain": {
 			Default(),
 			Default().WithWindow(32),
 			Default().WithWindow(128).WithIssue(ConfigA),
 		},
-		"soa-widened": widened,
+		"widened": {runahead, runaheadMSHR, mshr, perfVP, storeBuf},
+		"kinds": {
+			inorder(InOrderStallOnMiss), inorder(InOrderStallOnUse), vp,
+			disamb(DisambStoreSets), disamb(DisambConservative),
+		},
 		"mixed": {
 			Default(),
-			inorder,
+			inorder(InOrderStallOnUse),
+			vp,
+			disamb(DisambStoreSets),
 			Default().WithWindow(64).WithIssue(ConfigE),
 		},
 	}

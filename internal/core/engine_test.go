@@ -79,17 +79,14 @@ func runEpochs(t *testing.T, s *aiSource, cfg Config) ([]Epoch, Result) {
 	return checkReference(t, "stream", s.insts, cfg)
 }
 
-// runBoth runs cfg on both engines over mk's stream: the scalar engine
-// with an epoch observer (runEpochs, checked against the reference), and
-// a gang of one, which takes the SoA fast path. It fails on any
-// difference between their results and returns the scalar run's epochs
-// and result.
+// runBoth runs cfg on both engines over mk's stream: observed through
+// runEpochs, and as a gang of one with no observer, which takes the SoA
+// stepper's inlined fast path. It fails on any difference between their
+// results and returns runEpochs' epochs and result.
 func runBoth(t *testing.T, mk func() *aiSource, cfg Config) ([]Epoch, Result) {
 	t.Helper()
-	if !SoAEligible(cfg) {
-		t.Fatalf("%s is not SoA-eligible", cfg.Name())
-	}
 	epochs, res := runEpochs(t, mk(), cfg)
+	res.Config.OnEpoch = nil
 	if soa := RunGang(mk(), []Config{cfg})[0]; !reflect.DeepEqual(soa, res) {
 		t.Fatalf("%s: SoA gang result differs from the engine\nSoA:    %+v\nengine: %+v", cfg.Name(), soa, res)
 	}
@@ -434,6 +431,25 @@ func TestInOrderStallOnMissVsUse(t *testing.T) {
 	cfg = Config{Mode: InOrderStallOnUse}
 	epochs, _ = runEpochs(t, mk(), cfg)
 	wantAccesses(t, epochs, [][]int64{{0, 1}, {3}})
+}
+
+// An outstanding miss under stall-on-use keeps the window open over a
+// long independent stretch, so the in-order live window outgrows its
+// initial 256 slots and must double without losing the miss or its use.
+func TestInOrderWindowOutgrowsItsSlots(t *testing.T) {
+	mk := func() *aiSource {
+		insts := []annotate.Inst{ld(2, 1, true)}
+		for i := 0; i < 1000; i++ {
+			insts = append(insts, add(3, 3, 4))
+		}
+		insts = append(insts, add(5, 2, 2), ld(6, 1, true))
+		return src(insts...)
+	}
+	epochs, res := runBoth(t, mk, Config{Mode: InOrderStallOnUse})
+	wantAccesses(t, epochs, [][]int64{{0}, {1002}})
+	if res.Instructions != 1003 {
+		t.Fatalf("instructions = %d, want 1003", res.Instructions)
+	}
 }
 
 func TestInOrderPrefetchesOverlap(t *testing.T) {

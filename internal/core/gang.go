@@ -39,6 +39,10 @@ type gangRing struct {
 	// head is the absolute count of decoded instructions; the ring holds
 	// [tail, head).
 	head int64
+	// index0 is the first decoded instruction's stream Index: the
+	// fetch-buffer scan names an access by Index, which sources number
+	// consecutively, so instruction j's Index is index0+j.
+	index0 int64
 	// tail is a cached lower bound on the lowest index any live consumer
 	// still needs, refreshed lazily when the ring looks full. Scalar
 	// cursors need their read position; SoA engines need their retire
@@ -158,6 +162,9 @@ func (r *gangRing) ensure(pos int64) bool {
 			r.eof = true
 			return false
 		}
+		if r.head == 0 {
+			r.index0 = dst.Index
+		}
 		r.bind.bind(dst, r.head, &r.lnk[i])
 		r.meta[i] = packMeta(dst)
 		r.head++
@@ -188,17 +195,12 @@ func (c *gangCursor) Next() (annotate.Inst, bool) {
 }
 
 // SoAEligible reports whether cfg can run on the gang's structure-of-
-// arrays fast path. The fast path implements the out-of-order epoch
-// model, runahead, finite MSHR files and store buffers and perfect value
-// prediction included; configs that diverge from it — in-order
-// disciplines, realistic value prediction, non-oracle memory
-// disambiguation, or an epoch observer — fall back to the scalar
-// slotState engine inside the same gang.
-func SoAEligible(cfg Config) bool {
-	return cfg.Mode == OutOfOrder &&
-		!cfg.ValuePredict &&
-		cfg.Disamb == DisambOracle &&
-		cfg.OnEpoch == nil
+// arrays stepper. The stepper runs every config kind: out of order and
+// in order, runahead, finite MSHR files and store buffers, perfect and
+// realistic value prediction, every disambiguation mode and an epoch
+// observer.
+func SoAEligible(Config) bool {
+	return true
 }
 
 // GangRunStats reports how one gang's instructions were processed: on

@@ -3,6 +3,8 @@ package core
 import (
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/isa"
+	"mlpsim/internal/storeset"
+	"mlpsim/internal/vpred"
 )
 
 // metaWord is the packed, config-independent summary of one decoded
@@ -33,6 +35,14 @@ const (
 	// metaMiss is DMiss|PMiss folded into one bit: "executing this slot
 	// issues an off-chip data access".
 	metaMiss
+	// metaVPCorrect and metaVPWrong carry a missing load's value-
+	// prediction outcome; metaDepViolation and metaDepFalse a load's
+	// store-set outcome. Only engines configured for value prediction or
+	// store-set disambiguation read them.
+	metaVPCorrect
+	metaVPWrong
+	metaDepViolation
+	metaDepFalse
 )
 
 // packMeta summarizes a decoded, bound instruction. The flag bits carry
@@ -42,6 +52,12 @@ func packMeta(ai *annotate.Inst) metaWord {
 	var m metaWord
 	if ai.DMiss {
 		m |= metaDMiss | metaMiss
+		switch ai.VPOutcome {
+		case vpred.Correct:
+			m |= metaVPCorrect
+		case vpred.Wrong:
+			m |= metaVPWrong
+		}
 	}
 	if ai.PMiss {
 		m |= metaPMiss | metaMiss
@@ -68,14 +84,21 @@ func packMeta(ai *annotate.Inst) metaWord {
 	if cls.IsMemWrite() {
 		m |= metaMemWrite
 	}
+	switch ai.Dep {
+	case storeset.DepViolation:
+		m |= metaDepViolation
+	case storeset.DepFalse:
+		m |= metaDepFalse
+	}
 	return m
 }
 
 // metaClearFor returns the per-engine mask of bits a configuration
 // erases from every fetched instruction: the flags its perfect features
-// remove, and under runahead the serializing and load-like class bits,
-// whose every policy (pipeline drains, store forwarding, load ordering)
-// runahead lifts.
+// remove, and under out-of-order runahead the serializing and load-like
+// class bits, whose every policy (pipeline drains, store forwarding, load
+// ordering, non-oracle disambiguation) runahead lifts. The in-order
+// disciplines ignore Runahead.
 func metaClearFor(cfg Config) metaWord {
 	var clear metaWord
 	if cfg.PerfectIFetch {
@@ -84,7 +107,7 @@ func metaClearFor(cfg Config) metaWord {
 	if cfg.PerfectBP {
 		clear |= metaMispred
 	}
-	if cfg.Runahead {
+	if cfg.Runahead && cfg.Mode == OutOfOrder {
 		clear |= metaSerializing | metaLoadLike
 	}
 	return clear

@@ -575,36 +575,54 @@ func (m *refModel) runInOrder(ep *refEpoch) {
 	}
 }
 
-// observe runs cfg on NewEngine over insts with an epoch observer and
-// returns its result (observer cleared) and epochs.
-func observe(insts []annotate.Inst, cfg Config) (Result, []Epoch) {
+// observe runs cfg over insts with an epoch observer, on the scalar
+// engine or on a SoA gang of one, and returns the result (observer
+// cleared) and epochs.
+func observe(insts []annotate.Inst, cfg Config, gang bool) (Result, []Epoch) {
 	var epochs []Epoch
 	cfg.OnEpoch = func(ep Epoch) { epochs = append(epochs, ep) }
-	res := NewEngine(&aiSource{insts: insts}, cfg).Run()
+	var res Result
+	if gang {
+		res = RunGang(&aiSource{insts: insts}, []Config{cfg})[0]
+	} else {
+		res = NewEngine(&aiSource{insts: insts}, cfg).Run()
+	}
 	res.Config.OnEpoch = nil
 	return res, epochs
 }
 
-// checkReference fails unless the engine, observed epoch by epoch, and
-// the reference agree on cfg over insts: the same Result and the same
-// epoch sequence, executed and access lists included. It returns the
-// engine's epochs and result.
+// checkReference fails unless the scalar engine and a SoA gang of one,
+// each observed epoch by epoch, agree with the reference on cfg over
+// insts: the same Result and the same epoch sequence, executed and
+// access lists included. It returns the scalar engine's epochs and
+// result.
 func checkReference(t *testing.T, what string, insts []annotate.Inst, cfg Config) ([]Epoch, Result) {
 	t.Helper()
 	want, wantEpochs, _ := refRun(insts, cfg)
-	got, gotEpochs := observe(insts, cfg)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s (%s): engine result differs from the reference\nengine:    %+v\nreference: %+v", what, cfg.Name(), got, want)
-	}
-	if len(gotEpochs) != len(wantEpochs) {
-		t.Fatalf("%s (%s): engine reported %d epochs, the reference %d", what, cfg.Name(), len(gotEpochs), len(wantEpochs))
-	}
-	for i := range wantEpochs {
-		if !reflect.DeepEqual(gotEpochs[i], wantEpochs[i]) {
-			t.Fatalf("%s (%s): epoch %d differs from the reference\nengine:    %+v\nreference: %+v", what, cfg.Name(), i, gotEpochs[i], wantEpochs[i])
+	var res Result
+	var epochs []Epoch
+	for _, gang := range []bool{false, true} {
+		name := "engine"
+		if gang {
+			name = "SoA gang"
+		}
+		got, gotEpochs := observe(insts, cfg, gang)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (%s): %s result differs from the reference\n%s: %+v\nreference: %+v", what, cfg.Name(), name, name, got, want)
+		}
+		if len(gotEpochs) != len(wantEpochs) {
+			t.Fatalf("%s (%s): %s reported %d epochs, the reference %d", what, cfg.Name(), name, len(gotEpochs), len(wantEpochs))
+		}
+		for i := range wantEpochs {
+			if !reflect.DeepEqual(gotEpochs[i], wantEpochs[i]) {
+				t.Fatalf("%s (%s): %s epoch %d differs from the reference\n%s: %+v\nreference: %+v", what, cfg.Name(), name, i, name, gotEpochs[i], wantEpochs[i])
+			}
+		}
+		if !gang {
+			res, epochs = got, gotEpochs
 		}
 	}
-	return gotEpochs, got
+	return epochs, res
 }
 
 // TestReferenceMatchesEngineDivergentGangs runs every config of every

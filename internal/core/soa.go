@@ -12,11 +12,9 @@ import (
 // check) a single load and compare each.
 const notExecuted = math.MaxInt64
 
-// soaEngine is the gang's structure-of-arrays stepper: the out-of-order
-// epoch model (SoAEligible configs, runahead, finite MSHR files and store
-// buffers and perfect value prediction included) transposed so the hot
-// per-slot state lives in parallel arrays instead of the scalar engine's
-// 80-byte slotState ring.
+// soaEngine is the gang's structure-of-arrays stepper: the epoch model
+// transposed so the hot per-slot state lives in parallel arrays instead
+// of the scalar engine's 80-byte slotState ring.
 //
 // The transposition is driven by access pattern:
 //
@@ -26,14 +24,16 @@ const notExecuted = math.MaxInt64
 //     trailing-zeros scan over a handful of complement words that visits
 //     only the genuinely unexecuted slots;
 //   - avail and complete collapse into one readyAt epoch per slot, the
-//     retire epoch: they differ only for a value-predicted missing load,
-//     and under PerfectVP every executed value is consumable at once, so
+//     retire epoch: they differ only for a value-predicted missing load.
+//     Under PerfectVP every executed value is consumable at once, so
 //     consumers test readyAt against readyBy (one epoch ahead of the
-//     retire test); realistic value prediction is scalar-fallback
-//     territory;
-//   - counted and countedS vanish (execute runs at most once per slot),
-//     as do the vp flags; imissDone survives only as the imissPend
-//     bitmask, set for the rare fetch a full MSHR file deferred.
+//     retire test); under realistic value prediction a consumer also
+//     accepts an executed producer whose meta word carries vpCut;
+//   - counted and countedS vanish (execute runs at most once per slot);
+//     imissDone survives only as the imissPend bitmask, set for a fetch
+//     a full MSHR file deferred (or, in order, not yet issued), and the
+//     once-per-load flush and serialize flags become the bitmasks
+//     depFlushed, depSerialized and vpPaid.
 //
 // Decoded instructions are never copied: the stepper reads the gang
 // ring's meta words and links in place, holding entries down to its
@@ -53,18 +53,26 @@ type soaEngine struct {
 	rhead int64
 
 	// Per-slot SoA state, indexed by absolute instruction index & mask.
-	// The capacity ringSize(cfg) is exact: phase 2 terminates the window
-	// before fetch whenever fetchEnd-retire would reach the window bound
-	// (ROB, or MaxRunahead in runahead), so unlike the scalar ring this
-	// one never grows. readyAt is the epoch a slot can retire (notExecuted
-	// until the slot executes); execBits mirrors "executed" as a packed
-	// bitmask for the phase-1 complement scan only; imissPend marks
-	// fetched slots whose I-miss a full MSHR file deferred (the scalar
-	// imissDone == false), which must issue that fetch before they run.
+	// Out of order the capacity ringSize(cfg) is exact: phase 2
+	// terminates the window before fetch whenever fetchEnd-retire would
+	// reach the window bound (ROB, or MaxRunahead in runahead). In order
+	// the live window has no such bound, so the arrays double when it
+	// fills them (grow). readyAt is the epoch a slot can retire
+	// (notExecuted until the slot executes); execBits mirrors "executed"
+	// as a packed bitmask for the phase-1 complement scan only; imissPend
+	// marks fetched slots whose I-miss has not issued yet.
 	execBits  []uint64
 	imissPend []uint64
 	readyAt   []int64
 	mask      int64
+
+	// Once-per-load flags, nil unless the config needs them: depFlushed
+	// marks a load whose store-set violation flush was charged,
+	// depSerialized one whose needless serialization was counted, and
+	// vpPaid a wrongly predicted missing load whose recovery flush a
+	// consumer already paid. execute clears a slot's flags, so a reused
+	// slot starts clean.
+	depFlushed, depSerialized, vpPaid []uint64
 
 	// sat lists pending instructions beyond fetchEnd whose I-miss was
 	// already issued by a fetch-buffer scan ("fetch satisfied; arrives
@@ -109,6 +117,24 @@ type soaEngine struct {
 	fetchBuffer        int64
 	mshrs              int
 	storeBuffer        int
+
+	// The per-engine flags of the rarer kinds, each zero for a plain
+	// config. vpCut is the meta bit that frees a missing load's consumers
+	// at issue under realistic value prediction; vpFlush charges a wrong
+	// prediction's recovery flush (conventional mode only). depViolation
+	// is the meta bit of a load the store-set predictor failed to cover.
+	// inOrder selects the in-order epoch, stallOnMiss its discipline.
+	// slowAll sends every fetched instruction through tryExecute: the
+	// inlined fast path neither reports executions to a hook nor knows
+	// value prediction.
+	vpCut        metaWord
+	vpFlush      bool
+	depViolation metaWord
+	disamb       DisambMode
+	inOrder      bool
+	stallOnMiss  bool
+	slowAll      bool
+	hook         func(Epoch)
 }
 
 // lowWater / finished implement ringConsumer: the engine reads ring
@@ -120,9 +146,6 @@ func (e *soaEngine) finished() bool  { return e.done }
 func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
-	}
-	if !SoAEligible(cfg) {
-		panic(fmt.Sprintf("core: config %s is not SoA-eligible", cfg.Name()))
 	}
 	n := int64(ringSize(cfg))
 	e := &soaEngine{
@@ -145,20 +168,41 @@ func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 		fetchBuffer:        int64(cfg.FetchBuffer),
 		mshrs:              cfg.MSHRs,
 		storeBuffer:        cfg.StoreBuffer,
+
+		disamb:      cfg.Disamb,
+		inOrder:     cfg.Mode != OutOfOrder,
+		stallOnMiss: cfg.Mode == InOrderStallOnMiss,
+		hook:        cfg.OnEpoch,
 	}
-	if cfg.Runahead {
+	if cfg.Runahead && !e.inOrder {
 		// Runahead speculates MaxRunahead past the retire frontier with no
 		// issue-window bound, and its stores bypass the store buffer. It
-		// also lifts serialization, store forwarding and the load-ordering
-		// policies: metaClearFor erases the class bits those key on, so
-		// only the branch order needs lifting here.
+		// also lifts serialization, store forwarding, the load-ordering
+		// policies and non-oracle disambiguation: metaClearFor erases the
+		// class bits those key on, so only the branch order needs lifting
+		// here.
 		e.rob, e.issueWindow = int64(cfg.MaxRunahead), math.MaxInt64
 		e.storeBuffer = 0
 		e.branchesInOrder = false
 	}
-	if cfg.PerfectVP {
+	switch {
+	case cfg.PerfectVP:
 		e.vpSlack = 1
+	case cfg.ValuePredict:
+		e.vpCut = metaVPCorrect
+		e.vpFlush = !cfg.Runahead && !e.inOrder
 	}
+	if cfg.Disamb == DisambStoreSets {
+		e.depViolation = metaDepViolation
+	}
+	if cfg.Disamb != DisambOracle {
+		e.depFlushed = make([]uint64, (n+63)/64)
+		e.depSerialized = make([]uint64, (n+63)/64)
+	}
+	if e.vpFlush {
+		e.vpPaid = make([]uint64, (n+63)/64)
+	}
+	e.slowAll = e.hook != nil || e.vpCut != 0
 	if e.serializing {
 		e.gateMask |= metaSerializing
 	}
@@ -177,6 +221,9 @@ func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 	e.syncRing()
 	return e
 }
+
+// slotBit returns slot s's word and mask in a per-slot bitmask.
+func slotBit(s int64) (int64, uint64) { return s >> 6, 1 << (uint64(s) & 63) }
 
 // syncRing refreshes the cached ring columns and head.
 func (e *soaEngine) syncRing() {
@@ -210,11 +257,14 @@ func (e *soaEngine) executed(j int64) bool {
 // resultReady reports whether producer p's result can be consumed in the
 // current epoch (scalar resultReady, on SoA state: notExecuted > any
 // epoch, so one compare covers both the executed and available checks).
+// Under realistic value prediction an executed, correctly predicted
+// missing load is consumable too.
 func (e *soaEngine) resultReady(p int64) bool {
 	if p < e.retire { // covers p < 0: retire is never negative
 		return true
 	}
-	return e.readyAt[p&e.mask] <= e.readyBy
+	r := e.readyAt[p&e.mask]
+	return r <= e.readyBy || e.vpCut != 0 && r != notExecuted && e.rmeta[p&e.rmask]&e.vpCut != 0
 }
 
 // producerExecuted reports whether slot p has executed (issued).
@@ -240,7 +290,8 @@ func (e *soaEngine) advanceRetire() {
 // the scalar complete).
 func (e *soaEngine) execute(j int64, m metaWord, ep *epochState) {
 	s := j & e.mask
-	e.execBits[s>>6] |= 1 << (uint64(s) & 63)
+	w, b := slotBit(s)
+	e.execBits[w] |= b
 	e.unexec--
 	ready := e.epoch
 	if m&metaMiss != 0 {
@@ -248,7 +299,7 @@ func (e *soaEngine) execute(j int64, m metaWord, ep *epochState) {
 		if m&metaPMiss != 0 {
 			kind = accP
 		}
-		ep.record(j, kind, false)
+		ep.record(j, kind, e.hook != nil)
 		if m&metaDMiss != 0 {
 			// Data returns at the end of this epoch.
 			ready = e.epoch + 1
@@ -258,6 +309,16 @@ func (e *soaEngine) execute(j int64, m metaWord, ep *epochState) {
 		ep.sAccesses++
 	}
 	e.readyAt[s] = ready
+	if e.depFlushed != nil {
+		e.depFlushed[w] &^= b
+		e.depSerialized[w] &^= b
+	}
+	if e.vpPaid != nil {
+		e.vpPaid[w] &^= b
+	}
+	if e.hook != nil {
+		ep.epoch.Executed = append(ep.epoch.Executed, j)
+	}
 }
 
 // gate applies scalar tryExecute's rare leading checks to a slot whose
@@ -266,14 +327,14 @@ func (e *soaEngine) execute(j int64, m metaWord, ep *epochState) {
 // frontier, and a full MSHR file or store buffer holds a new miss back.
 // done reports that the attempt ends here with result r.
 func (e *soaEngine) gate(j int64, m metaWord, ep *epochState) (r execResult, done bool) {
-	s := j & e.mask
-	if m&metaIMiss != 0 && e.imissPend[s>>6]&(1<<(uint64(s)&63)) != 0 {
+	w, b := slotBit(j & e.mask)
+	if m&metaIMiss != 0 && e.imissPend[w]&b != 0 {
 		if ep.accesses >= e.mshrs {
 			ep.block(j, LimMSHR)
 			return execBlocked, true
 		}
-		e.imissPend[s>>6] &^= 1 << (uint64(s) & 63)
-		ep.record(j, accI, false)
+		e.imissPend[w] &^= b
+		ep.record(j, accI, e.hook != nil)
 		return execBlocked, true
 	}
 	if e.serializing && m&metaSerializing != 0 {
@@ -296,9 +357,7 @@ func (e *soaEngine) gate(j int64, m metaWord, ep *epochState) (r execResult, don
 }
 
 // tryExecute attempts to execute slot j in the current epoch (scalar
-// tryExecute restricted to the SoA-eligible subset: no value prediction
-// and oracle disambiguation, so the only outcomes are execOK and
-// execBlocked).
+// tryExecute).
 func (e *soaEngine) tryExecute(j int64, m metaWord, ep *epochState) execResult {
 	if m&e.gateMask != 0 {
 		if r, done := e.gate(j, m, ep); done {
@@ -308,12 +367,30 @@ func (e *soaEngine) tryExecute(j int64, m metaWord, ep *epochState) execResult {
 
 	ln := &e.rlnk[j&e.rmask]
 	if !e.resultReady(ln.prod1) || !e.resultReady(ln.prod2) {
+		// A consumer of a wrongly value-predicted missing load costs a
+		// recovery flush in conventional mode.
+		if e.vpFlush && e.payVPFlush(ln) {
+			return execVPFlush
+		}
 		return execBlocked
 	}
 
 	// True memory dependence: a load must wait for the latest earlier
-	// same-address store to execute (forwarding).
+	// same-address store to execute (forwarding). Under store-set
+	// prediction a load the predictor failed to cover does not wait — it
+	// issues, reads stale data, and pays a recovery flush once.
 	if m&metaLoadLike != 0 && ln.memProd >= 0 && !e.producerExecuted(ln.memProd) {
+		if m&e.depViolation != 0 {
+			w, b := slotBit(j & e.mask)
+			if e.depFlushed[w]&b == 0 {
+				e.depFlushed[w] |= b
+				return execDepFlush
+			}
+		}
+		return execBlocked
+	}
+
+	if m&metaLoadLike != 0 && e.disamb != DisambOracle && e.disambBlocked(j, m, ln, ep) {
 		return execBlocked
 	}
 
@@ -345,14 +422,62 @@ func (e *soaEngine) tryExecute(j int64, m metaWord, ep *epochState) execResult {
 	return execOK
 }
 
+// payVPFlush finds a producer of the slot that is a wrongly predicted
+// missing load still outstanding this epoch, whose recovery flush no
+// consumer has paid yet; it marks the flush paid and reports whether
+// one was found.
+func (e *soaEngine) payVPFlush(ln *links) bool {
+	for _, p := range [2]int64{ln.prod1, ln.prod2} {
+		if p < e.retire {
+			continue
+		}
+		s := p & e.mask
+		w, b := slotBit(s)
+		if e.readyAt[s] == e.epoch+1 && e.rmeta[p&e.rmask]&metaVPWrong != 0 && e.vpPaid[w]&b == 0 {
+			e.vpPaid[w] |= b
+			return true
+		}
+	}
+	return false
+}
+
+// disambBlocked applies the non-oracle serialization costs: a
+// predicted-but-false dependence (store sets) holds the load behind the
+// last fetched store; conservative disambiguation holds it behind every
+// unexecuted earlier store. Both are counted once per load as a needless
+// serialize, and a blocked missing load charges the epoch's Figure-5
+// category to the dependent-store condition.
+func (e *soaEngine) disambBlocked(j int64, m metaWord, ln *links, ep *epochState) bool {
+	if e.disamb == DisambStoreSets {
+		if m&metaDepFalse == 0 || e.producerExecuted(ln.prevStore) {
+			return false
+		}
+	} else if ep.firstUnexecStore < 0 || ep.firstUnexecStore >= j {
+		return false
+	}
+	w, b := slotBit(j & e.mask)
+	if e.depSerialized[w]&b == 0 {
+		e.depSerialized[w] |= b
+		e.res.DepSerializes++
+	}
+	if m&metaDMiss != 0 {
+		ep.block(j, LimDepStore)
+	}
+	return true
+}
+
 // noteUnresolvedStore records the first still-unexecuted store in scan
-// order whose address is not yet resolved. Callers only reach it for
-// slots that remained unexecuted after their execution attempt.
+// order whose address is not yet resolved, and — under conservative
+// disambiguation — the first still-unexecuted store. Callers only reach
+// it for slots that remained unexecuted after their execution attempt.
 func (e *soaEngine) noteUnresolvedStore(j int64, m metaWord, ep *epochState) {
-	if m&metaMemWrite == 0 || ep.firstUnresolvedStore >= 0 {
+	if m&metaMemWrite == 0 {
 		return
 	}
-	if !e.resultReady(e.rlnk[j&e.rmask].prod1) {
+	if e.disamb == DisambConservative && ep.firstUnexecStore < 0 {
+		ep.firstUnexecStore = j
+	}
+	if ep.firstUnresolvedStore < 0 && !e.resultReady(e.rlnk[j&e.rmask].prod1) {
 		ep.firstUnresolvedStore = j
 	}
 }
@@ -382,7 +507,8 @@ func (e *soaEngine) revisit(ep *epochState) {
 }
 
 // revisitRange scans the contiguous slot range [a, b) whose slot a holds
-// absolute instruction base.
+// absolute instruction base. A flush found here only marks its flag, as
+// in the scalar engine: phase 1 never ends the window.
 func (e *soaEngine) revisitRange(a, b, base int64, ep *epochState) {
 	for w := a >> 6; w<<6 < b; w++ {
 		word := ^e.execBits[w] // 1 = unexecuted
@@ -422,7 +548,8 @@ func (e *soaEngine) consumeSat(j int64) bool {
 // the front end keeps fetching up to FetchBuffer instructions; an I-miss
 // found there is issued in (and overlaps with) the current epoch. The
 // scan stops at a mispredicted branch — beyond it the front end is on
-// the wrong path.
+// the wrong path. The access is named by the instruction's stream Index
+// (its position plus the ring's index0), as the scalar engine names it.
 func (e *soaEngine) fetchBufferScan(ep *epochState) {
 	for k := int64(0); k < e.fetchBuffer; k++ {
 		jj := e.fetchEnd + k
@@ -437,7 +564,7 @@ func (e *soaEngine) fetchBufferScan(ep *epochState) {
 			if e.mshrs > 0 && ep.accesses >= e.mshrs {
 				return
 			}
-			ep.record(jj, accI, false)
+			ep.record(e.ring.index0+jj, accI, e.hook != nil)
 			e.sat = append(e.sat, jj)
 			return
 		}
@@ -491,6 +618,7 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 	rmeta, rlnk, rmask := e.rmeta, e.rlnk, e.rmask
 	readyAt, execBits, mask := e.readyAt, e.execBits, e.mask
 	epoch, readyBy, clear := e.epoch, e.readyBy, e.metaClear
+	fast := !e.slowAll
 	for {
 		j := e.fetchEnd
 		if j-e.retire >= e.rob || e.unexec >= e.issueWindow {
@@ -540,13 +668,13 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 				if ep.accesses == 0 {
 					lim = LimImissStart
 				}
-				ep.record(j, accI, false)
+				ep.record(j, accI, e.hook != nil)
 				ep.terminate(j, lim)
 				return
 			}
 		}
 
-		if m&slowMask == 0 {
+		if fast && m&slowMask == 0 {
 			e.fetchEnd = j + 1
 			ln := &rlnk[j&rmask]
 			p1, p2 := ln.prod1, ln.prod2
@@ -571,7 +699,12 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 		readyAt[s] = notExecuted
 		e.fetchEnd = j + 1
 		e.unexec++
-		if e.tryExecute(j, m, ep) == execBlocked {
+		switch e.tryExecute(j, m, ep) {
+		case execOK:
+			if e.retire == j && readyAt[s] <= epoch {
+				e.retire = j + 1
+			}
+		case execBlocked:
 			if m&metaBranch != 0 && m&metaMispred != 0 {
 				ep.terminate(j, LimMispredBr)
 				return
@@ -581,15 +714,142 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 				return
 			}
 			e.noteUnresolvedStore(j, m, ep)
-		} else if e.retire == j && readyAt[s] <= epoch {
-			e.retire = j + 1
+		case execVPFlush:
+			ep.terminate(j, LimVPMisp)
+			return
+		case execDepFlush:
+			e.res.DepMispredicts++
+			ep.terminate(j, LimDepMispred)
+			return
+		}
+	}
+}
+
+// fetchInOrder brings instruction j == fetchEnd into an in-order window,
+// doubling the per-slot state when the live window fills it. It returns
+// false at the end of the stream.
+func (e *soaEngine) fetchInOrder(j int64) bool {
+	if e.eof || j >= e.limit || (j >= e.rhead && !e.ensure(j)) {
+		e.eof = true
+		return false
+	}
+	if j-e.retire > e.mask {
+		e.grow()
+	}
+	s := j & e.mask
+	w, b := slotBit(s)
+	e.execBits[w] &^= b
+	e.readyAt[s] = notExecuted
+	if e.metaAt(j)&metaIMiss != 0 {
+		e.imissPend[w] |= b
+	}
+	e.fetchEnd = j + 1
+	e.unexec++
+	return true
+}
+
+// grow doubles the per-slot state, re-placing the live slots. Only the
+// in-order epoch grows, and it never needs the once-per-load flags.
+func (e *soaEngine) grow() {
+	n := 2 * (e.mask + 1)
+	readyAt := make([]int64, n)
+	execBits := make([]uint64, (n+63)/64)
+	imissPend := make([]uint64, (n+63)/64)
+	mask := n - 1
+	for j := e.retire; j < e.fetchEnd; j++ {
+		s, t := j&e.mask, j&mask
+		readyAt[t] = e.readyAt[s]
+		sw, sb := slotBit(s)
+		tw, tb := slotBit(t)
+		if e.execBits[sw]&sb != 0 {
+			execBits[tw] |= tb
+		}
+		if e.imissPend[sw]&sb != 0 {
+			imissPend[tw] |= tb
+		}
+	}
+	e.readyAt, e.execBits, e.imissPend, e.mask = readyAt, execBits, imissPend, mask
+}
+
+// runInOrder runs one epoch of the in-order models (§3.3, scalar
+// runEpochInOrder).
+//
+// In-order issue admits at most one stalled instruction: the window tail.
+// Stall-on-miss terminates the window at a missing load itself (after
+// issuing its access); stall-on-use terminates at the first instruction
+// whose operands depend on an outstanding miss. Missing prefetches and an
+// in-flight missing load may overlap in both disciplines; serializing
+// instructions and I-misses terminate windows exactly as out of order.
+func (e *soaEngine) runInOrder(ep *epochState) {
+	e.advanceRetire()
+	for {
+		// Revisit the stalled tail instruction, if any; otherwise fetch.
+		j := e.fetchEnd
+		if t := j - 1; t >= e.retire && !e.executed(t) {
+			j = t
+		} else if !e.fetchInOrder(j) {
+			ep.terminate(j, LimEnd)
+			return
+		}
+		m := e.metaAt(j)
+		if w, b := slotBit(j & e.mask); m&metaIMiss != 0 && e.imissPend[w]&b != 0 {
+			if e.mshrs > 0 && ep.accesses >= e.mshrs {
+				ep.terminate(j, LimMSHR)
+				return
+			}
+			e.imissPend[w] &^= b
+			lim := LimImissEnd
+			if ep.accesses == 0 {
+				lim = LimImissStart
+			}
+			ep.record(j, accI, e.hook != nil)
+			ep.terminate(j, lim)
+			return
+		}
+
+		// Operand or forwarding stall: only outstanding misses can cause
+		// one in order, so this is the stall-on-use window termination.
+		ln := &e.rlnk[j&e.rmask]
+		if !e.resultReady(ln.prod1) || !e.resultReady(ln.prod2) ||
+			(ln.memProd >= 0 && !e.producerExecuted(ln.memProd)) {
+			lim := LimMissingLoad
+			if m&metaBranch != 0 && m&metaMispred != 0 {
+				lim = LimMispredBr
+			}
+			ep.terminate(j, lim)
+			return
+		}
+
+		if e.mshrs > 0 && m&metaMiss != 0 && ep.accesses >= e.mshrs {
+			ep.terminate(j, LimMSHR)
+			return
+		}
+		if e.storeBuffer > 0 && m&metaSMiss != 0 && ep.sAccesses >= e.storeBuffer {
+			ep.terminate(j, LimStoreBuf)
+			return
+		}
+
+		if m&metaSerializing != 0 {
+			e.advanceRetire()
+			if ep.accesses > 0 || e.retire < j {
+				ep.terminate(j, LimSerialize)
+				return
+			}
+		}
+
+		e.execute(j, m, ep)
+		e.advanceRetire()
+
+		if m&metaDMiss != 0 && e.stallOnMiss {
+			// Issue stalls as soon as the miss is detected.
+			ep.terminate(j, LimMissingLoad)
+			return
 		}
 	}
 }
 
 // step runs one epoch; it returns false when the stream is exhausted and
-// no work remains. It mirrors Engine.step exactly (the OnEpoch branch is
-// absent because observers are SoA-ineligible).
+// no work remains. It mirrors Engine.step exactly.
 func (e *soaEngine) step() bool {
 	if e.eof && e.retire >= e.fetchEnd {
 		return false
@@ -601,10 +861,14 @@ func (e *soaEngine) step() bool {
 	e.readyBy = e.epoch + e.vpSlack
 	before := e.fetchEnd
 	unexecBefore := e.unexec
-	e.ep = epochState{firstUnresolvedStore: -1, blockIdx: -1}
+	e.ep = epochState{firstUnresolvedStore: -1, firstUnexecStore: -1, blockIdx: -1}
 	ep := &e.ep
 
-	e.runEpoch(ep)
+	if e.inOrder {
+		e.runInOrder(ep)
+	} else {
+		e.runEpoch(ep)
+	}
 
 	if ep.sAccesses > 0 {
 		e.res.StoreEpochs++
@@ -621,6 +885,15 @@ func (e *soaEngine) step() bool {
 			lim = ep.blockLim
 		}
 		e.res.Limiters[lim]++
+		if e.hook != nil {
+			ep.epoch.Seq = e.res.Epochs - 1
+			ep.epoch.Accesses = ep.accesses
+			ep.epoch.DAccesses = ep.dAccesses
+			ep.epoch.PAccesses = ep.pAccesses
+			ep.epoch.IAccesses = ep.iAccesses
+			ep.epoch.Limiter = lim
+			e.hook(ep.epoch)
+		}
 	}
 
 	// Progress guard: an epoch must fetch, execute or access something.
