@@ -75,28 +75,33 @@ func runAllocs(fn string, body func(b *testing.B)) (allocsPerOp, objects, bytes 
 }
 
 // TestEngineRunZeroAllocSteadyState asserts the satellite guarantee
-// behind BENCH_5: with the slot ring and pending buffer preallocated
-// from the Config window bounds, replay-driven Run is exactly 0 allocs
-// per op in steady state — engine construction excluded — and the heap
-// profile attributes no object and no byte to Run.
+// behind BENCH_5 for every config kind an engine runs: with the ring and
+// per-slot state preallocated from the Config window bounds,
+// replay-driven Run is exactly 0 allocs per op in steady state — engine
+// construction excluded — and the heap profile attributes no object and
+// no byte to Run.
 func TestEngineRunZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	st := replayStream(200_000)
+	with := func(edit func(*Config)) Config {
+		c := Default()
+		edit(&c)
+		return c
+	}
 	configs := []Config{
 		Default(),
 		Default().WithWindow(256).WithIssue(ConfigA),
-		func() Config {
-			c := Default()
-			c.Runahead, c.MaxRunahead = true, 512
-			return c
-		}(),
-		func() Config {
-			c := Default()
-			c.Mode = InOrderStallOnUse
-			return c
-		}(),
+		with(func(c *Config) { c.Runahead, c.MaxRunahead = true, 512 }),
+		with(func(c *Config) { c.Mode = InOrderStallOnUse }),
+		with(func(c *Config) { c.Mode = InOrderStallOnMiss }),
+		with(func(c *Config) { c.ValuePredict = true }),
+		with(func(c *Config) { c.PerfectVP = true }),
+		with(func(c *Config) { c.Disamb = DisambStoreSets }),
+		with(func(c *Config) { c.Disamb = DisambConservative }),
+		with(func(c *Config) { c.MSHRs = 2 }),
+		with(func(c *Config) { c.Issue, c.StoreBuffer = ConfigB, 2 }),
 	}
 	for _, cfg := range configs {
 		cfg := cfg

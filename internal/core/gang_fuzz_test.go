@@ -183,11 +183,11 @@ func decodeGangInput(data []byte) ([]Config, []annotate.Inst) {
 
 // FuzzGangMatchesEngine is the differential check of the gang stepper:
 // for any stream and 1-4 configs across window/ROB sizes, issue
-// policies, runahead, finite MSHR files and store buffers, the perfect
-// features, MaxInstructions and the scalar-only modes, RunGang must equal
-// one NewEngine run per config, which must equal the reference model,
-// and none may panic. The seeds are the divergentGangs vectors, at most
-// four configs each, over pseudo-random streams.
+// policies, in-order modes, runahead, finite MSHR files and store
+// buffers, value prediction, the perfect features, disambiguation modes
+// and MaxInstructions, RunGang must equal the reference model run per
+// config, and neither may panic. The seeds are the divergentGangs
+// vectors, at most four configs each, over pseudo-random streams.
 func FuzzGangMatchesEngine(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for gi, gang := range divergentGangs(nil) {
@@ -211,14 +211,9 @@ func FuzzGangMatchesEngine(f *testing.F) {
 		cfgs, insts := decodeGangInput(data)
 		got := RunGang(&aiSource{insts: append([]annotate.Inst(nil), insts...)}, cfgs)
 		for i, cfg := range cfgs {
-			want := NewEngine(&aiSource{insts: append([]annotate.Inst(nil), insts...)}, cfg).Run()
-			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("config %d (%s, SoA %v) over %d instructions: gang result differs from the engine\ngang:   %+v\nengine: %+v",
-					i, cfg.Name(), SoAEligible(cfg), len(insts), got[i], want)
-			}
-			if ref, _, _ := refRun(insts, cfg); !reflect.DeepEqual(want, ref) {
-				t.Fatalf("config %d (%s) over %d instructions: engine result differs from the reference\nengine:    %+v\nreference: %+v",
-					i, cfg.Name(), len(insts), want, ref)
+			if want, _, _ := refRun(insts, cfg); !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("config %d (%s) over %d instructions: gang result differs from the reference\ngang:      %+v\nreference: %+v",
+					i, cfg.Name(), len(insts), got[i], want)
 			}
 		}
 	})

@@ -28,14 +28,15 @@ func sprinkleVP(rng *rand.Rand, insts []annotate.Inst) {
 }
 
 // randomGangConfig draws one engine configuration spanning the space the
-// exhibits sweep: mixed window sizes, issue policies A–E, in-order
-// modes, runahead, value prediction, finite MSHRs/store buffers, and
-// MaxInstructions on some members.
+// exhibits sweep: mixed window and ROB sizes, issue policies A–E,
+// in-order modes, runahead, value prediction, finite MSHRs/store
+// buffers, non-oracle disambiguation, and MaxInstructions on some
+// members.
 func randomGangConfig(rng *rand.Rand, streamLen int) Config {
 	cfg := Default()
 	sizes := []int{4, 16, 32, 64, 128, 256}
 	cfg.IssueWindow = sizes[rng.Intn(len(sizes))]
-	cfg.ROB = cfg.IssueWindow
+	cfg.ROB = cfg.IssueWindow << rng.Intn(3)
 	cfg.FetchBuffer = []int{0, 8, 32}[rng.Intn(3)]
 	cfg.Issue = []IssueConfig{ConfigA, ConfigB, ConfigC, ConfigD, ConfigE}[rng.Intn(5)]
 	switch rng.Intn(8) {
@@ -65,6 +66,9 @@ func randomGangConfig(rng *rand.Rand, streamLen int) Config {
 	if rng.Intn(4) == 0 {
 		cfg.PerfectIFetch = true
 	}
+	if cfg.Mode == OutOfOrder && rng.Intn(3) == 0 {
+		cfg.Disamb = []DisambMode{DisambStoreSets, DisambConservative}[rng.Intn(2)]
+	}
 	if rng.Intn(3) == 0 {
 		cfg.MaxInstructions = int64(1 + rng.Intn(streamLen))
 	}
@@ -74,15 +78,14 @@ func randomGangConfig(rng *rand.Rand, streamLen int) Config {
 // TestRunGangMatchesSequentialRandom is the core-level gang property
 // test: for random streams and random config vectors of 1 to 8 configs,
 // RunGang must be bit-identical to running each config alone over its
-// own copy of the stream. A gang of one is how the experiments layer
-// dispatches a lone point, so every drawn config, SoA or scalar, is
-// also checked as a gang of one.
+// own copy of the stream, and each solo run to the reference model.
 func TestRunGangMatchesSequentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(421))
 	for trial := 0; trial < 20; trial++ {
 		n := 2000 + rng.Intn(6000)
 		insts := randomStream(rng, n, 0.06, 0.01, 0.04, 0.02)
 		sprinkleVP(rng, insts)
+		sprinkleDeps(rng, insts)
 
 		k := 1 + rng.Intn(8)
 		cfgs := make([]Config, k)
@@ -93,10 +96,9 @@ func TestRunGangMatchesSequentialRandom(t *testing.T) {
 		want := make([]Result, k)
 		for i, cfg := range cfgs {
 			want[i] = NewEngine(&aiSource{insts: append([]annotate.Inst(nil), insts...)}, cfg).Run()
-			one := RunGang(&aiSource{insts: append([]annotate.Inst(nil), insts...)}, []Config{cfg})
-			if !reflect.DeepEqual(one[0], want[i]) {
-				t.Fatalf("trial %d config %d (%s, SoA %v): gang of one differs from the engine\ngang: %+v\nsolo: %+v",
-					trial, i, cfg.Name(), SoAEligible(cfg), one[0], want[i])
+			if ref, _, _ := refRun(insts, cfg); !reflect.DeepEqual(want[i], ref) {
+				t.Fatalf("trial %d config %d (%s): solo result differs from the reference\nsolo:      %+v\nreference: %+v",
+					trial, i, cfg.Name(), want[i], ref)
 			}
 		}
 		got := RunGang(&aiSource{insts: append([]annotate.Inst(nil), insts...)}, cfgs)

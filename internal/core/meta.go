@@ -10,7 +10,7 @@ import (
 // metaWord is the packed, config-independent summary of one decoded
 // instruction: the annotation flags plus the class predicates the hot
 // loops test. The gang ring computes it once per dynamic instruction at
-// bind time; the SoA stepper then runs entirely on meta words and links,
+// bind time; the stepper then runs entirely on meta words and links,
 // never touching the 100-odd-byte annotate.Inst again. Per-engine
 // rewrites (PerfectIFetch, PerfectBP, runahead) become a single and-not
 // with the engine's metaClear mask, so the ring can stay read-only and

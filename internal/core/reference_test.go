@@ -575,54 +575,29 @@ func (m *refModel) runInOrder(ep *refEpoch) {
 	}
 }
 
-// observe runs cfg over insts with an epoch observer, on the scalar
-// engine or on a SoA gang of one, and returns the result (observer
-// cleared) and epochs.
-func observe(insts []annotate.Inst, cfg Config, gang bool) (Result, []Epoch) {
-	var epochs []Epoch
-	cfg.OnEpoch = func(ep Epoch) { epochs = append(epochs, ep) }
-	var res Result
-	if gang {
-		res = RunGang(&aiSource{insts: insts}, []Config{cfg})[0]
-	} else {
-		res = NewEngine(&aiSource{insts: insts}, cfg).Run()
-	}
-	res.Config.OnEpoch = nil
-	return res, epochs
-}
-
-// checkReference fails unless the scalar engine and a SoA gang of one,
-// each observed epoch by epoch, agree with the reference on cfg over
-// insts: the same Result and the same epoch sequence, executed and
-// access lists included. It returns the scalar engine's epochs and
-// result.
+// checkReference fails unless the engine, observed epoch by epoch, and
+// the reference agree on cfg over insts: the same Result and the same
+// epoch sequence, executed and access lists included. It returns the
+// engine's epochs and result (observer cleared).
 func checkReference(t *testing.T, what string, insts []annotate.Inst, cfg Config) ([]Epoch, Result) {
 	t.Helper()
 	want, wantEpochs, _ := refRun(insts, cfg)
-	var res Result
-	var epochs []Epoch
-	for _, gang := range []bool{false, true} {
-		name := "engine"
-		if gang {
-			name = "SoA gang"
-		}
-		got, gotEpochs := observe(insts, cfg, gang)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s (%s): %s result differs from the reference\n%s: %+v\nreference: %+v", what, cfg.Name(), name, name, got, want)
-		}
-		if len(gotEpochs) != len(wantEpochs) {
-			t.Fatalf("%s (%s): %s reported %d epochs, the reference %d", what, cfg.Name(), name, len(gotEpochs), len(wantEpochs))
-		}
-		for i := range wantEpochs {
-			if !reflect.DeepEqual(gotEpochs[i], wantEpochs[i]) {
-				t.Fatalf("%s (%s): %s epoch %d differs from the reference\n%s: %+v\nreference: %+v", what, cfg.Name(), name, i, name, gotEpochs[i], wantEpochs[i])
-			}
-		}
-		if !gang {
-			res, epochs = got, gotEpochs
+	var got []Epoch
+	cfg.OnEpoch = func(ep Epoch) { got = append(got, ep) }
+	res := NewEngine(&aiSource{insts: insts}, cfg).Run()
+	res.Config.OnEpoch = nil
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("%s (%s): engine result differs from the reference\nengine:    %+v\nreference: %+v", what, cfg.Name(), res, want)
+	}
+	if len(got) != len(wantEpochs) {
+		t.Fatalf("%s (%s): engine reported %d epochs, the reference %d", what, cfg.Name(), len(got), len(wantEpochs))
+	}
+	for i := range wantEpochs {
+		if !reflect.DeepEqual(got[i], wantEpochs[i]) {
+			t.Fatalf("%s (%s): epoch %d differs from the reference\nengine:    %+v\nreference: %+v", what, cfg.Name(), i, got[i], wantEpochs[i])
 		}
 	}
-	return epochs, res
+	return got, res
 }
 
 // TestReferenceMatchesEngineDivergentGangs runs every config of every
@@ -660,5 +635,28 @@ func TestReferenceMatchesEngineRandom(t *testing.T) {
 		}
 		sprinkleVP(rng, insts)
 		checkReference(t, fmt.Sprintf("trial %d", trial), insts, randomGangConfig(rng, n))
+	}
+}
+
+// TestStepperMatchesReference steps random configs epoch by epoch and
+// checks the step count against the reference: the SMT scheduler
+// records one entry per step, epochs without accesses included.
+func TestStepperMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(6007))
+	for trial := 0; trial < 30; trial++ {
+		n := 500 + rng.Intn(2500)
+		insts := randomStream(rng, n, 0.02+0.08*rng.Float64(), 0.02, 0.03, 0.02)
+		sprinkleVP(rng, insts)
+		sprinkleDeps(rng, insts)
+		cfg := randomGangConfig(rng, n)
+		want, _, wantSteps := refRun(insts, cfg)
+		st := NewStepper(&aiSource{insts: insts}, cfg)
+		steps := 0
+		for st.Step() {
+			steps++
+		}
+		if got := st.Finish(); steps != wantSteps || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%s): stepper took %d steps to %+v\nreference took %d to %+v", trial, cfg.Name(), steps, got, wantSteps, want)
+		}
 	}
 }

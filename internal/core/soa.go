@@ -12,27 +12,25 @@ import (
 // check) a single load and compare each.
 const notExecuted = math.MaxInt64
 
-// soaEngine is the gang's structure-of-arrays stepper: the epoch model
-// transposed so the hot per-slot state lives in parallel arrays instead
-// of the scalar engine's 80-byte slotState ring.
+// soaEngine is the epoch-model stepper (§3, §4.1): one engine per
+// config, every engine a member of a gang, its hot per-slot state kept
+// in parallel arrays (structure of arrays) sized by the window bound.
 //
-// The transposition is driven by access pattern:
+// The layout is driven by access pattern:
 //
-//   - executed becomes a packed bitmask (execBits), so the phase-1
-//     revisit — which the scalar engine performs as a full window walk
-//     over pointer-rich structs every epoch — collapses to a
-//     trailing-zeros scan over a handful of complement words that visits
-//     only the genuinely unexecuted slots;
-//   - avail and complete collapse into one readyAt epoch per slot, the
-//     retire epoch: they differ only for a value-predicted missing load.
-//     Under PerfectVP every executed value is consumable at once, so
-//     consumers test readyAt against readyBy (one epoch ahead of the
-//     retire test); under realistic value prediction a consumer also
+//   - "executed" is a packed bitmask (execBits), so the phase-1 revisit
+//     is a trailing-zeros scan over a handful of complement words that
+//     visits only the unexecuted slots, not a walk of the whole window;
+//   - a slot's result availability and its retirement share one readyAt
+//     epoch, the retire epoch: they differ only for a value-predicted
+//     missing load. Under PerfectVP every executed value is consumable at
+//     once, so consumers test readyAt against readyBy (one epoch ahead of
+//     the retire test); under realistic value prediction a consumer also
 //     accepts an executed producer whose meta word carries vpCut;
-//   - counted and countedS vanish (execute runs at most once per slot);
-//     imissDone survives only as the imissPend bitmask, set for a fetch
-//     a full MSHR file deferred (or, in order, not yet issued), and the
-//     once-per-load flush and serialize flags become the bitmasks
+//   - execution is at most once per slot, so an access is counted when
+//     its slot executes; the other per-slot facts are bitmasks: imissPend
+//     for a fetch a full MSHR file deferred (or, in order, not yet
+//     issued), and the once-per-load flush and serialize flags
 //     depFlushed, depSerialized and vpPaid.
 //
 // Decoded instructions are never copied: the stepper reads the gang
@@ -76,11 +74,10 @@ type soaEngine struct {
 
 	// sat lists pending instructions beyond fetchEnd whose I-miss was
 	// already issued by a fetch-buffer scan ("fetch satisfied; arrives
-	// with this epoch"). The scalar engine records this by clearing IMiss
-	// on its private pending copy; the SoA stepper cannot mutate the
-	// shared ring, so it remembers the indices instead. Entries are
-	// distinct indices in (fetchEnd, fetchEnd+FetchBuffer], so the
-	// preallocated capacity FetchBuffer is a hard bound.
+	// with this epoch"). The stepper cannot clear IMiss in the shared
+	// ring, so it remembers the indices instead. Entries are distinct
+	// indices in (fetchEnd, fetchEnd+FetchBuffer], so the preallocated
+	// capacity FetchBuffer is a hard bound.
 	sat []int64
 
 	fetchEnd int64
@@ -136,12 +133,6 @@ type soaEngine struct {
 	slowAll      bool
 	hook         func(Epoch)
 }
-
-// lowWater / finished implement ringConsumer: the engine reads ring
-// entries in place for its whole live window [retire, fetchEnd) plus the
-// fetch-buffer lookahead, so the claim is the retire frontier.
-func (e *soaEngine) lowWater() int64 { return e.retire }
-func (e *soaEngine) finished() bool  { return e.done }
 
 func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 	if err := cfg.Validate(); err != nil {
@@ -255,8 +246,8 @@ func (e *soaEngine) executed(j int64) bool {
 }
 
 // resultReady reports whether producer p's result can be consumed in the
-// current epoch (scalar resultReady, on SoA state: notExecuted > any
-// epoch, so one compare covers both the executed and available checks).
+// current epoch (notExecuted > any epoch, so one compare covers both the
+// executed and available checks).
 // Under realistic value prediction an executed, correctly predicted
 // missing load is consumable too.
 func (e *soaEngine) resultReady(p int64) bool {
@@ -285,9 +276,8 @@ func (e *soaEngine) advanceRetire() {
 }
 
 // execute marks slot j executed in the current epoch, counting its
-// off-chip access if it has one (scalar execute, specialized: counted
-// and countedS are implied by the at-most-once execution, and readyAt is
-// the scalar complete).
+// off-chip access if it has one. A missing load's data returns at the
+// end of the epoch, so it retires in the next one.
 func (e *soaEngine) execute(j int64, m metaWord, ep *epochState) {
 	s := j & e.mask
 	w, b := slotBit(s)
@@ -321,10 +311,10 @@ func (e *soaEngine) execute(j int64, m metaWord, ep *epochState) {
 	}
 }
 
-// gate applies scalar tryExecute's rare leading checks to a slot whose
-// meta word hits gateMask, in the scalar order: a deferred I-fetch
-// issues first, a draining serializing instruction waits for the commit
-// frontier, and a full MSHR file or store buffer holds a new miss back.
+// gate applies tryExecute's rare leading checks to a slot whose meta
+// word hits gateMask, in order: a deferred I-fetch issues first, a
+// draining serializing instruction waits for the commit frontier, and a
+// full MSHR file or store buffer holds a new miss back.
 // done reports that the attempt ends here with result r.
 func (e *soaEngine) gate(j int64, m metaWord, ep *epochState) (r execResult, done bool) {
 	w, b := slotBit(j & e.mask)
@@ -356,8 +346,12 @@ func (e *soaEngine) gate(j int64, m metaWord, ep *epochState) (r execResult, don
 	return execBlocked, false
 }
 
-// tryExecute attempts to execute slot j in the current epoch (scalar
-// tryExecute).
+// tryExecute attempts to execute slot j in the current epoch under the
+// out-of-order issue policies: the gate, operands (with a wrong value
+// prediction's recovery flush), store forwarding (with an uncovered
+// store-set violation's flush), non-oracle serialization, branch order
+// and the load-ordering policies. Runahead engines never see the
+// load-like or serializing class bits, so those rules lift for them.
 func (e *soaEngine) tryExecute(j int64, m metaWord, ep *epochState) execResult {
 	if m&e.gateMask != 0 {
 		if r, done := e.gate(j, m, ep); done {
@@ -507,8 +501,8 @@ func (e *soaEngine) revisit(ep *epochState) {
 }
 
 // revisitRange scans the contiguous slot range [a, b) whose slot a holds
-// absolute instruction base. A flush found here only marks its flag, as
-// in the scalar engine: phase 1 never ends the window.
+// absolute instruction base. A flush found here only marks its flag:
+// phase 1 never ends the window.
 func (e *soaEngine) revisitRange(a, b, base int64, ep *epochState) {
 	for w := a >> 6; w<<6 < b; w++ {
 		word := ^e.execBits[w] // 1 = unexecuted
@@ -549,7 +543,7 @@ func (e *soaEngine) consumeSat(j int64) bool {
 // found there is issued in (and overlaps with) the current epoch. The
 // scan stops at a mispredicted branch — beyond it the front end is on
 // the wrong path. The access is named by the instruction's stream Index
-// (its position plus the ring's index0), as the scalar engine names it.
+// (its position plus the ring's index0), not by its position.
 func (e *soaEngine) fetchBufferScan(ep *epochState) {
 	for k := int64(0); k < e.fetchBuffer; k++ {
 		jj := e.fetchEnd + k
@@ -580,8 +574,7 @@ func (e *soaEngine) satisfied(jj int64) bool {
 	return false
 }
 
-// runEpoch runs phases 1 and 2 of one out-of-order or runahead epoch
-// (scalar runEpochOoO).
+// runEpoch runs phases 1 and 2 of one out-of-order or runahead epoch.
 func (e *soaEngine) runEpoch(ep *epochState) {
 	e.advanceRetire()
 	e.revisit(ep)
@@ -607,9 +600,9 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 	// The loop body inlines the fetch and the common case — a plain
 	// instruction with no policy-relevant flags either executes (both
 	// producers ready) or parks — with ring columns and bounds hoisted
-	// into locals. The scalar model re-runs advanceRetire every
-	// iteration, but within phase 2 that is a no-op unless the slot at
-	// the commit frontier itself just executed: only the newly fetched
+	// into locals. The model advances the commit frontier before every
+	// fetch, but within phase 2 that is a no-op unless the slot at the
+	// commit frontier itself just executed: only the newly fetched
 	// slot ever executes here (older slots are retried in phase 1 only),
 	// and an executed slot's readyAt never changes — so retire is updated
 	// in place on the retire==j executions instead.
@@ -771,8 +764,7 @@ func (e *soaEngine) grow() {
 	e.readyAt, e.execBits, e.imissPend, e.mask = readyAt, execBits, imissPend, mask
 }
 
-// runInOrder runs one epoch of the in-order models (§3.3, scalar
-// runEpochInOrder).
+// runInOrder runs one epoch of the in-order models (§3.3).
 //
 // In-order issue admits at most one stalled instruction: the window tail.
 // Stall-on-miss terminates the window at a missing load itself (after
@@ -849,7 +841,7 @@ func (e *soaEngine) runInOrder(ep *epochState) {
 }
 
 // step runs one epoch; it returns false when the stream is exhausted and
-// no work remains. It mirrors Engine.step exactly.
+// no work remains. An observer hears only epochs with accesses.
 func (e *soaEngine) step() bool {
 	if e.eof && e.retire >= e.fetchEnd {
 		return false
@@ -898,7 +890,7 @@ func (e *soaEngine) step() bool {
 
 	// Progress guard: an epoch must fetch, execute or access something.
 	if e.fetchEnd == before && e.unexec == unexecBefore && ep.accesses == 0 && !e.eof {
-		panic(fmt.Sprintf("core: SoA epoch %d made no progress at instruction %d", e.epoch, e.fetchEnd))
+		panic(fmt.Sprintf("core: epoch %d made no progress at instruction %d", e.epoch, e.fetchEnd))
 	}
 	return true
 }

@@ -2,20 +2,19 @@ package core
 
 // Stepper drives one engine epoch at a time, exposing the per-epoch
 // observables an external scheduler needs: fetch position, window
-// occupancy and the running access/epoch totals. It is the cursor half
-// of the gang machinery (gangMember steps engines the same way) exported
-// for callers that interleave engines over *different* streams — the SMT
-// policy engine steps K per-thread engines in lock-step, reading each
-// one's state between epochs. Per-thread streams are never SoA-eligible
-// (no shared decode), so the Stepper always runs the scalar path.
+// occupancy and the running access/epoch totals. It is a gang of one
+// exported for callers that interleave engines over *different* streams
+// — the SMT policy engine steps K per-thread engines in lock-step,
+// reading each one's state between epochs. Every Step counts, including
+// epochs with no access, which OnEpoch does not report.
 type Stepper struct {
-	e *Engine
+	e *soaEngine
 }
 
 // NewStepper builds a stepper over src; it panics on invalid
 // configurations, exactly like NewEngine.
 func NewStepper(src AnnotatedSource, cfg Config) *Stepper {
-	return &Stepper{e: NewEngine(src, cfg)}
+	return &Stepper{e: newGangRing(src, 2*ringSize(cfg)).attach(cfg)}
 }
 
 // Step runs one epoch. It returns false when the stream is exhausted and

@@ -31,21 +31,19 @@ type GangStats struct {
 	// Solo counts one-point gangs (singleton groups, unkeyable
 	// annotation configs, or GangSize == 1).
 	Solo atomic.Uint64
-	// SoAInsts and ScalarInsts split the instructions processed inside
-	// multi-config gangs between the structure-of-arrays fast path and
-	// the scalar fallback engines (see core.SoAEligible: in-order,
-	// realistic value prediction, non-oracle disambiguation) — the
-	// divergence rate of the sweep's config mix.
-	SoAInsts    atomic.Uint64
+	// SoAInsts counts the instructions processed inside multi-config
+	// gangs, every one on the structure-of-arrays stepper.
+	SoAInsts atomic.Uint64
+	// ScalarInsts always reads 0: no config runs outside the stepper. It
+	// stays because perfbench's core.scalar_insts metric reads it.
 	ScalarInsts atomic.Uint64
 }
 
 // runLocal executes points[i] for every i in todo on this replica,
 // writing results[i] and memoizing each point as it completes — a
 // cancelled sweep's undispatched points are never stored. Every dispatch
-// group runs as a gang; a one-point group is a gang of one, which
-// core.NewGang runs on the scalar engine unless the config is on the
-// SoA fast path, and counts as Solo.
+// group runs as a gang; a one-point group is a gang of one and counts as
+// Solo.
 func (s Setup) runLocal(points []MLPPoint, todo []int, results []core.Result) {
 	plan := s.gangPlan(points, todo)
 	s.forEach(len(plan), func(gi int) {
@@ -56,8 +54,7 @@ func (s Setup) runLocal(points []MLPPoint, todo []int, results []core.Result) {
 			cfgs[k] = points[pi].Config
 			cfgs[k].MaxInstructions = s.Measure
 		}
-		g := core.NewGang(s.annotatedSource(p0.Workload, p0.Annot), cfgs)
-		rs := g.Run()
+		rs := core.RunGang(s.annotatedSource(p0.Workload, p0.Annot), cfgs)
 		for k, pi := range idxs {
 			results[pi] = rs[k]
 			s.noteDepStats(rs[k])
@@ -73,19 +70,17 @@ func (s Setup) runLocal(points []MLPPoint, todo []int, results []core.Result) {
 		}
 		st.Gangs.Add(1)
 		st.Configs.Add(uint64(len(idxs)))
-		gs := g.Stats()
-		st.SoAInsts.Add(gs.SoAInsts)
-		st.ScalarInsts.Add(gs.ScalarInsts)
+		for _, r := range rs {
+			st.SoAInsts.Add(uint64(r.Instructions))
+		}
 	})
 }
 
 // gangPlan partitions the MLPsim point indices todo into dispatch
-// groups by streamPlan, with each stream-sharing group reordered SoA
-// fast path first (partitionSoAFirst) before it is chunked.
+// groups by streamPlan.
 func (s Setup) gangPlan(points []MLPPoint, todo []int) [][]int {
 	return s.streamPlan(todo,
-		func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot },
-		func(g []int) []int { return partitionSoAFirst(g, points) })
+		func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot })
 }
 
 // streamPlan partitions the point indices todo into dispatch groups,
@@ -95,11 +90,11 @@ func (s Setup) gangPlan(points []MLPPoint, todo []int) [][]int {
 // measure. Grouping does not require the cache — a gang over a direct
 // annotator still shares its single annotation pass — but unkeyable
 // configs (e.g. trained prefetcher instances) have private stream state
-// and always run alone. Groups are then reordered by arrange, when
-// non-nil, and chunked: a fixed GangSize when set, otherwise just enough
-// chunks to keep every worker busy (on one worker, a whole group is one
-// gang). MLPsim and cycle-simulator sweeps share this planner.
-func (s Setup) streamPlan(todo []int, stream func(i int) (workload.Config, annotate.Config), arrange func([]int) []int) [][]int {
+// and always run alone. Groups are then chunked: a fixed GangSize when
+// set, otherwise just enough chunks to keep every worker busy (on one
+// worker, a whole group is one gang). MLPsim and cycle-simulator sweeps
+// share this planner.
+func (s Setup) streamPlan(todo []int, stream func(i int) (workload.Config, annotate.Config)) [][]int {
 	type gkey struct {
 		w     workload.Config
 		annot string
@@ -122,9 +117,6 @@ func (s Setup) streamPlan(todo []int, stream func(i int) (workload.Config, annot
 	}
 	for _, k := range order {
 		g := groups[k]
-		if arrange != nil {
-			g = arrange(g)
-		}
 		size := s.GangSize
 		if size <= 0 {
 			per := (s.parallelism() + len(order) - 1) / len(order)
@@ -149,36 +141,4 @@ func seq(n int) []int {
 		idxs[i] = i
 	}
 	return idxs
-}
-
-// partitionSoAFirst stably reorders a stream-sharing group so points on
-// the SoA fast path come first. Chunking the reordered group yields
-// gangs that are mostly flag-uniform: the fast-path engines ride the
-// ring without the wide decoded-instruction column, and the divergent
-// configs concentrate in the trailing scalar gangs instead of forcing
-// every gang onto the mixed path. Result order is unaffected — the plan
-// carries original point indices. A group that is already uniform (the
-// common sweep shape) is returned unchanged.
-func partitionSoAFirst(g []int, points []MLPPoint) []int {
-	split := 0
-	for _, pi := range g {
-		if core.SoAEligible(points[pi].Config) {
-			split++
-		}
-	}
-	if split == 0 || split == len(g) {
-		return g
-	}
-	out := make([]int, 0, len(g))
-	for _, pi := range g {
-		if core.SoAEligible(points[pi].Config) {
-			out = append(out, pi)
-		}
-	}
-	for _, pi := range g {
-		if !core.SoAEligible(points[pi].Config) {
-			out = append(out, pi)
-		}
-	}
-	return out
 }

@@ -277,7 +277,7 @@ func (s Setup) RunCycleSimBatch(points []CyclePoint) []cyclesim.Result {
 		todo = append(todo, i)
 	}
 	plan := s.streamPlan(todo,
-		func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot }, nil)
+		func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot })
 	s.forEach(len(plan), func(gi int) {
 		idxs := plan[gi]
 		cfgs := make([]cyclesim.Config, len(idxs))

@@ -89,10 +89,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "mlpsim_gang_runs_total %d\n", s.gang.Gangs.Load())
 	fmt.Fprintf(w, "mlpsim_gang_configs_total %d\n", s.gang.Configs.Load())
 	fmt.Fprintf(w, "mlpsim_gang_solo_total %d\n", s.gang.Solo.Load())
-	fmt.Fprintln(w, "# HELP mlpsim_gang_insts Instructions processed inside gangs, split between the structure-of-arrays fast path and scalar-fallback engines (divergence rate of the config mix).")
+	fmt.Fprintln(w, "# HELP mlpsim_gang_insts Instructions processed inside multi-config gangs, all on the structure-of-arrays stepper.")
 	fmt.Fprintln(w, "# TYPE mlpsim_gang_soa_insts_total counter")
 	fmt.Fprintf(w, "mlpsim_gang_soa_insts_total %d\n", s.gang.SoAInsts.Load())
-	fmt.Fprintf(w, "mlpsim_gang_scalar_fallback_insts_total %d\n", s.gang.ScalarInsts.Load())
 
 	fmt.Fprintln(w, "# HELP mlpsim_dep Memory-dependence speculation events across all engine runs (non-oracle disambiguation modes); engine work only, not point-memo hits.")
 	fmt.Fprintln(w, "# TYPE mlpsim_dep_mispredicts_total counter")

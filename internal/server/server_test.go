@@ -269,7 +269,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		// The SoA stepper runs every config: table5's 6 in-order configs
 		// step 60k measured instructions each.
 		"mlpsim_gang_soa_insts_total 360000",
-		"mlpsim_gang_scalar_fallback_insts_total 0",
 		// table5 runs oracle disambiguation only: the dep counters are
 		// exported and stay zero.
 		"mlpsim_dep_mispredicts_total 0",
@@ -287,6 +286,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(string(body), metric) {
 			t.Errorf("metrics output missing %q\n%s", metric, body)
 		}
+	}
+	if strings.Contains(string(body), "scalar") {
+		t.Errorf("metrics output still splits gang work by stepper\n%s", body)
 	}
 }
 
