@@ -9,6 +9,7 @@ package mlpsim_test
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -257,13 +258,32 @@ func BenchmarkFacadeSimulate(b *testing.B) {
 // cmd/bench runs these ten by name, from the list it keeps as gated, to
 // record BENCH_N.json and to gate a change against its base revision in
 // paired runs. Each reports 0 allocs/op, and the gate fails one whose
-// allocations leave zero. All but AnnotateStream and SMTSchedule replay
-// one shared trace.
+// allocations leave zero; the gang benchmarks also report 0 allocs/inst,
+// which the gate reads instead. All but AnnotateStream and SMTSchedule
+// replay one shared trace.
 
 var (
 	microOnce  sync.Once
 	microTrace *atrace.Stream
 )
+
+// mallocs returns the process's cumulative count of heap allocations.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// reportAllocsPerInst reports allocs, counted over a gang benchmark's
+// timed runs, per replayed trace instruction as the allocs/inst metric,
+// floored to an integer as go test floors allocs/op. A gang op is one
+// config·instruction, so allocs/op floors one allocation per replayed
+// instruction to 0 from K=2 up; allocs/inst does not.
+func reportAllocsPerInst(b *testing.B, allocs, insts uint64) {
+	if insts > 0 {
+		b.ReportMetric(float64(allocs/insts), "allocs/inst")
+	}
+}
 
 // microStream returns the shared trace, 1M Database instructions after a
 // 100k warm-up, capturing it on first use: testing calls a benchmark
@@ -333,8 +353,9 @@ func BenchmarkMLPsimEngine(b *testing.B) {
 // K=16 up the SoA stepper's scaling (shared ring columns, no per-engine
 // instruction copies) carries the curve. Gang construction happens off
 // the clock, like MLPsimEngine's, so every K reports the exact-zero
-// steady-state allocation the core asserts in its tests. K=16 is `make
-// profile`'s entry point for the SoA gang hot loop.
+// steady-state allocation the core asserts in its tests, per op and per
+// replayed instruction. K=16 is `make profile`'s entry point for the SoA
+// gang hot loop.
 func BenchmarkGangSweepK1(b *testing.B)  { benchGangSweep(b, 1) }
 func BenchmarkGangSweepK4(b *testing.B)  { benchGangSweep(b, 4) }
 func BenchmarkGangSweepK16(b *testing.B) { benchGangSweep(b, 16) }
@@ -344,6 +365,7 @@ func BenchmarkGangSweepK64(b *testing.B) { benchGangSweep(b, 64) }
 func benchGangSweep(b *testing.B, k int) {
 	s := microStream()
 	cfgs := gangConfigs(k)
+	var allocs, insts uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for remaining := int64(b.N); remaining > 0; {
@@ -355,10 +377,15 @@ func benchGangSweep(b *testing.B, k int) {
 			run[i].MaxInstructions = n
 		}
 		g := core.NewGang(s.Replay(), run)
+		m0 := mallocs()
 		b.StartTimer()
 		g.Run()
+		b.StopTimer()
+		allocs += mallocs() - m0
+		insts += uint64(n)
 		remaining -= int64(k) * n
 	}
+	reportAllocsPerInst(b, allocs, insts)
 }
 
 // gangConfigs builds K distinct engine configurations cycling the
@@ -381,11 +408,13 @@ func gangConfigs(k int) []core.Config {
 // trace. One op is one config·instruction, comparable to
 // BenchmarkCycleSim's per-instruction cost. Each gang's construction
 // stays on the clock; it is a few dozen allocations per gang of 27M ops,
-// so the steady state reports exactly zero allocations per op.
+// so the steady state reports exactly zero allocations per op and per
+// replayed instruction.
 func BenchmarkCycleSimGang(b *testing.B) {
 	s := microStream()
 	cfgs := experiments.Table3CycleConfigs()
 	k := int64(len(cfgs))
+	var allocs, insts uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for remaining := int64(b.N); remaining > 0; {
@@ -393,9 +422,17 @@ func BenchmarkCycleSimGang(b *testing.B) {
 		for i := range cfgs {
 			cfgs[i].MaxInstructions = n
 		}
+		b.StopTimer()
+		m0 := mallocs()
+		b.StartTimer()
 		cyclesim.RunGang(s.Replay(), cfgs)
+		b.StopTimer()
+		allocs += mallocs() - m0
+		insts += uint64(n)
+		b.StartTimer()
 		remaining -= k * n
 	}
+	reportAllocsPerInst(b, allocs, insts)
 }
 
 // BenchmarkSMTSchedule measures pure policy replay over fixed synthetic

@@ -68,6 +68,21 @@ type benchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	// AllocsPerInst is a gang benchmark's allocations per replayed trace
+	// instruction (its allocs/inst metric), nil where it reports none. A
+	// gang op is one config·instruction, so allocs/op floors one
+	// allocation per replayed instruction to 0 from K=2 up.
+	AllocsPerInst *int64 `json:"allocs_per_inst,omitempty"`
+}
+
+// gateAllocs is the count the gate's zero-alloc rule reads: allocations
+// per replayed trace instruction where the benchmark reports them,
+// allocs/op otherwise (and for a base that predates the metric).
+func (r benchResult) gateAllocs() int64 {
+	if r.AllocsPerInst != nil {
+		return *r.AllocsPerInst
+	}
+	return r.AllocsPerOp
 }
 
 type sweepResult struct {
@@ -241,6 +256,9 @@ func parseBench(out string) map[string]benchResult {
 				r.BytesPerOp = int64(v)
 			case "allocs/op":
 				r.AllocsPerOp = int64(v)
+			case "allocs/inst":
+				n := int64(v)
+				r.AllocsPerInst = &n
 			}
 		}
 		if r.NsPerOp > 0 { // go test omits a zero ns/op
@@ -320,7 +338,8 @@ func runGate(rev string) ([]string, error) {
 // results of the base and the working tree (head), where round i of the
 // two sides ran back to back. A benchmark fails when the median of its
 // per-round head/base ns/op ratios exceeds gateMaxRatio, or when its
-// median allocs/op is zero at the base and not at the head. It also
+// median allocation count (gateAllocs) is zero at the base and not at
+// the head. It also
 // fails when the head lacks it: a renamed or dropped benchmark would
 // otherwise leave the gate unnoticed. One the base lacks is new, with
 // nothing to compare against, and only noted. Every name gets a note.
@@ -333,8 +352,8 @@ func gateViolations(names []string, base, head []map[string]benchResult) (fails,
 			b, okb := base[i][name]
 			inHead, inBase = inHead && okh, inBase && okb
 			ratios = append(ratios, h.NsPerOp/b.NsPerOp)
-			baseAllocs = append(baseAllocs, float64(b.AllocsPerOp))
-			headAllocs = append(headAllocs, float64(h.AllocsPerOp))
+			baseAllocs = append(baseAllocs, float64(b.gateAllocs()))
+			headAllocs = append(headAllocs, float64(h.gateAllocs()))
 		}
 		if !inHead {
 			fails = append(fails, name+": missing from the working tree (renamed or dropped?)")
@@ -345,14 +364,14 @@ func gateViolations(names []string, base, head []map[string]benchResult) (fails,
 			continue
 		}
 		ratio, a0, a1 := median(ratios), median(baseAllocs), median(headAllocs)
-		notes = append(notes, fmt.Sprintf("%-16s median ns/op ratio %.3f (rounds %.3f-%.3f)  allocs/op %g -> %g",
+		notes = append(notes, fmt.Sprintf("%-16s median ns/op ratio %.3f (rounds %.3f-%.3f)  allocs %g -> %g",
 			name, ratio, slices.Min(ratios), slices.Max(ratios), a0, a1))
 		// Written so that a NaN ratio, from a base at 0 ns/op, fails too.
 		if !(ratio <= gateMaxRatio) {
 			fails = append(fails, fmt.Sprintf("%s: median ns/op ratio %.3f exceeds %.2f", name, ratio, gateMaxRatio))
 		}
 		if a0 == 0 && a1 != 0 {
-			fails = append(fails, fmt.Sprintf("%s: 0 -> %g allocs/op (zero-alloc steady state regressed)", name, a1))
+			fails = append(fails, fmt.Sprintf("%s: 0 -> %g allocs (zero-alloc steady state regressed)", name, a1))
 		}
 	}
 	return fails, notes
@@ -543,7 +562,7 @@ func main() {
 	}
 
 	rep := report{
-		Schema:  "mlpsim-bench/12",
+		Schema:  "mlpsim-bench/13",
 		Host:    thisHost(),
 		Scale:   *scale,
 		Seed:    *seed,

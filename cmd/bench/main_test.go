@@ -3,13 +3,14 @@ package main
 import (
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestParseBench reads canned go test output: the -N suffix may be
-// absent, custom metrics may sit between ns/op and B/op, and lines that
-// are not results of a gated benchmark are skipped.
+// absent, custom metrics may sit between ns/op and B/op (allocs/inst is
+// kept), and lines that are not results of a gated benchmark are skipped.
 func TestParseBench(t *testing.T) {
 	const out = `goos: linux
 goarch: amd64
@@ -19,6 +20,7 @@ BenchmarkAnnotateStream-2   	 3811437	        90.80 ns/op	       0 B/op	       0
 BenchmarkReplayStream       	10944716	        27.51 ns/op	       0 B/op	       0 allocs/op
 BenchmarkGangSweepK16-16    	11095977	        32.70 ns/op	         3.000 MLP-64C	      48 B/op	       2 allocs/op
 BenchmarkGangSweepK1-2      	 2289896	       105.1 ns/op
+BenchmarkGangSweepK4-2      	 9000000	        40.20 ns/op	         1.000 allocs/inst	       8 B/op	       0 allocs/op
 BenchmarkSMTSchedule-2      	      70	   3888099 ns/op	       0 B/op	       0 allocs/op
 BenchmarkFigure4-2          	       1	 512345678 ns/op	         1.413 MLP-64C	    1234 B/op	      56 allocs/op
 BenchmarkGangSweepDivergent-2	 5000000	        20.10 ns/op	       0 B/op	       0 allocs/op
@@ -32,6 +34,7 @@ ok  	mlpsim	12.345s
 		"ReplayStream":   {NsPerOp: 27.51},
 		"GangSweepK16":   {NsPerOp: 32.70, BytesPerOp: 48, AllocsPerOp: 2},
 		"GangSweepK1":    {NsPerOp: 105.1},
+		"GangSweepK4":    {NsPerOp: 40.20, BytesPerOp: 8, AllocsPerInst: ptr(int64(1))},
 		"SMTSchedule":    {NsPerOp: 3888099},
 	}
 	got := parseBench(out)
@@ -39,7 +42,7 @@ ok  	mlpsim	12.345s
 		t.Errorf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
 	}
 	for name, w := range want {
-		if got[name] != w {
+		if !reflect.DeepEqual(got[name], w) {
 			t.Errorf("%s: got %+v, want %+v", name, got[name], w)
 		}
 	}
@@ -53,6 +56,19 @@ func rounds(name string, allocs int64, ns ...float64) []map[string]benchResult {
 		out[i] = map[string]benchResult{name: {NsPerOp: v, AllocsPerOp: allocs}}
 	}
 	return out
+}
+
+func ptr[T any](v T) *T { return &v }
+
+// perInst sets every round's allocs/inst metric to n.
+func perInst(set []map[string]benchResult, n int64) []map[string]benchResult {
+	for _, m := range set {
+		for k, v := range m {
+			v.AllocsPerInst = ptr(n)
+			m[k] = v
+		}
+	}
+	return set
 }
 
 // merge combines per-round result maps of several names.
@@ -115,6 +131,29 @@ func TestGateViolations(t *testing.T) {
 		three := rounds("SMTSchedule", 3, 100, 100, 100, 100, 100)
 		if fails, _ := gateViolations([]string{"SMTSchedule"}, three, one); len(fails) != 0 {
 			t.Errorf("a nonzero base must not trip the zero-alloc rule, got %v", fails)
+		}
+	})
+
+	t.Run("allocsPerInstGated", func(t *testing.T) {
+		// A gang benchmark's allocs/op floors one allocation per replayed
+		// instruction to 0; its allocs/inst metric does not, and the zero
+		// rule reads it on either side that reports it.
+		zero := perInst(rounds("GangSweepK16", 0, 100, 100, 100, 100, 100), 0)
+		leak := perInst(rounds("GangSweepK16", 0, 100, 100, 100, 100, 100), 1)
+		fails, _ := gateViolations([]string{"GangSweepK16"}, zero, leak)
+		if len(fails) != 1 || !strings.Contains(fails[0], "GangSweepK16") || !strings.Contains(fails[0], "zero-alloc steady state") {
+			t.Errorf("expected one zero-alloc failure from allocs/inst, got %v", fails)
+		}
+		if fails, _ := gateViolations([]string{"GangSweepK16"}, zero, zero); len(fails) != 0 {
+			t.Errorf("zero allocs/inst on both sides must pass, got %v", fails)
+		}
+		// A base that predates the metric is read by its allocs/op.
+		old := rounds("GangSweepK16", 0, 100, 100, 100, 100, 100)
+		if fails, _ := gateViolations([]string{"GangSweepK16"}, old, leak); len(fails) != 1 {
+			t.Errorf("a zero allocs/op base must gate a head's allocs/inst, got %v", fails)
+		}
+		if fails, _ := gateViolations([]string{"GangSweepK16"}, old, zero); len(fails) != 0 {
+			t.Errorf("a zero allocs/op base and zero allocs/inst head must pass, got %v", fails)
 		}
 	})
 
