@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test cover race vet bench bench-full bench-compare bench-gate perfbench-test profile fuzz serve-smoke shard-smoke clean
+.PHONY: all build test test-names cover race vet bench bench-full bench-compare bench-gate perfbench-test profile fuzz serve-smoke shard-smoke clean
 
 all: build test vet
 
@@ -9,10 +9,13 @@ build:
 
 # vet runs first so structural mistakes fail fast; the -race pass covers
 # the new cross-process / singleflight machinery in addition to the plain
-# test run. The bench gate runs last (see bench-gate).
+# test run. test-names checks that every test the -race passes and the
+# fuzz targets name still exists. The bench gate runs last (see
+# bench-gate).
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(MAKE) test-names
 	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCacheBuildPanic|TestCrossProcessSingleflight|TestCacheDiskSpill|TestBuildLeavesNoLockOrLease|TestMonolithicSpillQuarantined|TestCorruptSpillQuarantined|TestDiskEviction|TestSpillRoundTrip|TestSegmentedDisk|TestCrashDuringPublishRecovery|TestLease'
 	$(GO) test -race ./internal/server
 	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestCycleSimGangsMatchPointAtATime|TestExtStoreSets|Memo|PointKey|TestCancelledSweepStoresOnlyCompletedPoints|TestRunPoints|TestShard'
@@ -23,6 +26,11 @@ test:
 		-run 'MatchesMapReference|ZeroAllocSteadyState|AnnotateIntoMatchesNext'
 	$(MAKE) perfbench-test
 	$(MAKE) bench-gate
+
+# test-names fails when a -run or -fuzz pattern in this Makefile names a
+# test that no longer exists. See scripts/check-test-names.sh.
+test-names:
+	sh scripts/check-test-names.sh
 
 # perfbench-test runs the repo benchmark's own package test. perfbench is
 # a separate Go module, so the root `go test ./...` skips it; its test
@@ -62,17 +70,21 @@ vet:
 # (annotation, replay, engine, gang dispatch at K=1/4/16/32/64, the
 # cycle-simulator gang, the SMT policy scheduler) and the uncached /
 # in-heap-cached / memory-mapped Figure 4+5+6 sweeps. `make bench` is
-# the quick loop; `make bench-full` writes the committed BENCH_11.json
-# at paper scale, and `make bench-compare` additionally prints deltas
-# against BENCH_10.json.
+# the quick loop; `make bench-full` writes the next committed record,
+# BENCH_{N+1}.json at paper scale where BENCH_N.json is the highest
+# existing one, and `make bench-compare` additionally prints deltas
+# against BENCH_N.json.
+BENCH_LAST = $(or $(shell ls BENCH_*.json 2>/dev/null | sed 's/[^0-9]//g' | sort -n | tail -n 1),0)
+BENCH_NEXT = $(shell expr $(BENCH_LAST) + 1)
+
 bench:
 	$(GO) run ./cmd/bench -scale quick -out /tmp/bench_quick.json
 
 bench-full:
-	$(GO) run ./cmd/bench -scale default -out BENCH_11.json
+	$(GO) run ./cmd/bench -scale default -out BENCH_$(BENCH_NEXT).json
 
 bench-compare:
-	$(GO) run ./cmd/bench -scale default -out BENCH_11.json -compare BENCH_10.json
+	$(GO) run ./cmd/bench -scale default -out BENCH_$(BENCH_NEXT).json -compare BENCH_$(BENCH_LAST).json
 
 # profile writes CPU and heap profiles for the engine hot loop, the SoA
 # gang stepper at K=16 and the annotation pass, each with construction
