@@ -103,7 +103,9 @@ profile:
 fuzz:
 	$(GO) test ./internal/trace -fuzz '^FuzzRoundTrip$$' -fuzztime 30s
 	$(GO) test ./internal/trace -fuzz '^FuzzDecoder$$' -fuzztime 30s
-	$(GO) test ./internal/atrace -run '^$$' -fuzz '^FuzzOpenSpill$$' -fuzztime 30s
+	# A new spill input is minimized byte by byte at about 0.3 ms a run;
+	# a 1s cap keeps minimization from taking most of the 30s.
+	$(GO) test ./internal/atrace -run '^$$' -fuzz '^FuzzOpenSpill$$' -fuzztime 30s -fuzzminimizetime 1s
 	$(GO) test ./internal/storeset -fuzz FuzzStoreSetUpdate -fuzztime 30s
 	$(GO) test ./internal/server -fuzz FuzzParsePoints -fuzztime 30s
 	# Each gang input runs several engines, so the default 60s minimization

@@ -15,7 +15,8 @@ import (
 )
 
 // buildSpill captures a tiny trace, publishes it under dir and returns
-// the spill's bytes.
+// the spill's bytes. Forty instructions fill every section, and keep
+// the fuzzer's inputs, and their minimization, small.
 func buildSpill(tb testing.TB, dir string) []byte {
 	tb.Helper()
 	w := workload.Presets(17)[0]
@@ -25,7 +26,7 @@ func buildSpill(tb testing.TB, dir string) []byte {
 			return annotate.New(workload.MustNew(w), annotate.Config{})
 		},
 		Warmup:  2_000,
-		Measure: 1_000,
+		Measure: 40,
 	}); err != nil {
 		tb.Fatalf("publish: %v", err)
 	}
@@ -94,15 +95,27 @@ func overlongVarint(valid []byte) []byte {
 	return withCRC(mut)
 }
 
-// loadSpillBytes publishes data as a key's one spill in a fresh
-// directory and loads it through the disk cache. The contract: never
+// loadSpillBytes publishes data as a key's one spill in the empty
+// directory dir and loads it through the disk cache. The contract: never
 // panic; either the spill opens and replays every instruction it
 // promises, or the load fails with ErrCorruptSpill and the file is
 // quarantined (moved aside) so the key rebuilds. It reports whether the
-// spill opened.
-func loadSpillBytes(t *testing.T, data []byte) bool {
+// spill opened, and leaves dir empty again: one directory serves every
+// input, which saves the fuzzer a directory per run.
+func loadSpillBytes(t *testing.T, dir string, data []byte) bool {
 	t.Helper()
-	d := newDiskCache(t.TempDir())
+	defer func() {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}()
+	d := newDiskCache(dir)
 	const hash = "00ff00ff"
 	path := d.spillPath(hash)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -143,9 +156,10 @@ func FuzzOpenSpill(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add(overlongVarint(valid))
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loadSpillBytes(t, data)
-		loadSpillBytes(t, withCRC(data))
+		loadSpillBytes(t, dir, data)
+		loadSpillBytes(t, dir, withCRC(data))
 	})
 }
 
@@ -156,14 +170,15 @@ func FuzzOpenSpill(f *testing.F) {
 // section flipped — is rejected as corrupt and quarantined.
 func TestOpenSpillSeedCorpus(t *testing.T) {
 	seeds := spillSeeds(buildSpill(t, t.TempDir()))
-	if !loadSpillBytes(t, seeds[0]) {
+	dir := t.TempDir()
+	if !loadSpillBytes(t, dir, seeds[0]) {
 		t.Fatal("valid spill rejected")
 	}
-	if !loadSpillBytes(t, overlongVarint(seeds[0])) {
+	if !loadSpillBytes(t, dir, overlongVarint(seeds[0])) {
 		t.Error("spill with an overlong varint rejected")
 	}
 	for i, seed := range seeds[1:] {
-		if loadSpillBytes(t, seed) {
+		if loadSpillBytes(t, dir, seed) {
 			t.Errorf("seed %d (%d bytes) opened, want ErrCorruptSpill", i+1, len(seed))
 		}
 	}
