@@ -70,7 +70,8 @@ func TestServerMatchesCLI(t *testing.T) {
 		{"figure2", ""},
 		{"table5", "-gang 1"}, // sequential CLI vs ganged daemon
 		{"table6", ""},
-		// Mixed SoA/scalar gangs on the daemon side vs sequential CLI.
+		// Gangs mixing disambiguation modes on the daemon side vs
+		// sequential CLI.
 		{"ext-storesets", "-gang 1"},
 		// Scheduled-SMT policy sweep: pins the trace pre-pass + policy
 		// replays deterministic across the process boundary.

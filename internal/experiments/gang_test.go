@@ -15,7 +15,7 @@ import (
 // repo's gang contract: a random vector of engine configurations (mixed
 // window sizes, issue policies, runahead and value prediction on or
 // off) over the three paper workloads at Quick scale must produce
-// Results bit-identical to one scalar engine per point, at every
+// Results bit-identical to one solo engine per point, at every
 // GangSize (1 runs gangs of one). (MaxInstructions
 // variation across gang members is pinned separately at the core layer
 // by TestRunGangMatchesSequentialRandom — the experiments layer always

@@ -6,9 +6,9 @@ package smt
 // [CombinedLower, CombinedUpper] bracket. The scheduled engine here
 // picks a point inside that bracket by actually arbitrating the shared
 // fetch unit: K per-thread engines step epoch-at-a-time (core.Stepper,
-// the gang machinery's cursor exported for per-thread streams), and a
-// fetch Policy decides which thread's epoch advances whenever the fetch
-// unit frees up.
+// a gang of one over each thread's stream, recording every epoch it
+// steps, accesses or none), and a fetch Policy decides which thread's
+// epoch advances whenever the fetch unit frees up.
 //
 // The timing model stays deliberately simple so the bracket holds by
 // construction. Time is counted in fetch units (one instruction slot
