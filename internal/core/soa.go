@@ -120,18 +120,13 @@ type soaEngine struct {
 	// at issue under realistic value prediction; vpFlush charges a wrong
 	// prediction's recovery flush (conventional mode only). depViolation
 	// is the meta bit of a load the store-set predictor failed to cover.
-	// inOrder selects the in-order epoch, stallOnMiss its discipline.
 	// slowAll sends every fetched instruction through tryExecute: the
-	// inlined fast path neither reports executions to a hook nor knows
-	// value prediction.
+	// inlined fast path neither reports executions to an OnEpoch
+	// observer nor knows value prediction.
 	vpCut        metaWord
 	vpFlush      bool
 	depViolation metaWord
-	disamb       DisambMode
-	inOrder      bool
-	stallOnMiss  bool
 	slowAll      bool
-	hook         func(Epoch)
 }
 
 func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
@@ -159,13 +154,8 @@ func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 		fetchBuffer:        int64(cfg.FetchBuffer),
 		mshrs:              cfg.MSHRs,
 		storeBuffer:        cfg.StoreBuffer,
-
-		disamb:      cfg.Disamb,
-		inOrder:     cfg.Mode != OutOfOrder,
-		stallOnMiss: cfg.Mode == InOrderStallOnMiss,
-		hook:        cfg.OnEpoch,
 	}
-	if cfg.Runahead && !e.inOrder {
+	if cfg.Runahead && cfg.Mode == OutOfOrder {
 		// Runahead speculates MaxRunahead past the retire frontier with no
 		// issue-window bound, and its stores bypass the store buffer. It
 		// also lifts serialization, store forwarding, the load-ordering
@@ -181,7 +171,7 @@ func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 		e.vpSlack = 1
 	case cfg.ValuePredict:
 		e.vpCut = metaVPCorrect
-		e.vpFlush = !cfg.Runahead && !e.inOrder
+		e.vpFlush = !cfg.Runahead && cfg.Mode == OutOfOrder
 	}
 	if cfg.Disamb == DisambStoreSets {
 		e.depViolation = metaDepViolation
@@ -193,7 +183,7 @@ func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 	if e.vpFlush {
 		e.vpPaid = make([]uint64, (n+63)/64)
 	}
-	e.slowAll = e.hook != nil || e.vpCut != 0
+	e.slowAll = cfg.OnEpoch != nil || e.vpCut != 0
 	if e.serializing {
 		e.gateMask |= metaSerializing
 	}
@@ -247,9 +237,8 @@ func (e *soaEngine) executed(j int64) bool {
 
 // resultReady reports whether producer p's result can be consumed in the
 // current epoch (notExecuted > any epoch, so one compare covers both the
-// executed and available checks).
-// Under realistic value prediction an executed, correctly predicted
-// missing load is consumable too.
+// executed and available checks). Under realistic value prediction an
+// executed, correctly predicted missing load is consumable too.
 func (e *soaEngine) resultReady(p int64) bool {
 	if p < e.retire { // covers p < 0: retire is never negative
 		return true
@@ -289,7 +278,7 @@ func (e *soaEngine) execute(j int64, m metaWord, ep *epochState) {
 		if m&metaPMiss != 0 {
 			kind = accP
 		}
-		ep.record(j, kind, e.hook != nil)
+		ep.record(j, kind, e.cfg.OnEpoch != nil)
 		if m&metaDMiss != 0 {
 			// Data returns at the end of this epoch.
 			ready = e.epoch + 1
@@ -306,7 +295,7 @@ func (e *soaEngine) execute(j int64, m metaWord, ep *epochState) {
 	if e.vpPaid != nil {
 		e.vpPaid[w] &^= b
 	}
-	if e.hook != nil {
+	if e.cfg.OnEpoch != nil {
 		ep.epoch.Executed = append(ep.epoch.Executed, j)
 	}
 }
@@ -324,7 +313,7 @@ func (e *soaEngine) gate(j int64, m metaWord, ep *epochState) (r execResult, don
 			return execBlocked, true
 		}
 		e.imissPend[w] &^= b
-		ep.record(j, accI, e.hook != nil)
+		ep.record(j, accI, e.cfg.OnEpoch != nil)
 		return execBlocked, true
 	}
 	if e.serializing && m&metaSerializing != 0 {
@@ -384,7 +373,7 @@ func (e *soaEngine) tryExecute(j int64, m metaWord, ep *epochState) execResult {
 		return execBlocked
 	}
 
-	if m&metaLoadLike != 0 && e.disamb != DisambOracle && e.disambBlocked(j, m, ln, ep) {
+	if m&metaLoadLike != 0 && e.cfg.Disamb != DisambOracle && e.disambBlocked(j, m, ln, ep) {
 		return execBlocked
 	}
 
@@ -442,7 +431,7 @@ func (e *soaEngine) payVPFlush(ln *links) bool {
 // serialize, and a blocked missing load charges the epoch's Figure-5
 // category to the dependent-store condition.
 func (e *soaEngine) disambBlocked(j int64, m metaWord, ln *links, ep *epochState) bool {
-	if e.disamb == DisambStoreSets {
+	if e.cfg.Disamb == DisambStoreSets {
 		if m&metaDepFalse == 0 || e.producerExecuted(ln.prevStore) {
 			return false
 		}
@@ -468,7 +457,7 @@ func (e *soaEngine) noteUnresolvedStore(j int64, m metaWord, ep *epochState) {
 	if m&metaMemWrite == 0 {
 		return
 	}
-	if e.disamb == DisambConservative && ep.firstUnexecStore < 0 {
+	if e.cfg.Disamb == DisambConservative && ep.firstUnexecStore < 0 {
 		ep.firstUnexecStore = j
 	}
 	if ep.firstUnresolvedStore < 0 && !e.resultReady(e.rlnk[j&e.rmask].prod1) {
@@ -558,7 +547,7 @@ func (e *soaEngine) fetchBufferScan(ep *epochState) {
 			if e.mshrs > 0 && ep.accesses >= e.mshrs {
 				return
 			}
-			ep.record(e.ring.index0+jj, accI, e.hook != nil)
+			ep.record(e.ring.index0+jj, accI, e.cfg.OnEpoch != nil)
 			e.sat = append(e.sat, jj)
 			return
 		}
@@ -661,7 +650,7 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 				if ep.accesses == 0 {
 					lim = LimImissStart
 				}
-				ep.record(j, accI, e.hook != nil)
+				ep.record(j, accI, e.cfg.OnEpoch != nil)
 				ep.terminate(j, lim)
 				return
 			}
@@ -794,7 +783,7 @@ func (e *soaEngine) runInOrder(ep *epochState) {
 			if ep.accesses == 0 {
 				lim = LimImissStart
 			}
-			ep.record(j, accI, e.hook != nil)
+			ep.record(j, accI, e.cfg.OnEpoch != nil)
 			ep.terminate(j, lim)
 			return
 		}
@@ -832,7 +821,7 @@ func (e *soaEngine) runInOrder(ep *epochState) {
 		e.execute(j, m, ep)
 		e.advanceRetire()
 
-		if m&metaDMiss != 0 && e.stallOnMiss {
+		if m&metaDMiss != 0 && e.cfg.Mode == InOrderStallOnMiss {
 			// Issue stalls as soon as the miss is detected.
 			ep.terminate(j, LimMissingLoad)
 			return
@@ -856,7 +845,7 @@ func (e *soaEngine) step() bool {
 	e.ep = epochState{firstUnresolvedStore: -1, firstUnexecStore: -1, blockIdx: -1}
 	ep := &e.ep
 
-	if e.inOrder {
+	if e.cfg.Mode != OutOfOrder {
 		e.runInOrder(ep)
 	} else {
 		e.runEpoch(ep)
@@ -877,14 +866,14 @@ func (e *soaEngine) step() bool {
 			lim = ep.blockLim
 		}
 		e.res.Limiters[lim]++
-		if e.hook != nil {
+		if e.cfg.OnEpoch != nil {
 			ep.epoch.Seq = e.res.Epochs - 1
 			ep.epoch.Accesses = ep.accesses
 			ep.epoch.DAccesses = ep.dAccesses
 			ep.epoch.PAccesses = ep.pAccesses
 			ep.epoch.IAccesses = ep.iAccesses
 			ep.epoch.Limiter = lim
-			e.hook(ep.epoch)
+			e.cfg.OnEpoch(ep.epoch)
 		}
 	}
 
