@@ -339,10 +339,10 @@ func runGate(rev string) ([]string, error) {
 // two sides ran back to back. A benchmark fails when the median of its
 // per-round head/base ns/op ratios exceeds gateMaxRatio, or when its
 // median allocation count (gateAllocs) is zero at the base and not at
-// the head. It also
-// fails when the head lacks it: a renamed or dropped benchmark would
-// otherwise leave the gate unnoticed. One the base lacks is new, with
-// nothing to compare against, and only noted. Every name gets a note.
+// the head. It also fails when the head lacks it: a renamed or dropped
+// benchmark would otherwise leave the gate unnoticed. One the base lacks
+// is new, with nothing to compare against, and only noted. Every name
+// gets a note.
 func gateViolations(names []string, base, head []map[string]benchResult) (fails, notes []string) {
 	for _, name := range names {
 		var ratios, baseAllocs, headAllocs []float64
