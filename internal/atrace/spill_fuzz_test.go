@@ -15,8 +15,12 @@ import (
 )
 
 // buildSpill captures a tiny trace, publishes it under dir and returns
-// the spill's bytes. Forty instructions fill every section, and keep
-// the fuzzer's inputs, and their minimization, small.
+// the spill's bytes. 128 instructions, a 1.5 KB spill, fill every
+// section and keep the fuzzer's inputs, and their minimization, small.
+// It is the shortest window whose instruction counts take two-byte
+// varints in the meta blob, as a full-size spill's do, so the header
+// keeps its full-size length (336 bytes) and every seed keeps its index
+// and so its name (FuzzOpenSpill/seed#N).
 func buildSpill(tb testing.TB, dir string) []byte {
 	tb.Helper()
 	w := workload.Presets(17)[0]
@@ -26,7 +30,7 @@ func buildSpill(tb testing.TB, dir string) []byte {
 			return annotate.New(workload.MustNew(w), annotate.Config{})
 		},
 		Warmup:  2_000,
-		Measure: 40,
+		Measure: 128,
 	}); err != nil {
 		tb.Fatalf("publish: %v", err)
 	}
