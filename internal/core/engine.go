@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/isa"
 )
@@ -42,8 +44,10 @@ type binder struct {
 	prevMemIdx, prevStoreIdx, prevBranchIdx int64
 }
 
-func newBinder() *binder {
-	b := &binder{lastStore: NewStoreTable()}
+// newBinder returns a binder for a stream it binds at most bound
+// instructions of.
+func newBinder(bound int64) *binder {
+	b := &binder{lastStore: NewStoreTable(bound)}
 	for i := range b.producers {
 		b.producers[i] = -1
 	}
@@ -123,6 +127,16 @@ func ringSize(cfg Config) int {
 	default:
 		return 256
 	}
+}
+
+// instLimit returns cfg.MaxInstructions as an absolute index bound:
+// MaxInt64 when the run takes the whole stream. No engine decodes past
+// it.
+func instLimit(cfg Config) int64 {
+	if cfg.MaxInstructions > 0 {
+		return cfg.MaxInstructions
+	}
+	return math.MaxInt64
 }
 
 // pow2ceil returns the smallest power of two >= n (minimum 1).

@@ -550,6 +550,29 @@ func TestFetchBufferFindsImissAfterMaxwin(t *testing.T) {
 	}
 }
 
+// TestFetchBufferNamesImissByPosition: a warmed annotator or a cache
+// replay numbers Index from the warm-up count, but every access is named
+// by its position in the measured stream, the fetch-buffered I-miss too.
+func TestFetchBufferNamesImissByPosition(t *testing.T) {
+	s := src(
+		ld(2, 1, true),
+		add(3, 2, 2),
+		add(9, 9, 9),
+		imiss(add(8, 8, 8)),
+		ld(4, 1, true),
+	)
+	for i := range s.insts {
+		s.insts[i].Index += 20_000
+	}
+	cfg := cfgWindow(2, ConfigC)
+	cfg.FetchBuffer = 32
+	epochs, _ := runEpochs(t, s, cfg)
+	wantAccesses(t, epochs, [][]int64{{0, 3}, {4}})
+	if epochs[0].Trigger != 0 {
+		t.Fatalf("epoch 0 trigger = %d, want 0", epochs[0].Trigger)
+	}
+}
+
 func TestMaxInstructionsBound(t *testing.T) {
 	var insts []annotate.Inst
 	for i := 0; i < 100; i++ {

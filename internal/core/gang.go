@@ -1,6 +1,10 @@
 package core
 
-import "mlpsim/internal/annotate"
+import (
+	"math/bits"
+
+	"mlpsim/internal/annotate"
+)
 
 // gangRingInsts is the initial broadcast-ring capacity (instructions).
 // The scheduler always steps the engine furthest behind, which keeps the
@@ -18,6 +22,8 @@ const gangRingInsts = 4096
 //	meta — the packed metaWord (flags + class predicates)
 //	lnk  — the six dependence links, kept together because the epoch
 //	       model reads them as a unit per execution attempt
+//	stop — one bit per slot, set when the raw meta word goes off chip
+//	       (metaOffChip), which engines scan to cross quiet stretches
 //
 // Links and meta are a pure function of the stream (register renaming,
 // store forwarding, same-class predecessor chains), so engines fed from
@@ -30,6 +36,7 @@ type gangRing struct {
 
 	meta []metaWord
 	lnk  []links
+	stop []uint64
 	// scratch is the decode target.
 	scratch annotate.Inst
 
@@ -37,10 +44,6 @@ type gangRing struct {
 	// head is the absolute count of decoded instructions; the ring holds
 	// [tail, head).
 	head int64
-	// index0 is the first decoded instruction's stream Index: the
-	// fetch-buffer scan names an access by Index, which sources number
-	// consecutively, so instruction j's Index is index0+j.
-	index0 int64
 	// tail is a cached lower bound on the lowest index any live engine
 	// still needs (its retire frontier: an engine's whole window reads
 	// the ring in place), refreshed lazily when the ring looks full.
@@ -50,16 +53,20 @@ type gangRing struct {
 	engines []*soaEngine
 }
 
-func newGangRing(src AnnotatedSource, capHint int) *gangRing {
+// newGangRing builds a ring over src whose engines never read past
+// instruction bound (see instLimit), so its binder's store table is
+// sized to what it can bind.
+func newGangRing(src AnnotatedSource, capHint int, bound int64) *gangRing {
 	n := pow2ceil(capHint)
 	if n < gangRingInsts {
 		n = gangRingInsts
 	}
 	r := &gangRing{
 		src:  src,
-		bind: newBinder(),
+		bind: newBinder(bound),
 		meta: make([]metaWord, n),
 		lnk:  make([]links, n),
+		stop: make([]uint64, n/64),
 		mask: int64(n) - 1,
 	}
 	r.srcInto, _ = src.(inPlaceSource)
@@ -89,12 +96,32 @@ func (r *gangRing) grow() {
 	n := 2 * len(r.lnk)
 	meta := make([]metaWord, n)
 	lnk := make([]links, n)
+	stop := make([]uint64, n/64)
 	mask := int64(n) - 1
 	for j := r.tail; j < r.head; j++ {
 		meta[j&mask] = r.meta[j&r.mask]
 		lnk[j&mask] = r.lnk[j&r.mask]
+		if meta[j&mask]&metaOffChip != 0 {
+			w, b := slotBit(j & mask)
+			stop[w] |= b
+		}
 	}
-	r.meta, r.lnk, r.mask = meta, lnk, mask
+	r.meta, r.lnk, r.stop, r.mask = meta, lnk, stop, mask
+}
+
+// nextStop returns the first instruction in [j, hi) whose raw meta word
+// goes off chip, or hi if there is none. [j, hi) must be decoded and
+// live (tail <= j, hi <= head). Bits of slots past head are stale, which
+// the clamp to hi covers.
+func (r *gangRing) nextStop(j, hi int64) int64 {
+	for j < hi {
+		s := uint64(j & r.mask)
+		if w := r.stop[s>>6] >> (s & 63); w != 0 {
+			return min(j+int64(bits.TrailingZeros64(w)), hi)
+		}
+		j += int64(64 - (s & 63))
+	}
+	return hi
 }
 
 // ensure decodes (and binds) until instruction pos is in the ring; it
@@ -125,11 +152,14 @@ func (r *gangRing) ensure(pos int64) bool {
 			r.eof = true
 			return false
 		}
-		if r.head == 0 {
-			r.index0 = dst.Index
-		}
 		r.bind.bind(dst, r.head, &r.lnk[i])
-		r.meta[i] = packMeta(dst)
+		m := packMeta(dst)
+		r.meta[i] = m
+		w, b := slotBit(i)
+		r.stop[w] &^= b
+		if m&metaOffChip != 0 {
+			r.stop[w] |= b
+		}
 		r.head++
 	}
 	return true
@@ -155,15 +185,16 @@ func NewGang(src AnnotatedSource, cfgs []Config) *Gang {
 	if len(cfgs) == 0 {
 		return g
 	}
-	maxWin := 0
+	maxWin, bound := 0, int64(0)
 	for _, cfg := range cfgs {
 		maxWin = max(maxWin, ringSize(cfg))
+		bound = max(bound, instLimit(cfg))
 	}
 	// Engines hold ring entries down to their retire frontier, so the
 	// ring must span at least the largest window (ROB, or MaxRunahead in
 	// runahead) plus scheduling spread; starting there avoids growth
 	// doubling during the run.
-	ring := newGangRing(src, 2*maxWin)
+	ring := newGangRing(src, 2*maxWin, bound)
 	for i, cfg := range cfgs {
 		g.engines[i] = ring.attach(cfg)
 	}

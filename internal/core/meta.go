@@ -45,6 +45,11 @@ const (
 	metaDepFalse
 )
 
+// metaOffChip collects the bits of an instruction that goes off chip: a
+// data or prefetch miss, an instruction-fetch miss or a store miss. The
+// out-of-order stepper crosses the stretches between them in one step.
+const metaOffChip = metaMiss | metaIMiss | metaSMiss
+
 // packMeta summarizes a decoded, bound instruction. The flag bits carry
 // the raw annotation; engines with perfect features clear bits via
 // metaClear at read time, mirroring the pullSource rewrites.

@@ -489,9 +489,7 @@ func (m *refModel) runOutOfOrder(ep *refEpoch) {
 
 // scanFetchBuffer looks up to FetchBuffer instructions past a full
 // window: the first instruction-fetch miss there issues in this epoch
-// (and is then satisfied), unless a mispredicted branch comes first. The
-// access is named by the instruction's stream Index, as the engine
-// names it.
+// (and is then satisfied), unless a mispredicted branch comes first.
 func (m *refModel) scanFetchBuffer(ep *refEpoch) {
 	for k := 0; k < m.cfg.FetchBuffer; k++ {
 		j := m.fetchEnd + int64(k)
@@ -506,7 +504,7 @@ func (m *refModel) scanFetchBuffer(ep *refEpoch) {
 			if m.cfg.MSHRs > 0 && ep.accesses >= m.cfg.MSHRs {
 				return
 			}
-			ep.record(in.Index, 'I')
+			ep.record(j, 'I')
 			m.imissLeft[j] = false
 			return
 		}

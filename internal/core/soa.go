@@ -83,8 +83,8 @@ type soaEngine struct {
 	fetchEnd int64
 	retire   int64
 	unexec   int64
-	// limit is MaxInstructions as an absolute index bound (MaxInt64 when
-	// unbounded); the stream may also end earlier at the ring's EOF.
+	// limit is instLimit(cfg); the stream may also end earlier at the
+	// ring's EOF.
 	limit int64
 	eof   bool
 	done  bool
@@ -142,7 +142,7 @@ func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 		readyAt:   make([]int64, n),
 		mask:      n - 1,
 		sat:       make([]int64, 0, cfg.FetchBuffer),
-		limit:     math.MaxInt64,
+		limit:     instLimit(cfg),
 
 		metaClear:          metaClearFor(cfg),
 		serializing:        cfg.Issue.Serializing(),
@@ -192,9 +192,6 @@ func newSoAEngine(ring *gangRing, cfg Config) *soaEngine {
 	}
 	if e.storeBuffer > 0 {
 		e.gateMask |= metaSMiss
-	}
-	if cfg.MaxInstructions > 0 {
-		e.limit = cfg.MaxInstructions
 	}
 	for i := range e.readyAt {
 		e.readyAt[i] = notExecuted
@@ -531,8 +528,7 @@ func (e *soaEngine) consumeSat(j int64) bool {
 // the front end keeps fetching up to FetchBuffer instructions; an I-miss
 // found there is issued in (and overlaps with) the current epoch. The
 // scan stops at a mispredicted branch — beyond it the front end is on
-// the wrong path. The access is named by the instruction's stream Index
-// (its position plus the ring's index0), not by its position.
+// the wrong path.
 func (e *soaEngine) fetchBufferScan(ep *epochState) {
 	for k := int64(0); k < e.fetchBuffer; k++ {
 		jj := e.fetchEnd + k
@@ -547,7 +543,7 @@ func (e *soaEngine) fetchBufferScan(ep *epochState) {
 			if e.mshrs > 0 && ep.accesses >= e.mshrs {
 				return
 			}
-			ep.record(e.ring.index0+jj, accI, e.cfg.OnEpoch != nil)
+			ep.record(jj, accI, e.cfg.OnEpoch != nil)
 			e.sat = append(e.sat, jj)
 			return
 		}
@@ -561,6 +557,35 @@ func (e *soaEngine) satisfied(jj int64) bool {
 		}
 	}
 	return false
+}
+
+// skipQuiet crosses a quiet stretch from an empty window at j, where
+// fetchEnd == retire == j < limit. With everything earlier retired, an
+// instruction that does not go off chip finds its register, store and
+// same-class predecessors retired, passes every check (a serializing
+// drain included), executes this epoch and retires at once, leaving the
+// window empty again. So fetchEnd and retire jump together to the next
+// instruction whose raw meta word goes off chip, writing no per-slot
+// state: a skipped slot is below retire from then on, and fetch rewrites
+// a slot before anything reads it. The jump stops at limit and at the end
+// of the stream; it returns the new fetchEnd.
+func (e *soaEngine) skipQuiet(j int64) int64 {
+	for j < e.limit {
+		if j >= e.rhead {
+			// Everything decoded is quiet. Retire it, so the ring's tail
+			// can pass it, and decode one more.
+			e.fetchEnd, e.retire = j, j
+			if !e.ensure(j) {
+				break
+			}
+		}
+		hi := min(e.rhead, e.limit)
+		if j = e.ring.nextStop(j, hi); j < hi {
+			break
+		}
+	}
+	e.fetchEnd, e.retire = j, j
+	return j
 }
 
 // runEpoch runs phases 1 and 2 of one out-of-order or runahead epoch.
@@ -594,13 +619,15 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 	// commit frontier itself just executed: only the newly fetched
 	// slot ever executes here (older slots are retried in phase 1 only),
 	// and an executed slot's readyAt never changes — so retire is updated
-	// in place on the retire==j executions instead.
+	// in place on the retire==j executions instead. An empty window
+	// crosses a quiet stretch in one skipQuiet, except under an observer,
+	// which hears every executed index.
 	const slowMask = metaSerializing | metaLoadLike | metaBranch |
 		metaMiss | metaSMiss | metaMemWrite | metaMispred
 	rmeta, rlnk, rmask := e.rmeta, e.rlnk, e.rmask
 	readyAt, execBits, mask := e.readyAt, e.execBits, e.mask
 	epoch, readyBy, clear := e.epoch, e.readyBy, e.metaClear
-	fast := !e.slowAll
+	fast, skip := !e.slowAll, e.cfg.OnEpoch == nil
 	for {
 		j := e.fetchEnd
 		if j-e.retire >= e.rob || e.unexec >= e.issueWindow {
@@ -613,6 +640,10 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 			return
 		}
 
+		if skip && e.retire == j {
+			j = e.skipQuiet(j)
+			rmeta, rlnk, rmask = e.rmeta, e.rlnk, e.rmask
+		}
 		if e.eof || j >= e.limit {
 			e.eof = true
 			ep.terminate(j, LimEnd)

@@ -14,7 +14,7 @@ type Stepper struct {
 // NewStepper builds a stepper over src; it panics on invalid
 // configurations, exactly like NewEngine.
 func NewStepper(src AnnotatedSource, cfg Config) *Stepper {
-	return &Stepper{e: newGangRing(src, 2*ringSize(cfg)).attach(cfg)}
+	return &Stepper{e: newGangRing(src, 2*ringSize(cfg), instLimit(cfg)).attach(cfg)}
 }
 
 // Step runs one epoch. It returns false when the stream is exhausted and

@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // StoreTable maps 8-byte-aligned store addresses (EA>>3) to the absolute
 // index of the most recent store, replacing the built-in map on the fetch
 // hot path (~17% of cached-replay engine time went to map lookups). It is
@@ -11,17 +13,14 @@ package core
 // bit-for-bit unchanged. Both the epoch-model engine and the cycle
 // simulator use it for store-to-load memory dependences.
 //
-// The table is sized at 2x the clear threshold, so the load factor never
-// exceeds 0.5 and probes stay short; no growth path is needed.
+// The table is sized at 2x the most keys it can hold — the clear
+// threshold, or a smaller bound on the stores its caller binds — so the
+// load factor never exceeds 0.5 and probes stay short; no growth path is
+// needed.
 
-const (
-	// storeTableClear matches the old map's bound: a table exceeding this
-	// many distinct keys is cleared.
-	storeTableClear = 1 << 16
-	storeTableBits  = 17
-	storeTableSize  = 1 << storeTableBits
-	storeTableMask  = storeTableSize - 1
-)
+// storeTableClear matches the old map's bound: a table exceeding this
+// many distinct keys is cleared.
+const storeTableClear = 1 << 16
 
 // StoreTable is the open-addressed last-store map. The zero value is not
 // usable; call NewStoreTable.
@@ -31,26 +30,38 @@ type StoreTable struct {
 	keys []uint64
 	vals []int64
 	used int
+	// shift keeps the hash's top log2(len(keys)) bits; mask wraps probes.
+	shift, mask uint64
 }
 
-// NewStoreTable returns an empty table.
-func NewStoreTable() *StoreTable {
+// NewStoreTable returns an empty table for a caller that puts at most
+// bound stores in it. A bound below the clear threshold can never reach
+// the clear, so the table gets 2*bound slots (rounded up to a power of
+// two); any other bound (<= 0 for none) gets the full 2x-threshold
+// table. Either way the table behaves exactly like the map it replaces.
+func NewStoreTable(bound int64) *StoreTable {
+	n := 2 * storeTableClear
+	if bound > 0 && bound < storeTableClear {
+		n = pow2ceil(int(2 * bound))
+	}
 	return &StoreTable{
-		keys: make([]uint64, storeTableSize),
-		vals: make([]int64, storeTableSize),
+		keys:  make([]uint64, n),
+		vals:  make([]int64, n),
+		shift: uint64(64 - bits.TrailingZeros(uint(n))),
+		mask:  uint64(n - 1),
 	}
 }
 
-// storeSlot is a Fibonacci hash: store addresses are heavily strided, and
-// the multiply spreads consecutive keys across the table.
-func storeSlot(key uint64) uint64 {
-	return (key * 0x9E3779B97F4A7C15) >> (64 - storeTableBits) & storeTableMask
+// slot is a Fibonacci hash: store addresses are heavily strided, and the
+// multiply spreads consecutive keys across the table.
+func (t *StoreTable) slot(key uint64) uint64 {
+	return (key * 0x9E3779B97F4A7C15) >> t.shift
 }
 
 // Get returns the last-store index recorded for key.
 func (t *StoreTable) Get(key uint64) (int64, bool) {
 	k := key + 1
-	for i := storeSlot(key); ; i = (i + 1) & storeTableMask {
+	for i := t.slot(key); ; i = (i + 1) & t.mask {
 		switch t.keys[i] {
 		case k:
 			return t.vals[i], true
@@ -65,7 +76,7 @@ func (t *StoreTable) Get(key uint64) (int64, bool) {
 // map semantics, which also dropped the just-inserted entry).
 func (t *StoreTable) Put(key uint64, val int64) {
 	k := key + 1
-	for i := storeSlot(key); ; i = (i + 1) & storeTableMask {
+	for i := t.slot(key); ; i = (i + 1) & t.mask {
 		switch t.keys[i] {
 		case k:
 			t.vals[i] = val

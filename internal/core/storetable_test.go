@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -44,17 +45,49 @@ func storeKeys(rng *rand.Rand, n int) []uint64 {
 }
 
 // TestStoreTableMatchesMap drives table and reference map with an
-// identical operation stream — long enough to cross the clear threshold
-// several times — and demands identical observable behaviour.
+// identical operation stream and demands identical observable behaviour:
+// the full table over a stream long enough to cross the clear threshold
+// several times, and tables sized for a bound over the same stream up to
+// that many puts.
 func TestStoreTableMatchesMap(t *testing.T) {
+	for _, tc := range []struct {
+		bound int64
+		slots int
+	}{
+		{0, 2 * storeTableClear},
+		{1, 2},
+		{1000, 2048},
+		{storeTableClear - 1, 2 * storeTableClear},
+		{math.MaxInt64, 2 * storeTableClear},
+	} {
+		table := NewStoreTable(tc.bound)
+		if len(table.keys) != tc.slots {
+			t.Fatalf("bound %d: %d slots, want %d", tc.bound, len(table.keys), tc.slots)
+		}
+		puts := tc.bound
+		if puts <= 0 {
+			puts = math.MaxInt64
+		}
+		checkStoreTable(t, table, puts)
+	}
+}
+
+// checkStoreTable runs the operation stream against table and the map
+// until it has made puts puts (~300k distinct-key inserts in all: several
+// clears).
+func checkStoreTable(t *testing.T, table *StoreTable, puts int64) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	table := NewStoreTable()
 	ref := newRefStoreMap()
 
-	const ops = 1_200_000 // ~300k distinct-key inserts: several clears
+	const ops = 1_200_000
 	keys := storeKeys(rng, ops)
 	for i, key := range keys {
 		if rng.Intn(4) == 0 {
+			if puts == 0 {
+				break
+			}
+			puts--
 			table.Put(key, int64(i))
 			ref.Put(key, int64(i))
 			continue
@@ -62,11 +95,11 @@ func TestStoreTableMatchesMap(t *testing.T) {
 		gv, gok := table.Get(key)
 		wv, wok := ref.Get(key)
 		if gok != wok || (gok && gv != wv) {
-			t.Fatalf("op %d key %#x: table (%d,%t), map (%d,%t)", i, key, gv, gok, wv, wok)
+			t.Fatalf("%d slots, op %d key %#x: table (%d,%t), map (%d,%t)", len(table.keys), i, key, gv, gok, wv, wok)
 		}
 	}
 	if table.Len() != len(ref.m) {
-		t.Errorf("table holds %d keys, map holds %d", table.Len(), len(ref.m))
+		t.Errorf("%d slots: table holds %d keys, map holds %d", len(table.keys), table.Len(), len(ref.m))
 	}
 }
 
@@ -74,7 +107,7 @@ func TestStoreTableMatchesMap(t *testing.T) {
 // keys up to the threshold keeps them all; one more wipes everything,
 // including the key that triggered the clear.
 func TestStoreTableClear(t *testing.T) {
-	table := NewStoreTable()
+	table := NewStoreTable(0)
 	for i := 0; i < storeTableClear; i++ {
 		table.Put(uint64(i), int64(i))
 	}
@@ -133,7 +166,7 @@ func BenchmarkStoreTable(b *testing.B) {
 	keys := benchKeys()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		table := NewStoreTable()
+		table := NewStoreTable(0)
 		var sink int64
 		for i, key := range keys {
 			if i&3 == 0 {

@@ -136,7 +136,7 @@ type gang struct {
 // and allocates all the run's state: the steady state allocates nothing.
 func newGang(src core.AnnotatedSource, cfgs []Config) *gang {
 	g := &gang{
-		win:     window{src: src, lastStore: core.NewStoreTable()},
+		win:     window{src: src},
 		pipes:   make([]pipeline, len(cfgs)),
 		results: make([]Result, len(cfgs)),
 		live:    len(cfgs),
@@ -155,6 +155,7 @@ func newGang(src core.AnnotatedSource, cfgs []Config) *gang {
 			g.win.limit = g.pipes[i].limit
 		}
 	}
+	g.win.lastStore = core.NewStoreTable(g.win.limit)
 	n := ringCap(blockInsts + maxFetch)
 	g.win.ops = make([]uop, n)
 	g.win.mask = int64(n) - 1
