@@ -31,16 +31,9 @@ func quietRun(rng *rand.Rand, n int) []annotate.Inst {
 	return insts
 }
 
-// stopKinds are the instructions a quiet stretch ends at.
-var stopKinds = []struct {
-	name string
-	inst annotate.Inst
-}{
-	{"dmiss", ld(3, 1, true)},
-	{"pmiss", pf(1, true)},
-	{"imiss", imiss(add(4, 4, 4))},
-	{"smiss", smiss(1, 2, 0x4000)},
-}
+// stopKinds are the instructions a quiet stretch ends at: a D-miss, a
+// prefetch miss, an I-miss and a store miss.
+var stopKinds = []annotate.Inst{ld(3, 1, true), pf(1, true), imiss(add(4, 4, 4)), smiss(1, 2, 0x4000)}
 
 // quietStream alternates short busy runs with quiet stretches longer than
 // two initial gang rings, each ended by the next stop kind in turn. It
@@ -48,7 +41,7 @@ var stopKinds = []struct {
 func quietStream(rng *rand.Rand) ([]annotate.Inst, []int64) {
 	var insts []annotate.Inst
 	var starts []int64
-	for k := range stopKinds {
+	for _, stop := range stopKinds {
 		busy := randomStream(rng, 200+rng.Intn(300), 0.1, 0.02, 0.05, 0.02)
 		for i := range busy {
 			if busy[i].Class == isa.Store {
@@ -58,7 +51,7 @@ func quietStream(rng *rand.Rand) ([]annotate.Inst, []int64) {
 		insts = append(insts, busy...)
 		starts = append(starts, int64(len(insts)))
 		insts = append(insts, quietRun(rng, 2*gangRingInsts+1+rng.Intn(4000))...)
-		insts = append(insts, stopKinds[k].inst)
+		insts = append(insts, stop)
 	}
 	sprinkleVP(rng, insts)
 	for i := range insts {

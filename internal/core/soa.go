@@ -560,7 +560,7 @@ func (e *soaEngine) satisfied(jj int64) bool {
 }
 
 // skipQuiet crosses a quiet stretch from an empty window at j, where
-// fetchEnd == retire == j < limit. With everything earlier retired, an
+// fetchEnd == retire == j. With everything earlier retired, an
 // instruction that does not go off chip finds its register, store and
 // same-class predecessors retired, passes every check (a serializing
 // drain included), executes this epoch and retires at once, leaving the
