@@ -44,8 +44,8 @@ type binder struct {
 	prevMemIdx, prevStoreIdx, prevBranchIdx int64
 }
 
-// newBinder returns a binder for a stream it binds at most bound
-// instructions of.
+// newBinder returns a binder that binds at most bound instructions (see
+// instLimit), so its store table holds at most that many stores.
 func newBinder(bound int64) *binder {
 	b := &binder{lastStore: NewStoreTable(bound)}
 	for i := range b.producers {
