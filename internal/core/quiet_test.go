@@ -200,42 +200,24 @@ func quietConfigs(firstStretch int64) []Config {
 	for _, ic := range []IssueConfig{ConfigA, ConfigB, ConfigC, ConfigD, ConfigE} {
 		cfgs = append(cfgs, Default().WithWindow(64).WithIssue(ic))
 	}
-	c := Default()
-	c.PerfectIFetch = true
-	cfgs = append(cfgs, c)
-	c = Default()
-	c.Runahead, c.MaxRunahead = true, 512
-	cfgs = append(cfgs, c)
-	c = Default()
-	c.Runahead, c.ValuePredict = true, true
-	cfgs = append(cfgs, c)
-	c = Default()
-	c.ValuePredict = true
-	cfgs = append(cfgs, c)
-	c = Default()
-	c.PerfectVP = true
-	cfgs = append(cfgs, c)
-	c = Default()
-	c.MSHRs = 2
-	cfgs = append(cfgs, c)
-	c = Default()
-	c.StoreBuffer = 1
-	cfgs = append(cfgs, c)
-	c = Default()
-	c.Disamb = DisambStoreSets
-	cfgs = append(cfgs, c)
-	c = Default()
-	c.Disamb = DisambConservative
-	cfgs = append(cfgs, c)
-	c = Default().WithWindow(16)
-	c.FetchBuffer = 32
-	cfgs = append(cfgs, c)
-	c = Default()
-	c.MaxInstructions = firstStretch + 4321
-	cfgs = append(cfgs, c)
-	c = Default()
-	c.Mode = InOrderStallOnUse
-	cfgs = append(cfgs, c)
+	for _, edit := range []func(*Config){
+		func(c *Config) { c.PerfectIFetch = true },
+		func(c *Config) { c.Runahead, c.MaxRunahead = true, 512 },
+		func(c *Config) { c.Runahead, c.ValuePredict = true, true },
+		func(c *Config) { c.ValuePredict = true },
+		func(c *Config) { c.PerfectVP = true },
+		func(c *Config) { c.MSHRs = 2 },
+		func(c *Config) { c.StoreBuffer = 1 },
+		func(c *Config) { c.Disamb = DisambStoreSets },
+		func(c *Config) { c.Disamb = DisambConservative },
+		func(c *Config) { *c = c.WithWindow(16); c.FetchBuffer = 32 },
+		func(c *Config) { c.MaxInstructions = firstStretch + 4321 },
+		func(c *Config) { c.Mode = InOrderStallOnUse },
+	} {
+		c := Default()
+		edit(&c)
+		cfgs = append(cfgs, c)
+	}
 	return cfgs
 }
 
