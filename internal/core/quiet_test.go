@@ -115,7 +115,9 @@ func TestRingNextStop(t *testing.T) {
 // TestSkipQuietStops checks where a skip from an empty window lands: at
 // the first stop, at MaxInstructions or at the end of the stream, with
 // the ring decoded no further than that, fetchEnd and retire together,
-// and no per-slot state written.
+// and no per-slot state written. A skip past the ring's head retires
+// what it crossed before decoding more, so the ring wraps instead of
+// growing.
 func TestSkipQuietStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const stretch = 2*gangRingInsts + 8
@@ -150,6 +152,9 @@ func TestSkipQuietStops(t *testing.T) {
 			}
 			if r.head != tc.wantHead || r.eof != tc.wantEOF {
 				t.Fatalf("ring decoded %d (eof %t), want %d (eof %t)", r.head, r.eof, tc.wantHead, tc.wantEOF)
+			}
+			if tc.predecode == 0 && len(r.lnk) != gangRingInsts {
+				t.Fatalf("ring grew to %d slots while its only engine skipped", len(r.lnk))
 			}
 			for s, v := range e.readyAt {
 				if v != notExecuted {
