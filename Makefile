@@ -87,8 +87,9 @@ bench-compare:
 	$(GO) run ./cmd/bench -scale default -out BENCH_$(BENCH_NEXT).json -compare BENCH_$(BENCH_LAST).json
 
 # profile writes CPU and heap profiles for the engine hot loop, the SoA
-# gang stepper at K=16 and the annotation pass, each with construction
-# off the clock, into profiles/. Inspect with e.g.
+# gang stepper at K=16, the annotation pass (each with construction off
+# the clock) and the cycle-simulator gang into profiles/. Inspect with
+# e.g.
 #   go tool pprof -http=:8080 profiles/gang-soa.cpu.prof   # flamegraph view
 profile:
 	mkdir -p profiles
@@ -98,6 +99,8 @@ profile:
 		-cpuprofile profiles/gang-soa.cpu.prof -memprofile profiles/gang-soa.mem.prof .
 	$(GO) test -run '^$$' -bench 'BenchmarkAnnotateStream$$' -benchtime 5s \
 		-cpuprofile profiles/annotate.cpu.prof -memprofile profiles/annotate.mem.prof .
+	$(GO) test -run '^$$' -bench 'BenchmarkCycleSimGang$$' -benchtime 5s \
+		-cpuprofile profiles/cyclesim.cpu.prof -memprofile profiles/cyclesim.mem.prof .
 	rm -f mlpsim.test
 
 fuzz:
@@ -111,6 +114,8 @@ fuzz:
 	# Each gang input runs several engines, so the default 60s minimization
 	# of a new input would take the whole run; 5s keeps the mutation going.
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGangMatchesEngine$$' -fuzztime 30s -fuzzminimizetime 5s
+	# The cycle-simulator timer against the stepping pipeline it replaces.
+	$(GO) test ./internal/cyclesim -run '^$$' -fuzz '^FuzzTimerMatchesStepper$$' -fuzztime 30s -fuzzminimizetime 5s
 
 # serve-smoke boots the real daemon binary on an ephemeral port, diffs
 # one exhibit's CSV against the plain CLI's output and asserts a clean

@@ -56,6 +56,9 @@ func TestReplayMatchesDirect(t *testing.T) {
 			}
 			r := s.Replay()
 			for i, wi := range want {
+				if left := r.Remaining(); left != int64(len(want)-i) {
+					t.Fatalf("before inst %d: %d remaining, want %d", i, left, len(want)-i)
+				}
 				gi, ok := r.Next()
 				if !ok {
 					t.Fatalf("replay ended early at %d", i)
@@ -64,8 +67,8 @@ func TestReplayMatchesDirect(t *testing.T) {
 					t.Fatalf("inst %d: replay %+v, want %+v", i, gi, wi)
 				}
 			}
-			if _, ok := r.Next(); ok {
-				t.Fatal("replay yielded extra instructions")
+			if _, ok := r.Next(); ok || r.Remaining() != 0 {
+				t.Fatalf("replay yielded extra instructions (%d remaining)", r.Remaining())
 			}
 		})
 	}

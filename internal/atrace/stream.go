@@ -381,6 +381,10 @@ func (s *Stream) Replay() *Replay { return &Replay{s: s} }
 // Source returns a fresh replay cursor as a Source.
 func (s *Stream) Source() Source { return s.Replay() }
 
+// Remaining returns how many instructions the replay has left to
+// decode. The engines size their store tables by it.
+func (r *Replay) Remaining() int64 { return r.s.n - r.i }
+
 // Next returns the next annotated instruction in the stream.
 func (r *Replay) Next() (annotate.Inst, bool) {
 	var out annotate.Inst

@@ -53,10 +53,20 @@ type gangRing struct {
 	engines []*soaEngine
 }
 
+// sizedSource is an optional source that knows how many instructions it
+// has left (atrace.Replay).
+type sizedSource interface {
+	Remaining() int64
+}
+
 // newGangRing builds a ring over src whose engines never read past
-// instruction bound (see instLimit), so its binder's store table is
-// sized to what it can bind.
+// instruction bound (see instLimit; <= 0 for none), so its binder's store
+// table is sized to what it can bind: no more than bound instructions,
+// nor more than a sized source has left.
 func newGangRing(src AnnotatedSource, capHint int, bound int64) *gangRing {
+	if s, ok := src.(sizedSource); ok && (bound <= 0 || s.Remaining() < bound) {
+		bound = max(1, s.Remaining())
+	}
 	n := pow2ceil(capHint)
 	if n < gangRingInsts {
 		n = gangRingInsts

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"mlpsim/internal/annotate"
 )
 
 // refStoreMap is the semantics oracle: the exact map-based last-store
@@ -176,5 +178,38 @@ func BenchmarkStoreTable(b *testing.B) {
 			}
 		}
 		_ = sink
+	}
+}
+
+// nextOnly hides a source's Remaining method.
+type nextOnly struct{ AnnotatedSource }
+
+// TestStoreTableSizedBySource: a gang or stepper over a source that knows
+// how many instructions it has left sizes its store table by that count,
+// even for a config without an instruction limit; over a source that
+// does not know, the limit alone sizes it.
+func TestStoreTableSizedBySource(t *testing.T) {
+	insts := make([]annotate.Inst, 200)
+	for _, tc := range []struct {
+		name  string
+		src   func() AnnotatedSource
+		limit int64
+		slots int
+	}{
+		{"sized", func() AnnotatedSource { return &aiSource{insts: insts} }, 0, 512},
+		{"sized, lower limit", func() AnnotatedSource { return &aiSource{insts: insts} }, 100, 256},
+		{"sized, empty", func() AnnotatedSource { return &aiSource{} }, 0, 2},
+		{"next-only", func() AnnotatedSource { return nextOnly{&aiSource{insts: insts}} }, 0, 2 * storeTableClear},
+		{"next-only, limit", func() AnnotatedSource { return nextOnly{&aiSource{insts: insts}} }, 100, 256},
+	} {
+		cfg := Default()
+		cfg.MaxInstructions = tc.limit
+		gang := NewGang(tc.src(), []Config{cfg, cfg.WithWindow(16)})
+		stepper := NewStepper(tc.src(), cfg)
+		for kind, ring := range map[string]*gangRing{"gang": gang.engines[0].ring, "stepper": stepper.e.ring} {
+			if n := len(ring.bind.lastStore.keys); n != tc.slots {
+				t.Errorf("%s %s: %d store-table slots, want %d", tc.name, kind, n, tc.slots)
+			}
+		}
 	}
 }

@@ -132,7 +132,7 @@ type Sim struct{ g *gang }
 // New builds a simulation over the annotated source. It panics on invalid
 // configurations.
 func New(src core.AnnotatedSource, cfg Config) *Sim {
-	return &Sim{g: newGang(src, []Config{cfg})}
+	return &Sim{g: newGang(src, []Config{cfg}, false)}
 }
 
 // Run simulates to completion and returns the result.
@@ -227,6 +227,7 @@ func (h *eventHeap) pop() int64 {
 type pipeline struct {
 	cfg   Config
 	limit int64 // MaxInstructions, or MaxInt64 for the whole stream
+	slot  int   // the gang's result index
 
 	cycle int64
 	ops   []uop // power-of-two ring ≥ ROB + FetchBuffer + 1
@@ -256,27 +257,31 @@ type pipeline struct {
 	accesses    uint64
 }
 
-func newPipeline(cfg Config) pipeline {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+// newPipeline builds the machine state of a validated config.
+func newPipeline(cfg Config, slot int) pipeline {
 	// The ROB holds at most ROB entries and the fetch queue at most
 	// FetchBuffer (the normal fetch gate, which an arriving I-line also
 	// respects: its instruction was taken while the queue had room and
 	// nothing else entered since), plus the one pending instruction.
 	n := ringCap(cfg.ROB + cfg.FetchBuffer + 1)
-	p := pipeline{
+	return pipeline{
 		cfg:         cfg,
-		limit:       cfg.MaxInstructions,
+		limit:       instLimit(cfg),
+		slot:        slot,
 		ops:         make([]uop, n),
 		mask:        int64(n) - 1,
 		waiting:     make([]int64, 0, cfg.IssueWindow),
 		awaitBranch: -1,
 	}
-	if p.limit == 0 {
-		p.limit = math.MaxInt64
+}
+
+// instLimit returns cfg.MaxInstructions, or MaxInt64 when the run takes
+// the whole stream.
+func instLimit(cfg Config) int64 {
+	if cfg.MaxInstructions > 0 {
+		return cfg.MaxInstructions
 	}
-	return p
+	return math.MaxInt64
 }
 
 // ringCap returns the smallest power of two ≥ n.
@@ -322,15 +327,22 @@ func (p *pipeline) advance(w *window) bool {
 }
 
 func (p *pipeline) result() Result {
+	return newResult(p.cfg, p.retired, p.cycle, p.mlpSum, p.mlpCycles, p.accesses)
+}
+
+// newResult assembles a run's Result from its counts. mlpSum is the sum
+// over cycles of the useful off-chip accesses outstanding, mlpCycles the
+// number of cycles with at least one.
+func newResult(cfg Config, insts, cycles, mlpSum, mlpCycles int64, accesses uint64) Result {
 	res := Result{
-		Config:       p.cfg,
-		Instructions: p.retired,
-		Cycles:       p.cycle,
-		MLPCycles:    p.mlpCycles,
-		Accesses:     p.accesses,
+		Config:       cfg,
+		Instructions: insts,
+		Cycles:       cycles,
+		MLPCycles:    mlpCycles,
+		Accesses:     accesses,
 	}
-	if p.mlpCycles > 0 {
-		res.MLP = float64(p.mlpSum) / float64(p.mlpCycles)
+	if mlpCycles > 0 {
+		res.MLP = float64(mlpSum) / float64(mlpCycles)
 	}
 	return res
 }

@@ -15,6 +15,9 @@ type aiSource struct {
 	pos   int
 }
 
+// Remaining sizes the engines' store tables, as atrace.Replay's does.
+func (s *aiSource) Remaining() int64 { return int64(len(s.insts) - s.pos) }
+
 func (s *aiSource) Next() (annotate.Inst, bool) {
 	if s.pos >= len(s.insts) {
 		return annotate.Inst{}, false

@@ -124,9 +124,18 @@ func (w *window) bind(in *annotate.Inst) uop {
 	return u
 }
 
-// gang steps one pipeline per config over one decode of a stream.
+// sizedSource is a source that knows how many instructions it has left
+// (atrace.Replay): the window never binds more stores than that.
+type sizedSource interface {
+	Remaining() int64
+}
+
+// gang runs one member per config over one decode of a stream: a timer
+// for each config with unlimited MSHRs, a stepping pipeline for each
+// config with a finite MSHR file.
 type gang struct {
 	win     window
+	timers  []timer
 	pipes   []pipeline
 	results []Result
 	live    int
@@ -134,10 +143,12 @@ type gang struct {
 
 // newGang validates every config (panicking on an invalid one, like New)
 // and allocates all the run's state: the steady state allocates nothing.
-func newGang(src core.AnnotatedSource, cfgs []Config) *gang {
+// stepAll puts every config on the stepping pipeline, the timers' oracle.
+func newGang(src core.AnnotatedSource, cfgs []Config, stepAll bool) *gang {
 	g := &gang{
 		win:     window{src: src},
-		pipes:   make([]pipeline, len(cfgs)),
+		timers:  make([]timer, 0, len(cfgs)),
+		pipes:   make([]pipeline, 0, len(cfgs)),
 		results: make([]Result, len(cfgs)),
 		live:    len(cfgs),
 	}
@@ -147,34 +158,49 @@ func newGang(src core.AnnotatedSource, cfgs []Config) *gang {
 	}
 	maxFetch := 0
 	for i, cfg := range cfgs {
-		g.pipes[i] = newPipeline(cfg)
-		if cfg.FetchWidth > maxFetch {
-			maxFetch = cfg.FetchWidth
+		if err := cfg.Validate(); err != nil {
+			panic(err)
 		}
-		if g.pipes[i].limit > g.win.limit {
-			g.win.limit = g.pipes[i].limit
+		if cfg.MSHRs > 0 || stepAll {
+			g.pipes = append(g.pipes, newPipeline(cfg, i))
+		} else {
+			g.timers = append(g.timers, newTimer(cfg, i))
 		}
+		maxFetch = max(maxFetch, cfg.FetchWidth)
+		g.win.limit = max(g.win.limit, instLimit(cfg))
 	}
-	g.win.lastStore = core.NewStoreTable(g.win.limit)
+	bound := g.win.limit
+	if s, ok := src.(sizedSource); ok && s.Remaining() < bound {
+		bound = max(1, s.Remaining())
+	}
+	g.win.lastStore = core.NewStoreTable(bound)
 	n := ringCap(blockInsts + maxFetch)
 	g.win.ops = make([]uop, n)
 	g.win.mask = int64(n) - 1
 	return g
 }
 
-// run steps every pipeline to completion and returns the results in
-// config order. Each round decodes one block and then advances every
-// live pipeline until it finishes or pauses at the block's end, so the
-// pipelines trail the decoder by less than one fetch group and never
-// share mutable state.
+// run runs every member to completion and returns the results in config
+// order. Each round decodes one block; every live timer then times the
+// whole block, and every live pipeline steps until it finishes or pauses
+// at the block's end, trailing the decoder by less than one fetch group.
+// Members never share mutable state.
 func (g *gang) run() []Result {
 	for g.live > 0 {
 		g.win.decode()
+		for i := range g.timers {
+			t := &g.timers[i]
+			if !t.done && t.advance(&g.win) {
+				t.done = true
+				g.results[t.slot] = t.result()
+				g.live--
+			}
+		}
 		for i := range g.pipes {
 			p := &g.pipes[i]
 			if !p.done && p.advance(&g.win) {
 				p.done = true
-				g.results[i] = p.result()
+				g.results[p.slot] = p.result()
 				g.live--
 			}
 		}
@@ -188,5 +214,5 @@ func (g *gang) run() []Result {
 // Configs may differ in every field, MaxInstructions included. It panics
 // on an invalid config.
 func RunGang(src core.AnnotatedSource, cfgs []Config) []Result {
-	return newGang(src, cfgs).run()
+	return newGang(src, cfgs, false).run()
 }

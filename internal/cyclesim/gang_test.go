@@ -2,6 +2,7 @@ package cyclesim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mlpsim/internal/annotate"
@@ -107,5 +108,28 @@ func TestRunGangReadsNoFurtherThanSolo(t *testing.T) {
 	RunGang(src, cfgs)
 	if src.pos != 4321 {
 		t.Fatalf("gang read %d instructions, want 4321", src.pos)
+	}
+}
+
+// nextOnly hides a source's Remaining method.
+type nextOnly struct{ core.AnnotatedSource }
+
+// TestGangSizesStoreTableBySource: over a source that knows how many
+// instructions it has left, a gang's store table is sized by that count
+// even when no config bounds the run; over a Next-only source it is the
+// full 2 MiB table.
+func TestGangSizesStoreTableBySource(t *testing.T) {
+	insts := alu(200)
+	allocated := func(src core.AnnotatedSource) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		newGang(src, []Config{Default(500)}, false)
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	sized, full := allocated(&aiSource{insts: insts}), allocated(nextOnly{&aiSource{insts: insts}})
+	if sized > 256<<10 || full < 2<<20 {
+		t.Fatalf("a gang over 200 instructions allocated %d bytes from a sized source, %d from a Next-only one; want under 256 KiB and at least 2 MiB",
+			sized, full)
 	}
 }
