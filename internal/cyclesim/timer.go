@@ -34,12 +34,12 @@ type timer struct {
 	// latest branch issue.
 	serialIssue, memIssue, storeAddr, branchIssue int64
 
-	// cal counts the issues in each live cycle: slot c&calMask holds the
-	// count of cycle c for every c from calLo on that it spans. Cycles
-	// before the latest dispatch are dead, as every younger instruction
-	// issues after its own dispatch; place clears their slots for reuse,
-	// a calChunk-aligned chunk at a time, and grows the calendar when the
-	// live cycles outgrow it.
+	// cal counts issues per cycle: slot c&calMask holds the count of cycle
+	// c for every c in [calLo, calLo+len(cal)). Every younger instruction
+	// issues after its own dispatch, so cycles up to the latest dispatch
+	// are dead: place clears their slots calChunk cycles at a time (calLo
+	// stays a multiple of calChunk) and grows the calendar when the live
+	// cycles outgrow it.
 	cal      []uint32
 	calMask  int64
 	calLo    int64
@@ -61,6 +61,9 @@ type timer struct {
 
 // calChunk is how many dead calendar cycles place clears at once.
 const calChunk = 64
+
+// never is a cycle no run reaches.
+const never = 1 << 62
 
 // times are one instruction's cycles. An instruction fetched in cycle f
 // is enqueued in f (or when its off-chip I-line arrives), dispatched at
@@ -231,7 +234,7 @@ func (t *timer) time(w *window, stop int64) {
 	t.front = front
 	t.serialIssue, t.memIssue, t.storeAddr, t.branchIssue = serialIssue, memIssue, storeAddr, branchIssue
 	// No later access starts before the front end's next fetch.
-	t.sweep(front, 1<<62)
+	t.sweep(front, never)
 }
 
 // place returns the first cycle at or after ready in which fewer than
@@ -239,7 +242,6 @@ func (t *timer) time(w *window, stop int64) {
 func (t *timer) place(ready, disp int64) int64 {
 	cal, m := t.cal, t.calMask
 	if lo := (disp + 1) &^ (calChunk - 1); lo > t.calLo {
-		// Clear the dead cycles a chunk at a time.
 		if a, b := t.calLo&m, lo&m; lo-t.calLo > m {
 			clear(cal)
 		} else if a < b {
@@ -300,12 +302,12 @@ func (t *timer) result() Result {
 	eos := max(t.front, at[(n-int64(c.FetchWidth))&t.mask].fetch+1, at[(n-int64(c.FetchBuffer))&t.mask].dispatch)
 	cycles := at[(n-1)&t.mask].retire
 	if cycles < eos {
-		t.sweep(eos, 1<<62)
+		t.sweep(eos, never)
 		cycles = eos
 		if t.starts.len() > 0 {
 			cycles = t.starts.min() + int64(c.MissPenalty) - 1
 		}
 	}
-	t.sweep(1<<62, cycles+1)
+	t.sweep(never, cycles+1)
 	return newResult(t.cfg, n, cycles, t.mlpSum, t.mlpCycles, t.accesses)
 }
