@@ -74,9 +74,14 @@ type times struct{ fetch, dispatch, done, retire int64 }
 // newTimer builds the timing state of a validated config.
 func newTimer(cfg Config, slot int) timer {
 	n := ringCap(max(cfg.ROB, cfg.FetchBuffer, cfg.FetchWidth, cfg.DispatchWidth, cfg.RetireWidth) + 1)
-	// Live cycles span a few dependent latencies past the latest dispatch;
+	// Live cycles reach a few dependent latencies past the latest
+	// dispatch: up to about 8 off-chip latencies on the paper workloads.
 	// place grows the calendar when they outgrow it.
-	calN := ringCap(max(2*cfg.MissPenalty, 2*cfg.L2Latency, 2*calChunk))
+	lat := max(cfg.MissPenalty, cfg.L2Latency)
+	if cfg.PerfectL2 {
+		lat = cfg.L2Latency
+	}
+	calN := ringCap(max(8*lat, 2*calChunk))
 	t := timer{
 		cfg:     cfg,
 		limit:   instLimit(cfg),
