@@ -160,6 +160,35 @@ func FuzzTimerMatchesStepper(f *testing.F) {
 	})
 }
 
+// TestTimerCalendarGrows: a chain of 12 dependent missing loads pushes
+// issue past the 8 latencies the issue calendar is first sized for, so
+// the timer grows it at the 12th link and must carry the live counts
+// over. With one issue slot per cycle, a consumer of the 10th link's
+// result then wants the cycle the 11th link took before the growth, and
+// a chain of 10 misses behind it ends the run, so the cycle count
+// depends on that slot.
+func TestTimerCalendarGrows(t *testing.T) {
+	var insts []annotate.Inst
+	for k := isa.Reg(1); k <= 12; k++ {
+		insts = append(insts, ld(k+1, k, true))
+	}
+	insts = append(insts, add(24, 11, 11))
+	for range 10 {
+		insts = append(insts, ld(24, 24, true))
+	}
+	cfg := Default(200)
+	cfg.IssueWidth = 1
+	g := newGang(&aiSource{insts: insts}, []Config{cfg}, false)
+	initial := len(g.timers[0].cal)
+	if res := g.run()[0]; res.Cycles != 4005 {
+		t.Errorf("%d cycles, want 4005: the consumer issues a cycle after the 11th link", res.Cycles)
+	}
+	if n := len(g.timers[0].cal); n <= initial {
+		t.Errorf("calendar stayed at %d cycles over a 12-miss chain", n)
+	}
+	checkTimer(t, insts, cfg)
+}
+
 // TestGangRunsUnlimitedMSHRsOnTimer guards the fast path: a config with
 // unlimited MSHRs runs on a timer, one with a finite MSHR file on the
 // stepping pipeline, and the test hook puts both on the pipeline.
