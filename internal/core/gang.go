@@ -53,27 +53,17 @@ type gangRing struct {
 	engines []*soaEngine
 }
 
-// sizedSource is an optional source that knows how many instructions it
-// has left (atrace.Replay).
-type sizedSource interface {
-	Remaining() int64
-}
-
 // newGangRing builds a ring over src whose engines never read past
-// instruction bound (see instLimit; <= 0 for none), so its binder's store
-// table is sized to what it can bind: no more than bound instructions,
-// nor more than a sized source has left.
+// instruction bound (see instLimit), so its binder's store table is
+// sized to what it can bind (see storeBound).
 func newGangRing(src AnnotatedSource, capHint int, bound int64) *gangRing {
-	if s, ok := src.(sizedSource); ok && (bound <= 0 || s.Remaining() < bound) {
-		bound = max(1, s.Remaining())
-	}
 	n := pow2ceil(capHint)
 	if n < gangRingInsts {
 		n = gangRingInsts
 	}
 	r := &gangRing{
 		src:  src,
-		bind: newBinder(bound),
+		bind: newBinder(storeBound(src, bound)),
 		meta: make([]metaWord, n),
 		lnk:  make([]links, n),
 		stop: make([]uint64, n/64),

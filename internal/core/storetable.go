@@ -102,3 +102,19 @@ func (t *StoreTable) clear() {
 
 // Len returns the number of distinct keys held.
 func (t *StoreTable) Len() int { return t.used }
+
+// sizedSource is an optional source that knows how many instructions it
+// has left (atrace.Replay).
+type sizedSource interface {
+	Remaining() int64
+}
+
+// storeBound caps the store-table bound of a binder over src that binds
+// at most bound instructions (<= 0 for no limit) at what a sized source
+// has left.
+func storeBound(src AnnotatedSource, bound int64) int64 {
+	if s, ok := src.(sizedSource); ok && (bound <= 0 || s.Remaining() < bound) {
+		return max(1, s.Remaining())
+	}
+	return bound
+}
