@@ -3,6 +3,7 @@ package atrace
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"mlpsim/internal/isa"
 	"mlpsim/internal/mem"
 	"mlpsim/internal/prefetch"
+	"mlpsim/internal/storeset"
 	"mlpsim/internal/vpred"
 	"mlpsim/internal/workload"
 )
@@ -54,10 +56,26 @@ func TestReplayMatchesDirect(t *testing.T) {
 			if got := s.Stats(); got != wantStats {
 				t.Errorf("stream stats %+v, want %+v", got, wantStats)
 			}
+			// stores[i] counts the memory writes in want[i:].
+			stores := make([]int64, len(want)+1)
+			for i := len(want) - 1; i >= 0; i-- {
+				stores[i] = stores[i+1]
+				if want[i].Class.IsMemWrite() {
+					stores[i]++
+				}
+			}
 			r := s.Replay()
 			for i, wi := range want {
-				if left := r.Remaining(); left != int64(len(want)-i) {
-					t.Fatalf("before inst %d: %d remaining, want %d", i, left, len(want)-i)
+				// A capped count stops at its cap; an uncapped one (checked
+				// every 4096 instructions, since it scans the rest of the
+				// stream) counts every store left.
+				if left := r.StoresLeft(8); left != min(stores[i], 8) {
+					t.Fatalf("before inst %d: StoresLeft(8) = %d, want %d", i, left, min(stores[i], 8))
+				}
+				if i%4096 == 0 {
+					if left := r.StoresLeft(math.MaxInt64); left != stores[i] {
+						t.Fatalf("before inst %d: %d stores left, want %d", i, left, stores[i])
+					}
 				}
 				gi, ok := r.Next()
 				if !ok {
@@ -67,10 +85,92 @@ func TestReplayMatchesDirect(t *testing.T) {
 					t.Fatalf("inst %d: replay %+v, want %+v", i, gi, wi)
 				}
 			}
-			if _, ok := r.Next(); ok || r.Remaining() != 0 {
-				t.Fatalf("replay yielded extra instructions (%d remaining)", r.Remaining())
+			if _, ok := r.Next(); ok || r.StoresLeft(math.MaxInt64) != 0 {
+				t.Fatalf("replay yielded extra instructions (%d stores left)", r.StoresLeft(math.MaxInt64))
 			}
 		})
+	}
+}
+
+// engineFields projects an instruction onto what NextEngine decodes:
+// every field the engines read, EA only for a memory instruction.
+func engineFields(in *annotate.Inst) annotate.Inst {
+	out := annotate.Inst{
+		Inst:      isa.Inst{Class: in.Class, Src1: in.Src1, Src2: in.Src2, Dst: in.Dst},
+		DMiss:     in.DMiss,
+		PMiss:     in.PMiss,
+		IMiss:     in.IMiss,
+		SMiss:     in.SMiss,
+		Mispred:   in.Mispred,
+		VPOutcome: in.VPOutcome,
+		Dep:       in.Dep,
+	}
+	if in.Class.IsMem() {
+		out.EA = in.EA
+	}
+	return out
+}
+
+// drainBoth drains one replay of s through NextInto and another through
+// NextEngine in lock step, failing on the first instruction whose engine
+// fields differ or whose other fields NextEngine touched. It returns the
+// number of instructions both decoded.
+func drainBoth(t testing.TB, s *Stream) int64 {
+	t.Helper()
+	full, narrow := s.Replay(), s.Replay()
+	var fi annotate.Inst
+	// ni's fields outside the engine set keep these sentinels throughout,
+	// and a non-memory instruction leaves EA as the previous one set it.
+	ni := annotate.Inst{Inst: isa.Inst{PC: 0xdead, Taken: true, Target: 0xbeef, Value: 7},
+		Index: -5, Line: 11, ILine: 13}
+	var n int64
+	for {
+		fok, nok := full.NextInto(&fi), narrow.NextEngine(&ni)
+		if fok != nok {
+			t.Fatalf("inst %d: NextInto ok %t, NextEngine ok %t", n, fok, nok)
+		}
+		if !fok {
+			return n
+		}
+		if got, want := engineFields(&ni), engineFields(&fi); got != want {
+			t.Fatalf("inst %d: NextEngine decoded %+v, NextInto %+v", n, got, want)
+		}
+		if ni.PC != 0xdead || !ni.Taken || ni.Target != 0xbeef || ni.Value != 7 ||
+			ni.Index != -5 || ni.Line != 11 || ni.ILine != 13 {
+			t.Fatalf("inst %d: NextEngine wrote a field outside the engine set: %+v", n, ni)
+		}
+		n++
+	}
+}
+
+// TestNextEngineMatchesNextInto: the engines' narrow decode yields the
+// full decode's engine fields, instruction by instruction, on every
+// preset's captured stream, plain and with value and store-set
+// prediction outcomes, and writes no other field.
+func TestNextEngineMatchesNextInto(t *testing.T) {
+	for _, w := range workload.Presets(7) {
+		for _, pred := range []bool{false, true} {
+			acfg := annotate.Config{}
+			if pred {
+				acfg = annotate.Config{Value: vpred.NewLastValue(vpred.DefaultEntries),
+					StoreSets: storeset.New(storeset.DefaultConfig())}
+			}
+			s := captureStream(t, w, acfg)
+			if n := drainBoth(t, s); n != s.Len() {
+				t.Fatalf("%s (predictors %t): decoded %d of %d instructions", w.Name, pred, n, s.Len())
+			}
+			if !pred {
+				continue
+			}
+			var vpSeen, depSeen bool
+			for r, in := s.Replay(), (annotate.Inst{}); r.NextInto(&in); {
+				vpSeen = vpSeen || in.VPOutcome != vpred.NoPredict
+				depSeen = depSeen || in.Dep != storeset.DepNone
+			}
+			if !vpSeen || !depSeen {
+				t.Errorf("%s: value-prediction outcomes seen %t, store-set outcomes %t; coverage too weak", w.Name, vpSeen, depSeen)
+			}
+		}
 	}
 }
 

@@ -102,8 +102,9 @@ func overlongVarint(valid []byte) []byte {
 // loadSpillBytes publishes data as a key's one spill in the empty
 // directory dir and loads it through the disk cache. The contract: never
 // panic; either the spill opens and replays every instruction it
-// promises, or the load fails with ErrCorruptSpill and the file is
-// quarantined (moved aside) so the key rebuilds. It reports whether the
+// promises, through the full decode and through the engines' narrow one
+// with the same engine fields, or the load fails with ErrCorruptSpill
+// and the file is quarantined (moved aside) so the key rebuilds. It reports whether the
 // spill opened, and leaves dir empty again: one directory serves every
 // input, which saves the fuzzer a directory per run.
 func loadSpillBytes(t *testing.T, dir string, data []byte) bool {
@@ -135,6 +136,9 @@ func loadSpillBytes(t *testing.T, dir string, data []byte) bool {
 		}
 		if n != tr.Len() {
 			t.Fatalf("opened spill replays %d instructions, promises %d", n, tr.Len())
+		}
+		if n := drainBoth(t, tr); n != tr.Len() {
+			t.Fatalf("opened spill replays %d instructions through NextEngine, promises %d", n, tr.Len())
 		}
 		return true
 	}

@@ -29,9 +29,9 @@ func packVPODep(vpo vpred.Outcome, dep storeset.Outcome) uint8 {
 }
 
 // Source is a sequential cursor over an annotated instruction window.
-// NextInto is the zero-copy variant the engines' fetch paths detect and
-// prefer; both methods yield the exact annotate.Inst values the annotator
-// emitted.
+// NextInto is the zero-copy variant of Next; both methods yield the exact
+// annotate.Inst values the annotator emitted. (The engines' fetch paths
+// prefer Replay's narrower NextEngine.)
 type Source interface {
 	Next() (annotate.Inst, bool)
 	NextInto(*annotate.Inst) bool
@@ -381,9 +381,20 @@ func (s *Stream) Replay() *Replay { return &Replay{s: s} }
 // Source returns a fresh replay cursor as a Source.
 func (s *Stream) Source() Source { return s.Replay() }
 
-// Remaining returns how many instructions the replay has left to
-// decode. The engines size their store tables by it.
-func (r *Replay) Remaining() int64 { return r.s.n - r.i }
+// StoresLeft counts the memory writes among the instructions the replay
+// has left to decode, stopping at max: it scans the class column until
+// the count reaches max. The engines size their store tables by it.
+func (r *Replay) StoresLeft(max int64) int64 {
+	var n int64
+	for _, c := range r.s.class[r.i:] {
+		if isa.Class(c).IsMemWrite() {
+			if n++; n >= max {
+				break
+			}
+		}
+	}
+	return n
+}
 
 // Next returns the next annotated instruction in the stream.
 func (r *Replay) Next() (annotate.Inst, bool) {
@@ -393,8 +404,7 @@ func (r *Replay) Next() (annotate.Inst, bool) {
 }
 
 // NextInto decodes the next instruction directly into *dst, avoiding the
-// by-value copies of Next. It overwrites every field of *dst. The engines
-// detect this method and use it on their fetch path.
+// by-value copies of Next. It overwrites every field of *dst.
 func (r *Replay) NextInto(dst *annotate.Inst) bool {
 	s := r.s
 	if r.i >= s.n {
@@ -441,6 +451,43 @@ func (r *Replay) NextInto(dst *annotate.Inst) bool {
 		v, n := uvarint(s.val[r.valOff:])
 		r.valOff += n
 		out.Value = v
+	}
+	return true
+}
+
+// NextEngine is the engines' narrow decode: it fills only the fields
+// they read — Class, the registers, VPOutcome, Dep, the five event flags
+// and, for a memory instruction, EA — and leaves every other field of
+// *dst as it was. It never reads the pc, tgt or val columns, which hold
+// most of a stream's varints. A replay is drained by one decode or the
+// other: NextEngine does not advance the columns it skips, so a later
+// NextInto on the same replay would decode wrong PCs, targets and values.
+func (r *Replay) NextEngine(dst *annotate.Inst) bool {
+	s := r.s
+	i := r.i
+	if i >= s.n {
+		return false
+	}
+	r.i++
+	cls := isa.Class(s.class[i])
+	dst.Class = cls
+	dst.Src1 = isa.Reg(s.src1[i])
+	dst.Src2 = isa.Reg(s.src2[i])
+	dst.Dst = isa.Reg(s.dst[i])
+	vpo := s.vpo[i]
+	dst.VPOutcome = vpred.Outcome(vpo & 0x0F)
+	dst.Dep = storeset.Outcome(vpo >> 4)
+	w, b := i>>6, uint64(1)<<uint(i&63)
+	dst.DMiss = s.dmiss[w]&b != 0
+	dst.PMiss = s.pmiss[w]&b != 0
+	dst.IMiss = s.imiss[w]&b != 0
+	dst.SMiss = s.smiss[w]&b != 0
+	dst.Mispred = s.mispred[w]&b != 0
+	if cls.IsMem() {
+		d, n := uvarint(s.ea[r.eaOff:])
+		r.eaOff += n
+		r.prevEA = uint64(int64(r.prevEA) + unzigzag(d))
+		dst.EA = r.prevEA
 	}
 	return true
 }

@@ -12,42 +12,56 @@ type AnnotatedSource interface {
 	Next() (annotate.Inst, bool)
 }
 
-// inPlaceSource is an optional fast path: sources that can decode
-// directly into a caller-provided Inst (e.g. atrace.Replay) skip the
-// by-value copies of Next. annotate.Inst is large enough that routing it
-// through return values is measurable on the decode path.
-type inPlaceSource interface {
-	NextInto(*annotate.Inst) bool
+// engineSource is the engines' fast path: a source that decodes just
+// the fields the engines read straight into a caller's Inst
+// (atrace.Replay's NextEngine) skips the by-value copies of Next and
+// every column no engine reads.
+type engineSource interface {
+	NextEngine(*annotate.Inst) bool
 }
 
-// links are one instruction's dependence edges, bound in program order.
+// Links are one instruction's dependence edges, bound in program order.
 // They depend only on the instruction stream, never on the engine
 // configuration.
-type links struct {
-	// prod1, prod2 are the register producers (renaming).
-	prod1, prod2 int64
-	// memProd is the most recent earlier store to the same address.
-	memProd int64
-	// prevMem / prevStore / prevBranch chain same-class predecessors for
+type Links struct {
+	// Prod1, Prod2 are the register producers (renaming).
+	Prod1, Prod2 int64
+	// MemProd is the most recent earlier store to the same address.
+	MemProd int64
+	// PrevMem / PrevStore / PrevBranch chain same-class predecessors for
 	// the issue-ordering policies.
-	prevMem, prevStore, prevBranch int64
+	PrevMem, PrevStore, PrevBranch int64
 }
 
-// binder computes dependence links in program order: register renaming
-// via the producers table, store forwarding via the bounded StoreTable,
-// and the same-class predecessor chains. One binder serves a whole gang —
-// binding at decode time is equivalent to binding at window entry
-// because instructions enter every window in decode order.
-type binder struct {
+// Binder decodes a source in program order and binds each instruction's
+// dependence links: register renaming via the producers table, store
+// forwarding via the bounded StoreTable, and the same-class predecessor
+// chains. Every link is an absolute stream index, -1 for none. It is
+// both simulators' one front end — one Binder serves a whole epoch-model
+// gang and a whole cycle-simulator gang — so the two bind every
+// instruction identically by construction. Binding at decode time is
+// equivalent to binding at window entry because instructions enter every
+// window in decode order.
+type Binder struct {
+	src  AnnotatedSource
+	fast engineSource
+	// in is the decode target; it lives on the Binder so the pointer
+	// handed to the source does not escape per instruction.
+	in annotate.Inst
+	// j is the index of the next instruction to bind.
+	j int64
+
 	producers                               [isa.NumRegs]int64
 	lastStore                               *StoreTable
 	prevMemIdx, prevStoreIdx, prevBranchIdx int64
 }
 
-// newBinder returns a binder that binds at most bound instructions (see
-// instLimit), so its store table holds at most that many stores.
-func newBinder(bound int64) *binder {
-	b := &binder{lastStore: NewStoreTable(bound)}
+// NewBinder returns a binder over src for callers that bind at most
+// bound instructions (<= 0 for no limit); its store table is sized by
+// the stores those can hold (see storeBound).
+func NewBinder(src AnnotatedSource, bound int64) *Binder {
+	b := &Binder{src: src, lastStore: NewStoreTable(storeBound(src, bound))}
+	b.fast, _ = src.(engineSource)
 	for i := range b.producers {
 		b.producers[i] = -1
 	}
@@ -55,29 +69,52 @@ func newBinder(bound int64) *binder {
 	return b
 }
 
-// bind fills in instruction j's links and updates the binding state.
-func (b *binder) bind(ai *annotate.Inst, j int64, ln *links) {
-	ln.prod1, ln.prod2, ln.memProd = -1, -1, -1
-	ln.prevMem, ln.prevStore, ln.prevBranch = -1, -1, -1
+// Next decodes the next instruction and binds its links into *ln. The
+// instruction it returns is valid until the next call, and only the
+// fields the engines read are meaningful (see engineSource). ok is false
+// once the source ends.
+func (b *Binder) Next(ln *Links) (in *annotate.Inst, ok bool) {
+	in = &b.in
+	if b.fast != nil {
+		ok = b.fast.NextEngine(in)
+	} else {
+		var ai annotate.Inst
+		if ai, ok = b.src.Next(); ok {
+			*in = ai
+		}
+	}
+	if ok {
+		b.bind(in, ln)
+	}
+	return in, ok
+}
+
+// bind fills in the next instruction's links and updates the binding
+// state.
+func (b *Binder) bind(ai *annotate.Inst, ln *Links) {
+	j := b.j
+	b.j++
+	ln.Prod1, ln.Prod2, ln.MemProd = -1, -1, -1
+	ln.PrevMem, ln.PrevStore, ln.PrevBranch = -1, -1, -1
 
 	if ai.Src1 != isa.NoReg && ai.Src1 != isa.RegZero {
-		ln.prod1 = b.producers[ai.Src1]
+		ln.Prod1 = b.producers[ai.Src1]
 	}
 	if ai.Src2 != isa.NoReg && ai.Src2 != isa.RegZero {
-		ln.prod2 = b.producers[ai.Src2]
+		ln.Prod2 = b.producers[ai.Src2]
 	}
 	cls := ai.Class
 	if cls.IsMemRead() && cls != isa.Prefetch {
 		if p, ok := b.lastStore.Get(ai.EA >> 3); ok {
-			ln.memProd = p
+			ln.MemProd = p
 		}
 	}
 	if cls == isa.Load || cls == isa.Store || cls == isa.CASA || cls == isa.LDSTUB {
-		ln.prevMem = b.prevMemIdx
+		ln.PrevMem = b.prevMemIdx
 		b.prevMemIdx = j
 		// Loads carry the link too: non-oracle disambiguation serializes a
 		// predicted-dependent load behind the last fetched store.
-		ln.prevStore = b.prevStoreIdx
+		ln.PrevStore = b.prevStoreIdx
 	}
 	if cls.IsMemWrite() {
 		b.prevStoreIdx = j
@@ -85,7 +122,7 @@ func (b *binder) bind(ai *annotate.Inst, j int64, ln *links) {
 		b.lastStore.Put(ai.EA>>3, j)
 	}
 	if cls == isa.Branch {
-		ln.prevBranch = b.prevBranchIdx
+		ln.PrevBranch = b.prevBranchIdx
 		b.prevBranchIdx = j
 	}
 	if ai.HasDst() {

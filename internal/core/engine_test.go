@@ -16,8 +16,16 @@ type aiSource struct {
 	pos   int
 }
 
-// Remaining sizes the engines' store tables, as atrace.Replay's does.
-func (s *aiSource) Remaining() int64 { return int64(len(s.insts) - s.pos) }
+// StoresLeft sizes the engines' store tables, as atrace.Replay's does.
+func (s *aiSource) StoresLeft(max int64) int64 {
+	var n int64
+	for i := s.pos; i < len(s.insts) && n < max; i++ {
+		if s.insts[i].Class.IsMemWrite() {
+			n++
+		}
+	}
+	return n
+}
 
 func (s *aiSource) Next() (annotate.Inst, bool) {
 	if s.pos >= len(s.insts) {

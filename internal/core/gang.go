@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"mlpsim/internal/annotate"
-)
+import "math/bits"
 
 // gangRingInsts is the initial broadcast-ring capacity (instructions).
 // The scheduler always steps the engine furthest behind, which keeps the
@@ -14,9 +10,10 @@ import (
 // outruns it.
 const gangRingInsts = 4096
 
-// gangRing decodes the annotated stream exactly once — one NextInto per
-// dynamic instruction — and binds each instruction's dependence links
-// exactly once, broadcasting both to every engine in the gang. The ring
+// gangRing decodes the annotated stream exactly once and binds each
+// instruction's dependence links exactly once — one Binder.Next per
+// dynamic instruction — broadcasting both to every engine in the gang.
+// The ring
 // is stored as parallel columns, keyed by absolute instruction index:
 //
 //	meta — the packed metaWord (flags + class predicates)
@@ -30,15 +27,11 @@ const gangRingInsts = 4096
 // the ring skip their own binder and StoreTable entirely, and never see
 // the wide decoded annotate.Inst.
 type gangRing struct {
-	src     AnnotatedSource
-	srcInto inPlaceSource
-	bind    *binder
+	bind *Binder
 
 	meta []metaWord
-	lnk  []links
+	lnk  []Links
 	stop []uint64
-	// scratch is the decode target.
-	scratch annotate.Inst
 
 	mask int64
 	// head is the absolute count of decoded instructions; the ring holds
@@ -61,16 +54,13 @@ func newGangRing(src AnnotatedSource, capHint int, bound int64) *gangRing {
 	if n < gangRingInsts {
 		n = gangRingInsts
 	}
-	r := &gangRing{
-		src:  src,
-		bind: newBinder(storeBound(src, bound)),
+	return &gangRing{
+		bind: NewBinder(src, bound),
 		meta: make([]metaWord, n),
-		lnk:  make([]links, n),
+		lnk:  make([]Links, n),
 		stop: make([]uint64, n/64),
 		mask: int64(n) - 1,
 	}
-	r.srcInto, _ = src.(inPlaceSource)
-	return r
 }
 
 // attach builds an engine for cfg that reads this ring.
@@ -95,7 +85,7 @@ func (r *gangRing) refreshTail() {
 func (r *gangRing) grow() {
 	n := 2 * len(r.lnk)
 	meta := make([]metaWord, n)
-	lnk := make([]links, n)
+	lnk := make([]Links, n)
 	stop := make([]uint64, n/64)
 	mask := int64(n) - 1
 	for j := r.tail; j < r.head; j++ {
@@ -138,22 +128,12 @@ func (r *gangRing) ensure(pos int64) bool {
 			}
 		}
 		i := r.head & r.mask
-		dst := &r.scratch
-		ok := false
-		if r.srcInto != nil {
-			ok = r.srcInto.NextInto(dst)
-		} else {
-			var ai annotate.Inst
-			if ai, ok = r.src.Next(); ok {
-				*dst = ai
-			}
-		}
+		in, ok := r.bind.Next(&r.lnk[i])
 		if !ok {
 			r.eof = true
 			return false
 		}
-		r.bind.bind(dst, r.head, &r.lnk[i])
-		m := packMeta(dst)
+		m := packMeta(in)
 		r.meta[i] = m
 		w, b := slotBit(i)
 		r.stop[w] &^= b

@@ -168,29 +168,34 @@ func TestSkipQuietStops(t *testing.T) {
 // TestQuietStretchWritesNoSlotState is the guard that fails if the
 // stepper stops skipping: an unobserved engine's first epoch crosses a
 // quiet stretch longer than its ring and fetches the missing load after
-// it, and only that load's slot may have been written.
+// it, and only that load's slot may have been written. It runs the
+// default out-of-order config and Table 5's two in-order ones.
 func TestQuietStretchWritesNoSlotState(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	insts := append(quietRun(rng, 2*gangRingInsts+8), ld(3, 1, true))
 	load := int64(len(insts) - 1)
-	st := NewStepper(&aiSource{insts: insts}, Default())
-	if !st.Step() {
-		t.Fatal("first epoch ended the run")
-	}
-	e := st.e
-	if e.res.Epochs != 1 || e.fetchEnd != load+1 || e.retire != load {
-		t.Fatalf("after one epoch: %d access epochs, fetchEnd %d, retire %d; want 1, %d, %d",
-			e.res.Epochs, e.fetchEnd, e.retire, load+1, load)
-	}
-	for s, v := range e.readyAt {
-		if int64(s) != load&e.mask && v != notExecuted {
-			t.Fatalf("slot %d written (readyAt %d): the quiet stretch was fetched one instruction at a time", s, v)
-		}
-	}
-	for st.Step() {
-	}
-	if want, _, _ := refRun(insts, Default()); !reflect.DeepEqual(st.Finish(), want) {
-		t.Fatalf("result differs from the reference\nengine:    %+v\nreference: %+v", st.Finish(), want)
+	for _, cfg := range []Config{Default(), {Mode: InOrderStallOnMiss}, {Mode: InOrderStallOnUse}} {
+		t.Run(cfg.Mode.String(), func(t *testing.T) {
+			st := NewStepper(&aiSource{insts: insts}, cfg)
+			if !st.Step() {
+				t.Fatal("first epoch ended the run")
+			}
+			e := st.e
+			if e.res.Epochs != 1 || e.fetchEnd != load+1 || e.retire != load {
+				t.Fatalf("after one epoch: %d access epochs, fetchEnd %d, retire %d; want 1, %d, %d",
+					e.res.Epochs, e.fetchEnd, e.retire, load+1, load)
+			}
+			for s, v := range e.readyAt {
+				if int64(s) != load&e.mask && v != notExecuted {
+					t.Fatalf("slot %d written (readyAt %d): the quiet stretch was fetched one instruction at a time", s, v)
+				}
+			}
+			for st.Step() {
+			}
+			if want, _, _ := refRun(insts, cfg); !reflect.DeepEqual(st.Finish(), want) {
+				t.Fatalf("result differs from the reference\nengine:    %+v\nreference: %+v", st.Finish(), want)
+			}
+		})
 	}
 }
 
@@ -198,8 +203,8 @@ func TestQuietStretchWritesNoSlotState(t *testing.T) {
 // plain default, every issue policy, PerfectIFetch (which stops at an
 // I-miss bit it clears), runahead, realistic and perfect value
 // prediction, finite MSHRs, a store buffer, non-oracle disambiguation,
-// the fetch buffer, and MaxInstructions inside the first quiet stretch.
-// The in-order members do not skip; they share the gang's ring.
+// the fetch buffer, MaxInstructions inside the first quiet stretch, and
+// both in-order disciplines.
 func quietConfigs(firstStretch int64) []Config {
 	var cfgs []Config
 	for _, ic := range []IssueConfig{ConfigA, ConfigB, ConfigC, ConfigD, ConfigE} {
@@ -217,6 +222,7 @@ func quietConfigs(firstStretch int64) []Config {
 		func(c *Config) { c.Disamb = DisambConservative },
 		func(c *Config) { *c = c.WithWindow(16); c.FetchBuffer = 32 },
 		func(c *Config) { c.MaxInstructions = firstStretch + 4321 },
+		func(c *Config) { c.Mode = InOrderStallOnMiss },
 		func(c *Config) { c.Mode = InOrderStallOnUse },
 	} {
 		c := Default()

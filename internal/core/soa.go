@@ -46,7 +46,7 @@ type soaEngine struct {
 	// rhead shadows ring.head (refreshed at step entry and after each
 	// ensure) so the fetch fast path never chases the ring pointer.
 	rmeta []metaWord
-	rlnk  []links
+	rlnk  []Links
 	rmask int64
 	rhead int64
 
@@ -346,7 +346,7 @@ func (e *soaEngine) tryExecute(j int64, m metaWord, ep *epochState) execResult {
 	}
 
 	ln := &e.rlnk[j&e.rmask]
-	if !e.resultReady(ln.prod1) || !e.resultReady(ln.prod2) {
+	if !e.resultReady(ln.Prod1) || !e.resultReady(ln.Prod2) {
 		// A consumer of a wrongly value-predicted missing load costs a
 		// recovery flush in conventional mode.
 		if e.vpFlush && e.payVPFlush(ln) {
@@ -359,7 +359,7 @@ func (e *soaEngine) tryExecute(j int64, m metaWord, ep *epochState) execResult {
 	// same-address store to execute (forwarding). Under store-set
 	// prediction a load the predictor failed to cover does not wait — it
 	// issues, reads stale data, and pays a recovery flush once.
-	if m&metaLoadLike != 0 && ln.memProd >= 0 && !e.producerExecuted(ln.memProd) {
+	if m&metaLoadLike != 0 && ln.MemProd >= 0 && !e.producerExecuted(ln.MemProd) {
 		if m&e.depViolation != 0 {
 			w, b := slotBit(j & e.mask)
 			if e.depFlushed[w]&b == 0 {
@@ -374,12 +374,12 @@ func (e *soaEngine) tryExecute(j int64, m metaWord, ep *epochState) execResult {
 		return execBlocked
 	}
 
-	if m&metaBranch != 0 && e.branchesInOrder && !e.producerExecuted(ln.prevBranch) {
+	if m&metaBranch != 0 && e.branchesInOrder && !e.producerExecuted(ln.PrevBranch) {
 		return execBlocked
 	}
 
 	if m&metaLoadLike != 0 {
-		if e.loadsInOrder && !e.producerExecuted(ln.prevMem) {
+		if e.loadsInOrder && !e.producerExecuted(ln.PrevMem) {
 			if m&metaDMiss != 0 {
 				if ep.firstUnresolvedStore >= 0 && ep.firstUnresolvedStore < j {
 					ep.block(j, LimDepStore)
@@ -406,8 +406,8 @@ func (e *soaEngine) tryExecute(j int64, m metaWord, ep *epochState) execResult {
 // missing load still outstanding this epoch, whose recovery flush no
 // consumer has paid yet; it marks the flush paid and reports whether
 // one was found.
-func (e *soaEngine) payVPFlush(ln *links) bool {
-	for _, p := range [2]int64{ln.prod1, ln.prod2} {
+func (e *soaEngine) payVPFlush(ln *Links) bool {
+	for _, p := range [2]int64{ln.Prod1, ln.Prod2} {
 		if p < e.retire {
 			continue
 		}
@@ -427,9 +427,9 @@ func (e *soaEngine) payVPFlush(ln *links) bool {
 // unexecuted earlier store. Both are counted once per load as a needless
 // serialize, and a blocked missing load charges the epoch's Figure-5
 // category to the dependent-store condition.
-func (e *soaEngine) disambBlocked(j int64, m metaWord, ln *links, ep *epochState) bool {
+func (e *soaEngine) disambBlocked(j int64, m metaWord, ln *Links, ep *epochState) bool {
 	if e.cfg.Disamb == DisambStoreSets {
-		if m&metaDepFalse == 0 || e.producerExecuted(ln.prevStore) {
+		if m&metaDepFalse == 0 || e.producerExecuted(ln.PrevStore) {
 			return false
 		}
 	} else if ep.firstUnexecStore < 0 || ep.firstUnexecStore >= j {
@@ -457,7 +457,7 @@ func (e *soaEngine) noteUnresolvedStore(j int64, m metaWord, ep *epochState) {
 	if e.cfg.Disamb == DisambConservative && ep.firstUnexecStore < 0 {
 		ep.firstUnexecStore = j
 	}
-	if ep.firstUnresolvedStore < 0 && !e.resultReady(e.rlnk[j&e.rmask].prod1) {
+	if ep.firstUnresolvedStore < 0 && !e.resultReady(e.rlnk[j&e.rmask].Prod1) {
 		ep.firstUnresolvedStore = j
 	}
 }
@@ -690,7 +690,7 @@ func (e *soaEngine) runEpoch(ep *epochState) {
 		if fast && m&slowMask == 0 {
 			e.fetchEnd = j + 1
 			ln := &rlnk[j&rmask]
-			p1, p2 := ln.prod1, ln.prod2
+			p1, p2 := ln.Prod1, ln.Prod2
 			if (p1 < e.retire || readyAt[p1&mask] <= readyBy) &&
 				(p2 < e.retire || readyAt[p2&mask] <= readyBy) {
 				execBits[s>>6] |= bit
@@ -792,16 +792,29 @@ func (e *soaEngine) grow() {
 // whose operands depend on an outstanding miss. Missing prefetches and an
 // in-flight missing load may overlap in both disciplines; serializing
 // instructions and I-misses terminate windows exactly as out of order.
+//
+// An empty window crosses a quiet stretch in one skipQuiet while the
+// epoch has issued no access: a serializing instruction then passes, so
+// every quiet instruction executes and retires at once. After an access
+// a serializing instruction ends the epoch, so the skip waits for the
+// next one. Under an observer, which hears every executed index, fetch
+// stays one instruction at a time.
 func (e *soaEngine) runInOrder(ep *epochState) {
 	e.advanceRetire()
+	skip := e.cfg.OnEpoch == nil
 	for {
 		// Revisit the stalled tail instruction, if any; otherwise fetch.
 		j := e.fetchEnd
 		if t := j - 1; t >= e.retire && !e.executed(t) {
 			j = t
-		} else if !e.fetchInOrder(j) {
-			ep.terminate(j, LimEnd)
-			return
+		} else {
+			if skip && e.retire == j && ep.accesses == 0 {
+				j = e.skipQuiet(j)
+			}
+			if !e.fetchInOrder(j) {
+				ep.terminate(j, LimEnd)
+				return
+			}
 		}
 		m := e.metaAt(j)
 		if w, b := slotBit(j & e.mask); m&metaIMiss != 0 && e.imissPend[w]&b != 0 {
@@ -822,8 +835,8 @@ func (e *soaEngine) runInOrder(ep *epochState) {
 		// Operand or forwarding stall: only outstanding misses can cause
 		// one in order, so this is the stall-on-use window termination.
 		ln := &e.rlnk[j&e.rmask]
-		if !e.resultReady(ln.prod1) || !e.resultReady(ln.prod2) ||
-			(ln.memProd >= 0 && !e.producerExecuted(ln.memProd)) {
+		if !e.resultReady(ln.Prod1) || !e.resultReady(ln.Prod2) ||
+			(ln.MemProd >= 0 && !e.producerExecuted(ln.MemProd)) {
 			lim := LimMissingLoad
 			if m&metaBranch != 0 && m&metaMispred != 0 {
 				lim = LimMispredBr

@@ -103,18 +103,25 @@ func (t *StoreTable) clear() {
 // Len returns the number of distinct keys held.
 func (t *StoreTable) Len() int { return t.used }
 
-// sizedSource is an optional source that knows how many instructions it
-// has left (atrace.Replay).
-type sizedSource interface {
-	Remaining() int64
+// storeCounter is an optional source that can count the memory writes
+// it has left (atrace.Replay).
+type storeCounter interface {
+	StoresLeft(max int64) int64
 }
 
-// storeBound caps the store-table bound of a binder over src that binds
-// at most bound instructions (<= 0 for no limit) at what a sized source
-// has left.
+// storeBound bounds the stores a binder over src puts in its table when
+// it binds at most bound instructions (<= 0 for no limit): the stores a
+// counting source has left, counted no further than the clear threshold
+// or bound, whichever is lower. Past either the bound does not shrink
+// the table, so the count stops there.
 func storeBound(src AnnotatedSource, bound int64) int64 {
-	if s, ok := src.(sizedSource); ok && (bound <= 0 || s.Remaining() < bound) {
-		return max(1, s.Remaining())
+	s, ok := src.(storeCounter)
+	if !ok {
+		return bound
 	}
-	return bound
+	limit := int64(storeTableClear)
+	if bound > 0 && bound < limit {
+		limit = bound
+	}
+	return max(1, s.StoresLeft(limit))
 }

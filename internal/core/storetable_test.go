@@ -181,31 +181,56 @@ func BenchmarkStoreTable(b *testing.B) {
 	}
 }
 
-// nextOnly hides a source's Remaining method.
+// nextOnly hides a source's StoresLeft method.
 type nextOnly struct{ AnnotatedSource }
 
-// TestStoreTableSizedBySource: a gang or stepper over a source that knows
-// how many instructions it has left sizes its store table by that count,
-// even for a config without an instruction limit; over a source that
-// does not know, the limit alone sizes it.
+// storesThenALU returns stores memory writes to distinct words followed
+// by alus ALU instructions.
+func storesThenALU(stores, alus int) []annotate.Inst {
+	insts := make([]annotate.Inst, stores+alus)
+	for i := range stores {
+		insts[i] = st(1, 2, 8*uint64(i))
+	}
+	return insts
+}
+
+// TestStoreTableSizedBySource: a gang or stepper over a source that can
+// count the memory writes it has left sizes its store table by that
+// count, even for a config without an instruction limit: S < 64K stores
+// get pow2ceil(2S) slots, 64K or more the full 2 MiB table. A lower
+// instruction limit caps the count; over a source that cannot count, the
+// limit alone sizes the table.
 func TestStoreTableSizedBySource(t *testing.T) {
-	insts := make([]annotate.Inst, 200)
+	few := storesThenALU(100, 200)
 	for _, tc := range []struct {
 		name  string
-		src   func() AnnotatedSource
+		insts []annotate.Inst
+		next  bool // hide StoresLeft
 		limit int64
 		slots int
 	}{
-		{"sized", func() AnnotatedSource { return &aiSource{insts: insts} }, 0, 512},
-		{"sized, lower limit", func() AnnotatedSource { return &aiSource{insts: insts} }, 100, 256},
-		{"sized, empty", func() AnnotatedSource { return &aiSource{} }, 0, 2},
-		{"next-only", func() AnnotatedSource { return nextOnly{&aiSource{insts: insts}} }, 0, 2 * storeTableClear},
-		{"next-only, limit", func() AnnotatedSource { return nextOnly{&aiSource{insts: insts}} }, 100, 256},
+		{"sized", few, false, 0, 256},
+		{"sized, lower limit", few, false, 50, 128},
+		{"sized, limit past the stores", few, false, 250, 256},
+		{"sized, no stores", storesThenALU(0, 200), false, 0, 2},
+		{"sized, empty", nil, false, 0, 2},
+		{"sized, 20K stores", storesThenALU(20_000, 10), false, 0, 1 << 16},
+		{"sized, 64K-1 stores", storesThenALU(storeTableClear-1, 10), false, 0, 2 * storeTableClear},
+		{"sized, 64K stores", storesThenALU(storeTableClear, 10), false, 0, 2 * storeTableClear},
+		{"sized, past 64K stores", storesThenALU(storeTableClear+10, 10), false, 0, 2 * storeTableClear},
+		{"next-only", few, true, 0, 2 * storeTableClear},
+		{"next-only, limit", few, true, 100, 256},
 	} {
+		mk := func() AnnotatedSource {
+			if tc.next {
+				return nextOnly{&aiSource{insts: tc.insts}}
+			}
+			return &aiSource{insts: tc.insts}
+		}
 		cfg := Default()
 		cfg.MaxInstructions = tc.limit
-		gang := NewGang(tc.src(), []Config{cfg, cfg.WithWindow(16)})
-		stepper := NewStepper(tc.src(), cfg)
+		gang := NewGang(mk(), []Config{cfg, cfg.WithWindow(16)})
+		stepper := NewStepper(mk(), cfg)
 		for kind, ring := range map[string]*gangRing{"gang": gang.engines[0].ring, "stepper": stepper.e.ring} {
 			if n := len(ring.bind.lastStore.keys); n != tc.slots {
 				t.Errorf("%s %s: %d store-table slots, want %d", tc.name, kind, n, tc.slots)

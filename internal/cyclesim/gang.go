@@ -10,28 +10,18 @@ import (
 // it steps the pipelines through them.
 const blockInsts = 1024
 
-// inPlaceSource is the optional fetch fast path (mirroring the core
-// engine): sources that can decode directly into a caller-provided Inst
-// (e.g. atrace.Replay) skip the by-value copies of Next.
-type inPlaceSource interface {
-	NextInto(*annotate.Inst) bool
-}
-
 // window is the gang's shared decode: a ring of uops keyed by absolute
 // stream position, holding [lowest live fetch position, end). Each
 // instruction is decoded and bound here once, whatever the gang's size.
 //
 // Binding is what a lone simulator's dispatch stage did: register
-// producers and the last store to each 8-byte word (in a
-// core.StoreTable, with its clear-at-64K rule). Both fetch and dispatch
-// run in program order over the same stream, so a binding made at decode
-// is the binding dispatch would have made.
+// producers and the last store to each 8-byte word. It comes from
+// core's Binder, the epoch-model gang's own, so the two simulators bind
+// every instruction identically. Both fetch and dispatch run in program
+// order over the same stream, so a binding made at decode is the
+// binding dispatch would have made.
 type window struct {
-	src     core.AnnotatedSource
-	srcInto inPlaceSource
-	// scratch is the decode target. It lives on the window so the
-	// pointer handed to the source does not escape per instruction.
-	scratch annotate.Inst
+	binder *core.Binder
 
 	ops  []uop
 	mask int64
@@ -40,9 +30,6 @@ type window struct {
 	// past it, exactly as far as the hungriest lone simulator would.
 	limit int64
 	eof   bool // the source ended at end
-
-	producers [isa.NumRegs]int64
-	lastStore *core.StoreTable
 }
 
 // decode appends the next block of the stream. The pipelines pause
@@ -50,56 +37,32 @@ type window struct {
 // of blockInsts + FetchWidth entries never overwrites a position a live
 // pipeline still has to fetch.
 func (w *window) decode() {
-	stop := w.end + blockInsts
-	if stop > w.limit {
-		stop = w.limit
-	}
+	stop := min(w.end+blockInsts, w.limit)
+	var ln core.Links
 	for w.end < stop {
-		in := &w.scratch
-		var ok bool
-		if w.srcInto != nil {
-			ok = w.srcInto.NextInto(in)
-		} else {
-			var ai annotate.Inst
-			if ai, ok = w.src.Next(); ok {
-				*in = ai
-			}
-		}
+		in, ok := w.binder.Next(&ln)
 		if !ok {
 			w.eof = true
 			return
 		}
-		w.ops[w.end&w.mask] = w.bind(in)
+		w.ops[w.end&w.mask] = bind(in, &ln)
 		w.end++
 	}
 }
 
-// bind builds the uop of the instruction at position w.end.
-func (w *window) bind(in *annotate.Inst) uop {
-	j := w.end
-	u := uop{prod1: -1, prod2: -1, memProd: -1, doneAt: notIssued}
-	if in.Src1 != isa.NoReg && in.Src1 != isa.RegZero {
-		u.prod1 = w.producers[in.Src1]
-	}
-	if in.Src2 != isa.NoReg && in.Src2 != isa.RegZero {
-		u.prod2 = w.producers[in.Src2]
-	}
+// bind builds an instruction's uop: its bound producers and the class
+// and event flags the pipeline tests.
+func bind(in *annotate.Inst, ln *core.Links) uop {
+	u := uop{prod1: ln.Prod1, prod2: ln.Prod2, memProd: ln.MemProd, doneAt: notIssued}
 	cls := in.Class
 	if cls.IsMemRead() && cls != isa.Prefetch {
 		u.flags |= uLoad
 		if in.DMiss {
 			u.flags |= uMiss
 		}
-		if p, ok := w.lastStore.Get(in.EA >> 3); ok {
-			u.memProd = p
-		}
 	}
 	if cls.IsMemWrite() {
 		u.flags |= uStore
-		w.lastStore.Put(in.EA>>3, j)
-	}
-	if in.HasDst() {
-		w.producers[in.Dst] = j
 	}
 	if cls == isa.Load || cls.IsMemWrite() {
 		u.flags |= uMem
@@ -124,12 +87,6 @@ func (w *window) bind(in *annotate.Inst) uop {
 	return u
 }
 
-// sizedSource is a source that knows how many instructions it has left
-// (atrace.Replay): the window never binds more stores than that.
-type sizedSource interface {
-	Remaining() int64
-}
-
 // gang runs one member per config over one decode of a stream: a timer
 // for each config with unlimited MSHRs, a stepping pipeline for each
 // config with a finite MSHR file.
@@ -146,15 +103,10 @@ type gang struct {
 // stepAll puts every config on the stepping pipeline, the timers' oracle.
 func newGang(src core.AnnotatedSource, cfgs []Config, stepAll bool) *gang {
 	g := &gang{
-		win:     window{src: src},
 		timers:  make([]timer, 0, len(cfgs)),
 		pipes:   make([]pipeline, 0, len(cfgs)),
 		results: make([]Result, len(cfgs)),
 		live:    len(cfgs),
-	}
-	g.win.srcInto, _ = src.(inPlaceSource)
-	for i := range g.win.producers {
-		g.win.producers[i] = -1
 	}
 	maxFetch := 0
 	for i, cfg := range cfgs {
@@ -169,11 +121,7 @@ func newGang(src core.AnnotatedSource, cfgs []Config, stepAll bool) *gang {
 		maxFetch = max(maxFetch, cfg.FetchWidth)
 		g.win.limit = max(g.win.limit, instLimit(cfg))
 	}
-	bound := g.win.limit
-	if s, ok := src.(sizedSource); ok && s.Remaining() < bound {
-		bound = max(1, s.Remaining())
-	}
-	g.win.lastStore = core.NewStoreTable(bound)
+	g.win.binder = core.NewBinder(src, g.win.limit)
 	n := ringCap(blockInsts + maxFetch)
 	g.win.ops = make([]uop, n)
 	g.win.mask = int64(n) - 1

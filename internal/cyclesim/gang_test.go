@@ -8,6 +8,7 @@ import (
 	"mlpsim/internal/annotate"
 	"mlpsim/internal/atrace"
 	"mlpsim/internal/core"
+	"mlpsim/internal/isa"
 	"mlpsim/internal/workload"
 )
 
@@ -43,7 +44,7 @@ func randomConfig(rng *rand.Rand, n int) Config {
 }
 
 // replayOf captures insts as a columnar trace, whose replay takes the
-// NextInto fast path.
+// NextEngine fast path.
 func replayOf(insts []annotate.Inst) *atrace.Stream {
 	b := atrace.NewBuilder(6, int64(len(insts)))
 	for _, in := range insts {
@@ -111,15 +112,19 @@ func TestRunGangReadsNoFurtherThanSolo(t *testing.T) {
 	}
 }
 
-// nextOnly hides a source's Remaining method.
+// nextOnly hides a source's StoresLeft method.
 type nextOnly struct{ core.AnnotatedSource }
 
-// TestGangSizesStoreTableBySource: over a source that knows how many
-// instructions it has left, a gang's store table is sized by that count
-// even when no config bounds the run; over a Next-only source it is the
-// full 2 MiB table.
+// TestGangSizesStoreTableBySource: over a source that can count the
+// memory writes it has left, a gang's store table is sized by that count
+// even when no config bounds the run — 2,000 stores to distinct words in
+// 10,000 instructions take 4,096 slots of 16 bytes, 64 KiB — and over a
+// Next-only source it is the full 2 MiB table.
 func TestGangSizesStoreTableBySource(t *testing.T) {
-	insts := alu(200)
+	insts := alu(10_000)
+	for i := 0; i < len(insts); i += 5 {
+		insts[i] = annotate.Inst{Inst: isa.Inst{Class: isa.Store, Src1: 1, Src2: 2, Dst: isa.NoReg, EA: 8 * uint64(i)}}
+	}
 	allocated := func(src core.AnnotatedSource) uint64 {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -128,8 +133,8 @@ func TestGangSizesStoreTableBySource(t *testing.T) {
 		return m1.TotalAlloc - m0.TotalAlloc
 	}
 	sized, full := allocated(&aiSource{insts: insts}), allocated(nextOnly{&aiSource{insts: insts}})
-	if sized > 256<<10 || full < 2<<20 {
-		t.Fatalf("a gang over 200 instructions allocated %d bytes from a sized source, %d from a Next-only one; want under 256 KiB and at least 2 MiB",
+	if sized < 64<<10 || sized > 256<<10 || full < 2<<20 {
+		t.Fatalf("a gang over 2,000 stores allocated %d bytes from a counting source, %d from a Next-only one; want 64-256 KiB and at least 2 MiB",
 			sized, full)
 	}
 }
