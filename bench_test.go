@@ -5,7 +5,7 @@ package mlpsim_test
 // number as a custom metric, so `go test -bench=.` both exercises every
 // experiment path end to end and prints the reproduced values. Engine
 // micro-benchmarks at the bottom measure simulator throughput, ending
-// with the ten that cmd/bench records and gates.
+// with the eleven that cmd/bench records and gates.
 
 import (
 	"math/rand"
@@ -255,7 +255,7 @@ func BenchmarkFacadeSimulate(b *testing.B) {
 
 // --- gated micro-benchmarks ------------------------------------------------
 //
-// cmd/bench runs these ten by name, from the list it keeps as gated, to
+// cmd/bench runs these eleven by name, from the list it keeps as gated, to
 // record BENCH_N.json and to gate a change against its base revision in
 // paired runs. Each reports 0 allocs/op, and the gate fails one whose
 // allocations leave zero; the gang benchmarks also report 0 allocs/inst,
@@ -356,15 +356,28 @@ func BenchmarkMLPsimEngine(b *testing.B) {
 // steady-state allocation the core asserts in its tests, per op and per
 // replayed instruction. K=16 is `make profile`'s entry point for the SoA
 // gang hot loop.
-func BenchmarkGangSweepK1(b *testing.B)  { benchGangSweep(b, 1) }
-func BenchmarkGangSweepK4(b *testing.B)  { benchGangSweep(b, 4) }
-func BenchmarkGangSweepK16(b *testing.B) { benchGangSweep(b, 16) }
-func BenchmarkGangSweepK32(b *testing.B) { benchGangSweep(b, 32) }
-func BenchmarkGangSweepK64(b *testing.B) { benchGangSweep(b, 64) }
+func BenchmarkGangSweepK1(b *testing.B)  { benchGangSweep(b, gangConfigs(1)) }
+func BenchmarkGangSweepK4(b *testing.B)  { benchGangSweep(b, gangConfigs(4)) }
+func BenchmarkGangSweepK16(b *testing.B) { benchGangSweep(b, gangConfigs(16)) }
+func BenchmarkGangSweepK32(b *testing.B) { benchGangSweep(b, gangConfigs(32)) }
+func BenchmarkGangSweepK64(b *testing.B) { benchGangSweep(b, gangConfigs(64)) }
 
-func benchGangSweep(b *testing.B, k int) {
+// BenchmarkGangSweepInOrder is Table 5's gang: its two in-order configs,
+// stall-on-miss and stall-on-use, over the shared trace. A gang this
+// small pays mostly the per-instruction floor — the shared decode and
+// bind, and fetching whatever the engines do not skip — so this pins
+// that floor.
+func BenchmarkGangSweepInOrder(b *testing.B) {
+	var cfgs []core.Config
+	for _, p := range experiments.Find("table5").Points(benchSetup()) {
+		cfgs = append(cfgs, p.Config)
+	}
+	benchGangSweep(b, cfgs)
+}
+
+func benchGangSweep(b *testing.B, cfgs []core.Config) {
 	s := microStream()
-	cfgs := gangConfigs(k)
+	k := len(cfgs)
 	var allocs, insts uint64
 	b.ReportAllocs()
 	b.ResetTimer()

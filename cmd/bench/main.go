@@ -47,7 +47,7 @@ import (
 var gated = []string{
 	"AnnotateStream", "ReplayStream", "MLPsimEngine",
 	"GangSweepK1", "GangSweepK4", "GangSweepK16", "GangSweepK32", "GangSweepK64",
-	"CycleSimGang", "SMTSchedule",
+	"GangSweepInOrder", "CycleSimGang", "SMTSchedule",
 }
 
 const (
