@@ -67,13 +67,13 @@ vet:
 	$(GO) vet ./...
 
 # Performance report: the gated micro-benchmarks of bench_test.go
-# (annotation, replay, engine, gang dispatch at K=1/4/16/32/64, the
-# cycle-simulator gang, the SMT policy scheduler) and the uncached /
-# in-heap-cached / memory-mapped Figure 4+5+6 sweeps. `make bench` is
-# the quick loop; `make bench-full` writes the next committed record,
-# BENCH_{N+1}.json at paper scale where BENCH_N.json is the highest
-# existing one, and `make bench-compare` additionally prints deltas
-# against BENCH_N.json.
+# (annotation, replay, engine, gang dispatch at K=1/4/16/32/64, Table 5's
+# in-order gang, the cycle-simulator gang, the SMT policy scheduler) and
+# the uncached / in-heap-cached / memory-mapped Figure 4+5+6 sweeps.
+# `make bench` is the quick loop; `make bench-full` writes the next
+# committed record, BENCH_{N+1}.json at paper scale where BENCH_N.json
+# is the highest existing one, and `make bench-compare` additionally
+# prints deltas against BENCH_N.json.
 BENCH_LAST = $(or $(shell ls BENCH_*.json 2>/dev/null | sed 's/[^0-9]//g' | sort -n | tail -n 1),0)
 BENCH_NEXT = $(shell expr $(BENCH_LAST) + 1)
 
@@ -112,10 +112,11 @@ fuzz:
 	$(GO) test ./internal/storeset -fuzz FuzzStoreSetUpdate -fuzztime 30s
 	$(GO) test ./internal/server -fuzz FuzzParsePoints -fuzztime 30s
 	# Each gang input runs several engines, so the default 60s minimization
-	# of a new input would take the whole run; 5s keeps the mutation going.
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGangMatchesEngine$$' -fuzztime 30s -fuzzminimizetime 5s
+	# of a new input would take the whole run; 1s keeps the 30s going to
+	# mutation, not minimization.
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzGangMatchesEngine$$' -fuzztime 30s -fuzzminimizetime 1s
 	# The cycle-simulator timer against the stepping pipeline it replaces.
-	$(GO) test ./internal/cyclesim -run '^$$' -fuzz '^FuzzTimerMatchesStepper$$' -fuzztime 30s -fuzzminimizetime 5s
+	$(GO) test ./internal/cyclesim -run '^$$' -fuzz '^FuzzTimerMatchesStepper$$' -fuzztime 30s -fuzzminimizetime 1s
 
 # serve-smoke boots the real daemon binary on an ephemeral port, diffs
 # one exhibit's CSV against the plain CLI's output and asserts a clean

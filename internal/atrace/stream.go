@@ -382,13 +382,13 @@ func (s *Stream) Replay() *Replay { return &Replay{s: s} }
 func (s *Stream) Source() Source { return s.Replay() }
 
 // StoresLeft counts the memory writes among the instructions the replay
-// has left to decode, stopping at max: it scans the class column until
-// the count reaches max. The engines size their store tables by it.
-func (r *Replay) StoresLeft(max int64) int64 {
+// has left to decode, stopping at limit: it scans the class column until
+// the count reaches limit. The engines size their store tables by it.
+func (r *Replay) StoresLeft(limit int64) int64 {
 	var n int64
 	for _, c := range r.s.class[r.i:] {
 		if isa.Class(c).IsMemWrite() {
-			if n++; n >= max {
+			if n++; n >= limit {
 				break
 			}
 		}

@@ -106,7 +106,7 @@ func (t *StoreTable) Len() int { return t.used }
 // storeCounter is an optional source that can count the memory writes
 // it has left (atrace.Replay).
 type storeCounter interface {
-	StoresLeft(max int64) int64
+	StoresLeft(limit int64) int64
 }
 
 // storeBound bounds the stores a binder over src puts in its table when

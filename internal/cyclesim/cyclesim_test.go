@@ -16,9 +16,9 @@ type aiSource struct {
 }
 
 // StoresLeft sizes the engines' store tables, as atrace.Replay's does.
-func (s *aiSource) StoresLeft(max int64) int64 {
+func (s *aiSource) StoresLeft(limit int64) int64 {
 	var n int64
-	for i := s.pos; i < len(s.insts) && n < max; i++ {
+	for i := s.pos; i < len(s.insts) && n < limit; i++ {
 		if s.insts[i].Class.IsMemWrite() {
 			n++
 		}
