@@ -13,8 +13,8 @@ const gangRingInsts = 4096
 // gangRing decodes the annotated stream exactly once and binds each
 // instruction's dependence links exactly once — one Binder.Next per
 // dynamic instruction — broadcasting both to every engine in the gang.
-// The ring
-// is stored as parallel columns, keyed by absolute instruction index:
+// The ring is stored as parallel columns, keyed by absolute instruction
+// index:
 //
 //	meta — the packed metaWord (flags + class predicates)
 //	lnk  — the six dependence links, kept together because the epoch
