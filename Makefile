@@ -16,7 +16,7 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(MAKE) test-names
-	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCacheBuildPanic|TestCrossProcessSingleflight|TestCacheDiskSpill|TestBuildLeavesNoLockOrLease|TestMonolithicSpillQuarantined|TestCorruptSpillQuarantined|TestDiskEviction|TestSpillRoundTrip|TestSegmentedDisk|TestCrashDuringPublishRecovery|TestLease'
+	$(GO) test -race ./internal/atrace -run 'TestCacheSingleflight|TestCacheBuildPanic|TestCrossProcessSingleflight|TestCacheDiskSpill|TestBuildLeavesNoLockOrLease|TestMonolithicSpillQuarantined|TestCorruptSpillQuarantined|TestDiskEviction|TestSpillRoundTrip|TestSpillStream|TestSpillWriteFailure|TestSegmentedDisk|TestCrashDuringPublishRecovery|TestLease'
 	$(GO) test -race ./internal/server
 	$(GO) test -race ./internal/experiments -run 'TestGangMatchesSequential|TestCycleSimGangsMatchPointAtATime|TestExtStoreSets|Memo|PointKey|TestCancelledSweepStoresOnlyCompletedPoints|TestRunPoints|TestShard'
 	$(GO) test -race ./internal/core -run 'TestRunGangDivergentMatchesSequential|TestDisambMatchesBruteForceReferenceRandom'

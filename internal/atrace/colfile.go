@@ -1,12 +1,10 @@
 package atrace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"runtime"
 	"unsafe"
@@ -74,9 +72,9 @@ func (m *mapping) release() {
 	m.data = nil
 }
 
-// hostLittleEndian gates the zero-copy []byte -> []uint64 bitset views:
-// the format stores bitset words little-endian, so big-endian hosts
-// decode them into heap copies instead.
+// hostLittleEndian gates the zero-copy views between bitset words and
+// their bytes: the format stores bitset words little-endian, so
+// big-endian hosts convert through heap copies instead.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -84,102 +82,57 @@ var hostLittleEndian = func() bool {
 
 func align8(n int64) int64 { return (n + 7) &^ 7 }
 
-// colSections lists the stream's sections in file order. The returned
-// slices alias the stream.
+// colSections lists the stream's sections in file order, the bitsets as
+// their on-disk bytes (see leBytes). The byte columns alias the stream.
 func colSections(s *Stream) [colSectionCnt][]byte {
-	u64 := func(ws []uint64) []byte {
-		if len(ws) == 0 {
-			return nil
-		}
-		return unsafe.Slice((*byte)(unsafe.Pointer(&ws[0])), 8*len(ws))
-	}
 	return [colSectionCnt][]byte{
 		s.class, s.src1, s.src2, s.dst, s.vpo,
-		u64(s.dmiss), u64(s.pmiss), u64(s.imiss), u64(s.smiss),
-		u64(s.mispred), u64(s.taken), u64(s.hasTgt),
+		leBytes(s.dmiss), leBytes(s.pmiss), leBytes(s.imiss), leBytes(s.smiss),
+		leBytes(s.mispred), leBytes(s.taken), leBytes(s.hasTgt),
 		s.pc, s.ea, s.tgt, s.val,
 	}
 }
 
-// writeColumnar writes the stream to w in the columnar spill format.
-// On big-endian hosts the bitset words are byte-swapped to the on-disk
-// little-endian order.
-func writeColumnar(w io.Writer, s *Stream) error {
+// leBytes returns bitset words in the on-disk little-endian byte order:
+// a view of ws on little-endian hosts, a byte-swapped copy otherwise.
+func leBytes(ws []uint64) []byte {
+	if len(ws) == 0 {
+		return nil
+	}
+	if hostLittleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(&ws[0])), 8*len(ws))
+	}
+	out := make([]byte, 0, 8*len(ws))
+	for _, w := range ws {
+		out = binary.LittleEndian.AppendUint64(out, w)
+	}
+	return out
+}
+
+// spillHeader returns the header of the spill that holds s's geometry
+// and statistics and sections of the given lengths, laid out in order
+// from the header's end, each 8-byte aligned. Its checksum field is
+// zero: the checksum covers the sections too, so the writer fills it in
+// once they are written.
+func spillHeader(s *Stream, lens [colSectionCnt]int64) []byte {
 	meta := encodeMeta(s)
-	secs := colSections(s)
-	if !hostLittleEndian {
-		for i := 5; i < 12; i++ {
-			secs[i] = swapWords(secs[i])
-		}
-	}
-
 	headerLen := align8(colHeaderMin + int64(len(meta)) + colSectionCnt*16)
-	var table [colSectionCnt][2]uint64
-	off := headerLen
-	for i, sec := range secs {
-		table[i][0] = uint64(off)
-		table[i][1] = uint64(len(sec))
-		off = align8(off + int64(len(sec)))
-	}
-	fileSize := off
-
 	hdr := make([]byte, colHeaderMin, headerLen)
 	copy(hdr, colMagic)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(headerLen))
 	hdr[12] = s.lineShift
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(s.firstIndex))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(s.n))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(fileSize))
 	binary.LittleEndian.PutUint32(hdr[44:], uint32(len(meta)))
 	hdr = append(hdr, meta...)
-	for _, te := range table {
-		hdr = binary.LittleEndian.AppendUint64(hdr, te[0])
-		hdr = binary.LittleEndian.AppendUint64(hdr, te[1])
+	off := headerLen
+	for _, n := range lens {
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(off))
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(n))
+		off = align8(off + n)
 	}
-	hdr = append(hdr, make([]byte, headerLen-int64(len(hdr)))...)
-
-	var pad [8]byte
-	crc := crc32.Update(crc32.Checksum(hdr[:40], crcTable), crcTable, hdr[44:])
-	pos := headerLen
-	for _, sec := range secs {
-		crc = crc32.Update(crc, crcTable, sec)
-		pos += int64(len(sec))
-		if gap := align8(pos) - pos; gap > 0 {
-			crc = crc32.Update(crc, crcTable, pad[:gap])
-			pos += gap
-		}
-	}
-	binary.LittleEndian.PutUint32(hdr[40:], crc)
-
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	pos = headerLen
-	for _, sec := range secs {
-		if _, err := bw.Write(sec); err != nil {
-			return err
-		}
-		pos += int64(len(sec))
-		if gap := align8(pos) - pos; gap > 0 {
-			if _, err := bw.Write(pad[:gap]); err != nil {
-				return err
-			}
-			pos += gap
-		}
-	}
-	return bw.Flush()
-}
-
-// swapWords returns a copy of an 8-byte-aligned section with each uint64
-// word byte-swapped (big-endian host <-> little-endian file).
-func swapWords(b []byte) []byte {
-	out := make([]byte, len(b))
-	for i := 0; i+8 <= len(b); i += 8 {
-		v := *(*uint64)(unsafe.Pointer(&b[i]))
-		binary.LittleEndian.PutUint64(out[i:], v)
-	}
-	return out
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(off))
+	return append(hdr, make([]byte, headerLen-int64(len(hdr)))...)
 }
 
 // OpenSpill opens a spilled trace, validating its size, checksum and

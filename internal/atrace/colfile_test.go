@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -43,6 +44,24 @@ func openColumnarHeap(t *testing.T, path string) *Stream {
 	}
 	s.mapped = m
 	return s
+}
+
+// writeColumnar is the reference spill encoder: it lays a heap stream
+// out in the spill format in memory and writes it to w whole.
+// CaptureToFile must produce exactly these bytes.
+func writeColumnar(w io.Writer, s *Stream) error {
+	secs := colSections(s)
+	var lens [colSectionCnt]int64
+	for i, sec := range secs {
+		lens[i] = int64(len(sec))
+	}
+	file := spillHeader(s, lens)
+	for _, sec := range secs {
+		file = append(file, sec...)
+		file = append(file, make([]byte, align8(int64(len(file)))-int64(len(file)))...)
+	}
+	_, err := w.Write(withCRC(file))
+	return err
 }
 
 // writeColumnarFile writes s to path as one spill file.

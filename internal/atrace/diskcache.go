@@ -184,8 +184,9 @@ func (d *diskCache) loadOrBuild(key Key, spec BuildSpec) (t *Stream, fromDisk bo
 		return loaded, true
 	}
 	t, err = CaptureToFile(d.spillPath(hash), spec)
-	// A publish failure (disk full, ...) leaves no spill behind; the
-	// heap-backed trace is still good, it just is not shared on disk.
+	// A write failure (disk full, ...) leaves no spill behind; the trace
+	// CaptureToFile then captured into the heap is still good, it just is
+	// not shared on disk.
 	if err == nil {
 		d.afterPublish(hash)
 	}

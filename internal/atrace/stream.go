@@ -135,6 +135,9 @@ type Builder struct {
 	prevPC uint64
 	prevEA uint64
 	first  bool
+	// off counts the instructions whose bitset words a spill log has
+	// taken (a multiple of 64); the words held start at instruction off.
+	off int64
 }
 
 // NewBuilder starts a stream whose Line/ILine fields are derived with the
@@ -180,7 +183,7 @@ func (b *Builder) Append(in annotate.Inst) {
 		b.s.firstIndex = in.Index
 		b.first = false
 	}
-	i := b.s.n
+	i := b.s.n - b.off
 	b.s.n++
 	b.s.class = append(b.s.class, uint8(in.Class))
 	b.s.src1 = append(b.s.src1, uint8(in.Src1))
@@ -223,7 +226,7 @@ func (b *Builder) AppendBlock(block []annotate.Inst) {
 		b.s.firstIndex = block[0].Index
 		b.first = false
 	}
-	base := b.s.n
+	base := b.s.n - b.off
 	b.s.n += int64(len(block))
 
 	for i := range block {
@@ -242,7 +245,7 @@ func (b *Builder) AppendBlock(block []annotate.Inst) {
 		b.s.vpo = append(b.s.vpo, packVPODep(block[i].VPOutcome, block[i].Dep))
 	}
 
-	words := bitsetWords(b.s.n)
+	words := bitsetWords(b.s.n - b.off)
 	b.s.dmiss = growWords(b.s.dmiss, words)
 	b.s.pmiss = growWords(b.s.pmiss, words)
 	b.s.imiss = growWords(b.s.imiss, words)
@@ -322,8 +325,16 @@ const captureBlock = 2048
 // transposes it into the columns, instead of one call pair plus an
 // Inst copy per instruction.
 func Capture(a *annotate.Annotator, max int64) *Stream {
-	shift := lineShiftOf(a.Hierarchy().Config().L2.LineBytes)
-	b := NewBuilder(shift, max)
+	s, _ := captureInto(a, max, NewBuilder(lineShiftOf(a.Hierarchy().Config().L2.LineBytes), max), nil)
+	return s
+}
+
+// captureInto drains up to max instructions from a into b block by
+// block and seals the stream with the annotator's statistics. After
+// every full block it hands b to flush, when set, which may take the
+// columns' leading bytes (a spill log does); a flush error stops the
+// capture and is returned.
+func captureInto(a *annotate.Annotator, max int64, b *Builder, flush func(*Builder) error) (*Stream, error) {
 	buf := make([]annotate.Inst, captureBlock)
 	for left := max; left > 0; {
 		want := int64(len(buf))
@@ -336,6 +347,11 @@ func Capture(a *annotate.Annotator, max int64) *Stream {
 		if int64(got) < want {
 			break
 		}
+		if flush != nil {
+			if err := flush(b); err != nil {
+				return nil, err
+			}
+		}
 	}
 	s := b.Finish(a.Stats())
 	if p := a.IPrefetch(); p != nil {
@@ -344,7 +360,7 @@ func Capture(a *annotate.Annotator, max int64) *Stream {
 	if p := a.DPrefetch(); p != nil {
 		s.dpfStats, s.hasDPF = p.Stats(), true
 	}
-	return s
+	return s, nil
 }
 
 func lineShiftOf(lineBytes int) uint8 {
