@@ -85,53 +85,80 @@ func (s Setup) gangPlan(points []MLPPoint, todo []int) [][]int {
 
 // streamPlan partitions the point indices todo into dispatch groups,
 // stream(i) naming point i's annotated stream. Points group when they
-// will see the same annotated stream: same workload and same canonical
-// annotation key (atrace.ConfigKey), under this Setup's warmup and
-// measure. Grouping does not require the cache — a gang over a direct
-// annotator still shares its single annotation pass — but unkeyable
-// configs (e.g. trained prefetcher instances) have private stream state
-// and always run alone. Groups are then chunked: a fixed GangSize when
-// set, otherwise just enough chunks to keep every worker busy (on one
-// worker, a whole group is one gang). MLPsim and cycle-simulator sweeps
-// share this planner.
+// will see the same annotated stream (streamGroups). Grouping does not
+// require the cache — a gang over a direct annotator still shares its
+// single annotation pass — but unkeyable configs (e.g. trained
+// prefetcher instances) have private stream state and always run alone.
+// Groups are then chunked: a fixed GangSize when set, otherwise just
+// enough chunks to keep every worker busy (on one worker, a whole group
+// is one gang). MLPsim and cycle-simulator sweeps share this planner.
 func (s Setup) streamPlan(todo []int, stream func(i int) (workload.Config, annotate.Config)) [][]int {
-	type gkey struct {
-		w     workload.Config
-		annot string
-	}
+	groups, alone := streamGroups(todo, func(i int) (atrace.Key, bool) { return s.traceKey(stream(i)) })
 	var plan [][]int
-	var order []gkey
-	groups := make(map[gkey][]int)
-	for _, i := range todo {
-		w, acfg := stream(i)
-		akey, _, ok := atrace.ConfigKey(acfg)
-		if !ok {
-			plan = append(plan, []int{i})
-			continue
-		}
-		k := gkey{w, akey}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
+	for _, i := range alone {
+		plan = append(plan, []int{i})
 	}
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range groups {
 		size := s.GangSize
 		if size <= 0 {
-			per := (s.parallelism() + len(order) - 1) / len(order)
-			size = (len(g) + per - 1) / per
+			per := (s.parallelism() + len(groups) - 1) / len(groups)
+			size = (len(g.Points) + per - 1) / per
 		}
-		for len(g) > 0 {
-			n := size
-			if n > len(g) {
-				n = len(g)
-			}
-			plan = append(plan, g[:n:n])
-			g = g[n:]
+		for rest := g.Points; len(rest) > 0; {
+			n := min(size, len(rest))
+			plan = append(plan, rest[:n:n])
+			rest = rest[n:]
 		}
 	}
 	return plan
+}
+
+// traceKey is the cache key of the annotated stream of workload w under
+// annotation config acfg and s's windows; ok is false for an unkeyable
+// config.
+func (s Setup) traceKey(w workload.Config, acfg annotate.Config) (atrace.Key, bool) {
+	akey, _, ok := atrace.ConfigKey(acfg)
+	return atrace.Key{Workload: w, Annot: akey, Warmup: s.Warmup, Measure: s.Measure}, ok
+}
+
+// StreamGroup is the points of a sweep that replay one annotated trace.
+type StreamGroup struct {
+	Trace  atrace.Key
+	Points []int
+}
+
+// streamGroups partitions todo by key(i), the trace point i replays,
+// into groups in order of first appearance; the points key rejects are
+// returned apart, in order.
+func streamGroups(todo []int, key func(i int) (atrace.Key, bool)) (groups []StreamGroup, alone []int) {
+	at := make(map[atrace.Key]int)
+	for _, i := range todo {
+		k, ok := key(i)
+		if !ok {
+			alone = append(alone, i)
+			continue
+		}
+		g, seen := at[k]
+		if !seen {
+			g = len(groups)
+			at[k] = g
+			groups = append(groups, StreamGroup{Trace: k})
+		}
+		groups[g].Points = append(groups[g].Points, i)
+	}
+	return groups, alone
+}
+
+// StreamGroups partitions the points Prefetch offers a ShardRouter (the
+// ones the memo keys) by the annotated trace they replay, as the batch
+// planner groups them, in order of first appearance. A router that
+// places whole groups has each trace built or mapped by one replica.
+func (s Setup) StreamGroups(points []MLPPoint) []StreamGroup {
+	groups, _ := streamGroups(seq(len(points)), func(i int) (atrace.Key, bool) {
+		k, ok := s.mlpKey(points[i])
+		return k.trace, ok
+	})
+	return groups
 }
 
 // seq returns the indices 0..n-1.

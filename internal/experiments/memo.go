@@ -109,7 +109,7 @@ func (s Setup) memoKey(engine string, w workload.Config, acfg annotate.Config, c
 	if s.Memo == nil || s.Cache == nil {
 		return pointKey{}, false
 	}
-	akey, _, ok := atrace.ConfigKey(acfg)
+	trace, ok := s.traceKey(w, acfg)
 	if !ok {
 		return pointKey{}, false
 	}
@@ -117,7 +117,6 @@ func (s Setup) memoKey(engine string, w workload.Config, acfg annotate.Config, c
 	if err != nil {
 		return pointKey{}, false
 	}
-	trace := atrace.Key{Workload: w, Annot: akey, Warmup: s.Warmup, Measure: s.Measure}
 	return pointKey{trace: trace, engine: engine, config: string(b)}, true
 }
 

@@ -17,20 +17,23 @@ import (
 
 // Peer mode.
 //
-// N daemon replicas cooperate on one exhibit: every replica builds the
-// same consistent-hash ring over the fleet's ids, so for any result key
-// (exhibit, seed, warmup, measure) plus point index into the exhibit's
-// declared points (experiments.Runner.Points) they all agree on the
-// owner without coordination. A replica answering
-// GET /v1/exhibits/{name} prefetches the declared points into its memo
-// — running its own shard while fetching remotely-owned shards over
-// GET /v1/peer/points — and then runs the exhibit, which answers them
-// from the memo. Peers re-derive the points deterministically from the
-// key alone, so only (exhibit, indices) and the resulting
-// []core.Result travel the wire. Any fetch failure — dead peer,
-// mismatched point count, short reply — falls back to local execution,
-// so a degraded fleet is slower, never wrong, and the merged response
-// stays byte-identical to a solo daemon's.
+// N daemon replicas cooperate on one exhibit. A replica answering
+// GET /v1/exhibits/{name} prefetches the exhibit's declared points
+// (experiments.Runner.Points) into its memo — running its own shard
+// while fetching remotely-owned shards over GET /v1/peer/points — and
+// then runs the exhibit, which answers them from the memo. Ownership
+// goes by stream: the points that replay one annotated trace
+// (experiments.Setup.StreamGroups) all go to one replica, so each trace
+// is built or mapped once in the fleet and no replica waits on another's
+// build lease. Every replica builds the same consistent-hash ring over
+// the fleet's ids and places the groups the same way (hashRing.place),
+// so they all agree on the owners without coordination. Peers
+// re-derive the points deterministically from the result key alone, so
+// only (exhibit, indices) and the resulting []core.Result travel the
+// wire. Any fetch failure — dead peer, mismatched point count, short
+// reply — falls back to local execution, so a degraded fleet is slower,
+// never wrong, and the merged response stays byte-identical to a solo
+// daemon's.
 //
 // The peer-points endpoint itself never re-shards (RunPoints takes no
 // router), so requests cannot recurse through the fleet.
@@ -59,29 +62,23 @@ type peerPointsResponse struct {
 // peerRouter routes one exhibit run's sweep points across the fleet.
 // It implements experiments.ShardRouter.
 type peerRouter struct {
-	s   *Server
-	ctx context.Context
-	key resultKey
+	s      *Server
+	ctx    context.Context
+	key    resultKey
+	owners []string // declared point index -> owning replica (hashRing.place)
 }
 
-func (s *Server) newPeerRouter(ctx context.Context, key resultKey) *peerRouter {
-	return &peerRouter{s: s, ctx: ctx, key: key}
-}
-
-// pointKey is the ring key for one sweep point: the result-cache key
-// plus the point's index into the declared list. The "#b0" is the one
-// batch every exhibit runs; it stays so every point keeps the owner it
-// had when exhibits could run several batches.
-func (r *peerRouter) pointKey(index int) string {
-	return fmt.Sprintf("%s#b0#p%d", r.key, index)
+// newPeerRouter places the stream groups of the exhibit's n declared
+// points on the ring.
+func (s *Server) newPeerRouter(ctx context.Context, key resultKey, groups []experiments.StreamGroup, n int) *peerRouter {
+	return &peerRouter{s: s, ctx: ctx, key: key, owners: s.ring.place(groups, n)}
 }
 
 func (r *peerRouter) Owner(index int) string {
-	id := r.s.ring.owner(r.pointKey(index))
-	if id == r.s.opts.PeerID {
-		return ""
+	if id := r.owners[index]; id != r.s.opts.PeerID {
+		return id
 	}
-	return id
+	return ""
 }
 
 func (r *peerRouter) Fetch(owner string, n int, indices []int) ([]core.Result, error) {

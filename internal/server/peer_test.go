@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -162,6 +164,80 @@ func TestFleetSurvivesDeadPeer(t *testing.T) {
 	}
 	if live.metrics.peerFetchErrors.Load() == 0 {
 		t.Error("dead peer produced no fetch errors; was anything offloaded?")
+	}
+}
+
+// TestStreamPlacement: on 2- and 3-member rings, every stream group of
+// figure4's, table5's and ext-storesets' declared points has one owner;
+// an owner goes past ceil(points / members) only by the one group that
+// found no member with room; the placement does not depend on the order
+// of the peer list; and a coordinator-only daemon offloads every point.
+func TestStreamPlacement(t *testing.T) {
+	router := func(self string, ids []string, exhibit string) (*peerRouter, []experiments.StreamGroup) {
+		peers := make([]Peer, len(ids))
+		for i, id := range ids {
+			peers[i] = Peer{ID: id, URL: "http://" + id}
+		}
+		s := New(Options{Setup: fleetSetup(), PeerID: self, Peers: peers})
+		setup := s.opts.Setup
+		points := experiments.Find(exhibit).Points(setup)
+		groups := setup.StreamGroups(points)
+		return s.newPeerRouter(context.Background(), resultKey{Exhibit: exhibit}, groups, len(points)), groups
+	}
+	for _, members := range []int{2, 3} {
+		ids := make([]string, members)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("r%d", i)
+		}
+		for _, exhibit := range []string{"figure4", "table5", "ext-storesets"} {
+			t.Run(fmt.Sprintf("%s/%d", exhibit, members), func(t *testing.T) {
+				r, groups := router("r0", ids, exhibit)
+				if len(groups) < 2 {
+					t.Fatalf("%d stream groups; too few to place", len(groups))
+				}
+				load := make(map[string]int)
+				largest := make(map[string]int)
+				total := 0
+				for _, g := range groups {
+					owner := r.owners[g.Points[0]]
+					for _, i := range g.Points {
+						if r.owners[i] != owner {
+							t.Fatalf("stream %v split between %s and %s", g.Trace, owner, r.owners[i])
+						}
+					}
+					load[owner] += len(g.Points)
+					largest[owner] = max(largest[owner], len(g.Points))
+					total += len(g.Points)
+				}
+				bound := (total + members - 1) / members
+				t.Logf("%d streams, %d points, bound %d, loads %v", len(groups), total, bound, load)
+				for id, l := range load {
+					if l > bound && l-largest[id] >= bound {
+						t.Errorf("%s holds %d points, past the bound %d by more than one group (largest %d): %v",
+							id, l, bound, largest[id], load)
+					}
+				}
+				if len(load) < 2 {
+					t.Errorf("all %d streams on one member: %v", len(groups), load)
+				}
+
+				shuffled, _ := router("r0", append(ids[1:len(ids):len(ids)], ids[0]), exhibit)
+				if !slices.Equal(shuffled.owners, r.owners) {
+					t.Errorf("placement depends on peer-list order:\n%v\n%v", r.owners, shuffled.owners)
+				}
+				obs, _ := router("obs", ids, exhibit)
+				if !slices.Equal(obs.owners, r.owners) {
+					t.Errorf("coordinator-only placement differs:\n%v\n%v", r.owners, obs.owners)
+				}
+				for _, g := range groups {
+					for _, i := range g.Points {
+						if obs.Owner(i) == "" {
+							t.Fatalf("coordinator-only daemon keeps point %d", i)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -9,9 +10,9 @@ func TestRingOrderIndependent(t *testing.T) {
 	a := newHashRing([]string{"r0", "r1", "r2"})
 	b := newHashRing([]string{"r2", "r0", "r1", "r2"}) // shuffled + duplicate
 	for i := 0; i < 500; i++ {
-		k := fmt.Sprintf("figure4?seed=1#b0#p%d", i)
-		if ao, bo := a.owner(k), b.owner(k); ao != bo {
-			t.Fatalf("key %q: owner %q vs %q across member orderings", k, ao, bo)
+		k := fmt.Sprintf("w{seed:1}|a{%d}", i)
+		if ao, bo := a.clockwise(k), b.clockwise(k); !slices.Equal(ao, bo) {
+			t.Fatalf("key %q: members clockwise %q vs %q across member orderings", k, ao, bo)
 		}
 	}
 }
@@ -22,7 +23,7 @@ func TestRingCoversAllMembers(t *testing.T) {
 	counts := make(map[string]int)
 	const n = 3000
 	for i := 0; i < n; i++ {
-		counts[r.owner(fmt.Sprintf("ext-storesets?seed=7#b0#p%d", i))]++
+		counts[r.clockwise(fmt.Sprintf("w{seed:7}|a{%d}", i))[0]]++
 	}
 	for _, id := range ids {
 		// Virtual nodes keep the split coarse-grained fair; 10% of an
@@ -37,8 +38,8 @@ func TestRingCoversAllMembers(t *testing.T) {
 func TestRingSingleMember(t *testing.T) {
 	r := newHashRing([]string{"only"})
 	for i := 0; i < 50; i++ {
-		if got := r.owner(fmt.Sprintf("k%d", i)); got != "only" {
-			t.Fatalf("owner(k%d) = %q, want only", i, got)
+		if got := r.clockwise(fmt.Sprintf("k%d", i)); !slices.Equal(got, []string{"only"}) {
+			t.Fatalf("clockwise(k%d) = %q, want only", i, got)
 		}
 	}
 }

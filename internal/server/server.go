@@ -336,7 +336,8 @@ func (s *Server) runExhibit(ctx context.Context, runner experiments.Runner, key 
 		// Peer fleet: remotely-owned sweep points are fetched from their
 		// owners into the memo instead of run; any failure falls back to
 		// local execution, so the output is byte-identical either way.
-		experiments.Prefetch(setup, runner.Points(setup), s.newPeerRouter(ctx, key))
+		points := runner.Points(setup)
+		experiments.Prefetch(setup, points, s.newPeerRouter(ctx, key, setup.StreamGroups(points), len(points)))
 	}
 
 	out := runner.Run(setup)
