@@ -157,20 +157,6 @@ func (l *spillLog) append(i int, p []byte) error {
 	return err
 }
 
-// byteCols points at s's byte columns by spill section, nil at the
-// bitsets' sections (wordCols).
-func (s *Stream) byteCols() [colSectionCnt]*[]byte {
-	return [colSectionCnt]*[]byte{
-		0: &s.class, 1: &s.src1, 2: &s.src2, 3: &s.dst, 4: &s.vpo,
-		12: &s.pc, 13: &s.ea, 14: &s.tgt, 15: &s.val,
-	}
-}
-
-// wordCols points at s's bitsets, spill sections 5 to 11.
-func (s *Stream) wordCols() [7]*[]uint64 {
-	return [7]*[]uint64{&s.dmiss, &s.pmiss, &s.imiss, &s.smiss, &s.mispred, &s.taken, &s.hasTgt}
-}
-
 // newSpillBuilder returns a builder whose columns never grow under a
 // spill log's flushes: each holds less than a chunk between them, plus
 // one capture block's worth (uvarints at their longest).

@@ -82,15 +82,32 @@ var hostLittleEndian = func() bool {
 
 func align8(n int64) int64 { return (n + 7) &^ 7 }
 
+// byteCols points at s's byte columns by spill section, nil at the
+// bitsets' sections (wordCols).
+func (s *Stream) byteCols() [colSectionCnt]*[]byte {
+	return [colSectionCnt]*[]byte{
+		0: &s.class, 1: &s.src1, 2: &s.src2, 3: &s.dst, 4: &s.vpo,
+		12: &s.pc, 13: &s.ea, 14: &s.tgt, 15: &s.val,
+	}
+}
+
+// wordCols points at s's bitsets, spill sections 5 to 11.
+func (s *Stream) wordCols() [7]*[]uint64 {
+	return [7]*[]uint64{&s.dmiss, &s.pmiss, &s.imiss, &s.smiss, &s.mispred, &s.taken, &s.hasTgt}
+}
+
 // colSections lists the stream's sections in file order, the bitsets as
 // their on-disk bytes (see leBytes). The byte columns alias the stream.
-func colSections(s *Stream) [colSectionCnt][]byte {
-	return [colSectionCnt][]byte{
-		s.class, s.src1, s.src2, s.dst, s.vpo,
-		leBytes(s.dmiss), leBytes(s.pmiss), leBytes(s.imiss), leBytes(s.smiss),
-		leBytes(s.mispred), leBytes(s.taken), leBytes(s.hasTgt),
-		s.pc, s.ea, s.tgt, s.val,
+func colSections(s *Stream) (secs [colSectionCnt][]byte) {
+	for i, col := range s.byteCols() {
+		if col != nil {
+			secs[i] = *col
+		}
 	}
+	for k, ws := range s.wordCols() {
+		secs[5+k] = leBytes(*ws)
+	}
+	return secs
 }
 
 // leBytes returns bitset words in the on-disk little-endian byte order:
@@ -247,15 +264,14 @@ func streamFromColumnar(data []byte) (*Stream, error) {
 
 	s := &Stream{n: n, firstIndex: firstIndex, lineShift: lineShift}
 	meta.apply(s)
-	s.class, s.src1, s.src2, s.dst, s.vpo = secs[0], secs[1], secs[2], secs[3], secs[4]
-	s.dmiss = bitsetSection(secs[5])
-	s.pmiss = bitsetSection(secs[6])
-	s.imiss = bitsetSection(secs[7])
-	s.smiss = bitsetSection(secs[8])
-	s.mispred = bitsetSection(secs[9])
-	s.taken = bitsetSection(secs[10])
-	s.hasTgt = bitsetSection(secs[11])
-	s.pc, s.ea, s.tgt, s.val = secs[12], secs[13], secs[14], secs[15]
+	for i, col := range s.byteCols() {
+		if col != nil {
+			*col = secs[i]
+		}
+	}
+	for k, ws := range s.wordCols() {
+		*ws = bitsetSection(secs[5+k])
+	}
 	return s, nil
 }
 
