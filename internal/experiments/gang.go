@@ -45,16 +45,14 @@ type GangStats struct {
 // group runs as a gang; a one-point group is a gang of one and counts as
 // Solo.
 func (s Setup) runLocal(points []MLPPoint, todo []int, results []core.Result) {
-	plan := s.gangPlan(points, todo)
-	s.forEach(len(plan), func(gi int) {
-		idxs := plan[gi]
-		p0 := points[idxs[0]]
+	stream := func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot }
+	s.runGangs(todo, stream, func(idxs []int, src core.AnnotatedSource) {
 		cfgs := make([]core.Config, len(idxs))
 		for k, pi := range idxs {
 			cfgs[k] = points[pi].Config
 			cfgs[k].MaxInstructions = s.Measure
 		}
-		rs := core.RunGang(s.annotatedSource(p0.Workload, p0.Annot), cfgs)
+		rs := core.RunGang(src, cfgs)
 		for k, pi := range idxs {
 			results[pi] = rs[k]
 			s.noteDepStats(rs[k])
@@ -76,11 +74,96 @@ func (s Setup) runLocal(points []MLPPoint, todo []int, results []core.Result) {
 	})
 }
 
-// gangPlan partitions the MLPsim point indices todo into dispatch
-// groups by streamPlan.
-func (s Setup) gangPlan(points []MLPPoint, todo []int) [][]int {
-	return s.streamPlan(todo,
-		func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot })
+// streamOf names the annotated stream of sweep point i.
+type streamOf func(i int) (workload.Config, annotate.Config)
+
+// runGangs plans the points todo by streamPlan and runs each group as
+// one gang, run(idxs, src), src replaying the group's annotated stream,
+// over the worker pool in batchTasks order. MLPsim and cycle-simulator
+// batches share it.
+func (s Setup) runGangs(todo []int, stream streamOf, run func(idxs []int, src core.AnnotatedSource)) {
+	plan := s.streamPlan(todo, stream)
+	tasks := s.batchTasks(plan, stream)
+	s.forEach(len(tasks), func(ti int) {
+		t := tasks[ti]
+		if t.gang < 0 {
+			t.trace.fetch(s)
+			return
+		}
+		idxs := plan[t.gang]
+		var src core.AnnotatedSource
+		if f := t.trace; f != nil {
+			<-f.ready
+			if f.st != nil {
+				src = f.st.Source()
+			}
+		}
+		if src == nil {
+			src = s.annotatedSource(stream(idxs[0]))
+		}
+		run(idxs, src)
+	})
+}
+
+// traceFetch hands one cached trace from the task that fetches it to
+// the gangs that replay it.
+type traceFetch struct {
+	w     workload.Config
+	acfg  annotate.Config
+	ready chan struct{}  // closed when the fetch ends, by return or panic
+	st    *atrace.Stream // nil if the fetch panicked
+}
+
+// fetch looks the trace up in s.Cache, building it on a miss, and
+// releases the gangs waiting for it even if the build panics.
+func (f *traceFetch) fetch(s Setup) {
+	defer close(f.ready)
+	f.st, _ = s.cachedStream(f.w, f.acfg)
+}
+
+// batchTask is one task of a batch: fetching trace when gang < 0, else
+// running gang plan[gang], which replays trace once its fetch is done,
+// or fetches its own stream when trace is nil.
+type batchTask struct {
+	gang  int
+	trace *traceFetch
+}
+
+// batchTasks orders the tasks of plan; the worker pool starts them in
+// this order. With a cache and more than one worker, one fetch task per
+// distinct cacheable trace of the plan, in order of first use, comes
+// ahead of every gang, so builds overlap gangs instead of queueing
+// behind them: three streams on two workers run B1 B3 G2 beside
+// B2 G1 G3, not B1 G1 B3 G3 beside B2 G2 (DESIGN.md §12). Each trace is
+// then looked up once per batch, however its group is chunked.
+// Otherwise each gang fetches its own stream, in plan order: for
+// unkeyable points, without a cache, and on one worker, which has
+// nothing to overlap and would only hold every trace at once.
+func (s Setup) batchTasks(plan [][]int, stream streamOf) []batchTask {
+	gangs := make([]batchTask, len(plan))
+	for gi := range gangs {
+		gangs[gi].gang = gi
+	}
+	if s.Cache == nil || s.parallelism() <= 1 {
+		return gangs
+	}
+	var fetches []batchTask
+	byKey := make(map[atrace.Key]*traceFetch)
+	for gi, idxs := range plan {
+		w, acfg := stream(idxs[0])
+		key, ok := s.traceKey(w, acfg)
+		if !ok {
+			continue
+		}
+		f := byKey[key]
+		if f == nil {
+			f = &traceFetch{w: w, acfg: acfg, ready: make(chan struct{})}
+			byKey[key] = f
+			fetches = append(fetches, batchTask{gang: -1, trace: f})
+		}
+		gangs[gi].trace = f
+	}
+	return append(fetches, gangs...)
 }
 
 // streamPlan partitions the point indices todo into dispatch groups,
@@ -92,7 +175,7 @@ func (s Setup) gangPlan(points []MLPPoint, todo []int) [][]int {
 // Groups are then chunked: a fixed GangSize when set, otherwise just
 // enough chunks to keep every worker busy (on one worker, a whole group
 // is one gang). MLPsim and cycle-simulator sweeps share this planner.
-func (s Setup) streamPlan(todo []int, stream func(i int) (workload.Config, annotate.Config)) [][]int {
+func (s Setup) streamPlan(todo []int, stream streamOf) [][]int {
 	groups, alone := streamGroups(todo, func(i int) (atrace.Key, bool) { return s.traceKey(stream(i)) })
 	var plan [][]int
 	for _, i := range alone {

@@ -6,9 +6,12 @@ import (
 	"testing"
 
 	"mlpsim/internal/annotate"
+	"mlpsim/internal/atrace"
 	"mlpsim/internal/core"
+	"mlpsim/internal/cyclesim"
 	"mlpsim/internal/isa"
 	"mlpsim/internal/vpred"
+	"mlpsim/internal/workload"
 )
 
 // TestGangMatchesSequential is the satellite property test of this
@@ -133,6 +136,128 @@ func TestGangPlanShapes(t *testing.T) {
 			t.Errorf("unkeyable group %d has %d members, want a gang of one", i, len(g))
 		}
 	}
+}
+
+// TestBatchFetchesTracesFirst pins a batch's task order and its trace
+// lookups. On two workers figure4's three trace fetches all come ahead
+// of its gangs, in order of first use, and each gang replays its own
+// stream's fetch; on one worker the tasks are today's, the gangs in plan
+// order, each fetching its own stream. On more than one worker a batch
+// looks each distinct trace up once, however it is chunked: one stream
+// in four gangs is one miss and no hits, where fetching inside every
+// gang made three hits. It runs under -race in `make test`, because a
+// fetch hands its trace to gangs on other goroutines.
+func TestBatchFetchesTracesFirst(t *testing.T) {
+	s := Quick(1)
+	s.Warmup, s.Measure = 20_000, 40_000
+	points := figure4Points(s)
+	stream := func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot }
+	keyOf := func(w workload.Config, acfg annotate.Config) atrace.Key {
+		k, ok := s.traceKey(w, acfg)
+		if !ok {
+			t.Fatalf("%s: figure4 stream has no trace key", w.Name)
+		}
+		return k
+	}
+
+	s.Parallelism = 2
+	plan := s.gangPlan(points, seq(len(points)))
+	tasks := s.batchTasks(plan, stream)
+	var fetched []atrace.Key
+	for ti, task := range tasks {
+		if task.gang >= 0 {
+			continue
+		}
+		if ti != len(fetched) {
+			t.Fatalf("two workers: fetch task %d follows a gang (tasks %v)", ti, taskShape(tasks))
+		}
+		fetched = append(fetched, keyOf(task.trace.w, task.trace.acfg))
+	}
+	want := []atrace.Key{keyOf(stream(0)), keyOf(stream(25)), keyOf(stream(50))}
+	if !reflect.DeepEqual(fetched, want) {
+		t.Fatalf("two workers: fetches %v, want one per stream in order of first use %v", fetched, want)
+	}
+	if len(tasks) != len(fetched)+len(plan) {
+		t.Fatalf("two workers: %d tasks, want %d fetches and %d gangs", len(tasks), len(fetched), len(plan))
+	}
+	for k, task := range tasks[len(fetched):] {
+		if task.gang != k {
+			t.Errorf("two workers: gang task %d runs gang %d, want plan order", k, task.gang)
+		}
+		if task.trace == nil || keyOf(task.trace.w, task.trace.acfg) != keyOf(stream(plan[k][0])) {
+			t.Errorf("two workers: gang %d does not replay its own stream's fetch", k)
+		}
+	}
+
+	s.Parallelism = 1
+	plan = s.gangPlan(points, seq(len(points)))
+	tasks = s.batchTasks(plan, stream)
+	if len(tasks) != len(plan) {
+		t.Fatalf("one worker: tasks %v, want the %d gangs alone", taskShape(tasks), len(plan))
+	}
+	for k, task := range tasks {
+		if task.gang != k || task.trace != nil {
+			t.Errorf("one worker: task %d is gang %d (fetch %v), want gang %d fetching its own stream", k, task.gang, task.trace != nil, k)
+		}
+	}
+
+	for _, gangSize := range []int{0, 1} {
+		s := s
+		s.Parallelism, s.GangSize = 4, gangSize
+		s.Cache = atrace.NewCache()
+		s.RunMLPsimBatch(points[:8])
+		if st := s.Cache.Stats(); st.Misses != 1 || st.Hits != 0 {
+			t.Errorf("GangSize %d: an MLPsim batch of one stream made %d misses and %d hits, want 1 and 0", gangSize, st.Misses, st.Hits)
+		}
+		var cpoints []CyclePoint
+		for _, mshrs := range []int{0, 4, 8, 16} {
+			cfg := cyclesim.Default(400)
+			cfg.MSHRs = mshrs
+			cpoints = append(cpoints, CyclePoint{Workload: points[0].Workload, Config: cfg})
+		}
+		s.RunCycleSimBatch(cpoints)
+		if st := s.Cache.Stats(); st.Misses != 1 || st.Hits != 1 {
+			t.Errorf("GangSize %d: a cycle-sim batch over the same stream left %d misses and %d hits, want 1 and 1", gangSize, st.Misses, st.Hits)
+		}
+	}
+}
+
+// TestTraceFetchReleasesWaitersOnPanic: a fetch whose build panics still
+// releases the gangs waiting for it, with no stream, so they fall back to
+// fetching their own instead of blocking.
+func TestTraceFetchReleasesWaitersOnPanic(t *testing.T) {
+	s := Quick(1)
+	f := &traceFetch{w: workload.Config{Name: "invalid"}, ready: make(chan struct{})}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a build of an invalid workload did not panic")
+			}
+		}()
+		f.fetch(s)
+	}()
+	select {
+	case <-f.ready:
+	default:
+		t.Fatal("a panicked fetch left its waiters blocked")
+	}
+	if f.st != nil {
+		t.Error("a panicked fetch published a stream")
+	}
+}
+
+// taskShape renders a batch's tasks as gang indices, -1 for a fetch.
+func taskShape(tasks []batchTask) []int {
+	shape := make([]int, len(tasks))
+	for i, task := range tasks {
+		shape[i] = task.gang
+	}
+	return shape
+}
+
+// gangPlan is the plan runLocal dispatches for the MLPsim points todo.
+func (s Setup) gangPlan(points []MLPPoint, todo []int) [][]int {
+	return s.streamPlan(todo, func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot })
 }
 
 func planShape(plan [][]int) []int {

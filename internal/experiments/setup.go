@@ -57,8 +57,8 @@ type Setup struct {
 	// shared-stream group into just enough gangs to keep every worker
 	// busy, 1 = one config per gang, and N >= 2 caps gangs at N
 	// configs. Results are bit-identical across all settings; only
-	// wall-clock changes. Parallelism bounds concurrent gangs, not
-	// points.
+	// wall-clock changes. Parallelism bounds concurrent gangs and trace
+	// fetches, not points.
 	GangSize int
 	// GangStats, when non-nil, accumulates gang occupancy counters
 	// across sweeps (the daemon exports them on /metrics).
@@ -259,11 +259,12 @@ func (s Setup) cycleKey(p CyclePoint) (pointKey, bool) {
 
 // RunCycleSimBatch runs every point to s.Measure instructions and
 // returns results in point order. The batch checks s.Memo first; the
-// points it does not hold are planned like an MLPsim sweep (streamPlan:
-// grouped by shared annotated stream, chunked by GangSize or the worker
-// count) and each group runs as one cyclesim.RunGang — one decode and
-// bind, one pipeline per point — with Parallelism bounding concurrent
-// gangs. Results are bit-identical to one lone simulation per point.
+// points it does not hold are planned and dispatched like an MLPsim
+// sweep (runGangs: grouped by shared annotated stream, chunked by
+// GangSize or the worker count, traces fetched ahead of the gangs) and
+// each group runs as one cyclesim.RunGang — one decode and bind, one
+// pipeline per point — with Parallelism bounding concurrent tasks.
+// Results are bit-identical to one lone simulation per point.
 func (s Setup) RunCycleSimBatch(points []CyclePoint) []cyclesim.Result {
 	results := make([]cyclesim.Result, len(points))
 	var todo []int
@@ -276,17 +277,14 @@ func (s Setup) RunCycleSimBatch(points []CyclePoint) []cyclesim.Result {
 		}
 		todo = append(todo, i)
 	}
-	plan := s.streamPlan(todo,
-		func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot })
-	s.forEach(len(plan), func(gi int) {
-		idxs := plan[gi]
+	stream := func(i int) (workload.Config, annotate.Config) { return points[i].Workload, points[i].Annot }
+	s.runGangs(todo, stream, func(idxs []int, src core.AnnotatedSource) {
 		cfgs := make([]cyclesim.Config, len(idxs))
 		for k, pi := range idxs {
 			cfgs[k] = points[pi].Config
 			cfgs[k].MaxInstructions = s.Measure
 		}
-		p0 := points[idxs[0]]
-		rs := cyclesim.RunGang(s.annotatedSource(p0.Workload, p0.Annot), cfgs)
+		rs := cyclesim.RunGang(src, cfgs)
 		for k, pi := range idxs {
 			results[pi] = rs[k]
 			if key, ok := s.cycleKey(points[pi]); ok {
